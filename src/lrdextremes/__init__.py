@@ -64,7 +64,6 @@ from .model import (
     TargetMarginalY,
     clamp_events,
     fit_empirical_marginal,
-    marginal_eval,
     reset_clamp_events,
     subordinate,
     sv_eval,

@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, build_problem, parse_config
-from .errors import ConfigError, DomainError, LrdExtremesError, NumericError
-from .estats import ProcessFrame, reduction_sup, u_ratio
+from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
+    _problem_and_bundle,
+    _run_replicate_loop,
     convergence_study,
     run_replicates,
     write_convergence_csv,
@@ -24,16 +25,8 @@ from .mc import (
     write_summary_csv,
     write_z_samples_csv,
 )
-from .scaling import (
-    CASE_LABELS,
-    check_condition_Dr,
-    karamata_K,
-    make_bundle,
-    power_rank_integral,
-    select_p,
-    xi_threshold,
-)
-from .simulate import config_hash, derive_seed, dump_path_csv, gen_innovations, moving_average, simulate_path
+from .scaling import CASE_LABELS, check_condition_Dr, karamata_K, power_rank_integral
+from .simulate import derive_seed, dump_path_csv, simulate_path
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -49,31 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir or '.')")
     parser.add_argument("--threads", type=int, default=1, help="worker processes; 0 means auto")
-    parser.add_argument("--format", choices=["csv"], default="csv", help="output file format")
     return parser
-
-
-def _bundle_for(config: ExperimentConfig, n: int, check_feasible: bool):
-    coeffs, dist, mx, ty = build_problem(config)
-    return (
-        make_bundle(
-            mx,
-            ty,
-            coeffs.c,
-            dist.variance,
-            config.beta,
-            coeffs.L0,
-            n,
-            config.xi,
-            p=config.p_override,
-            spec_hash=config_hash(coeffs, dist, mx, ty, n),
-            check_feasible=check_feasible,
-        ),
-        coeffs,
-        dist,
-        mx,
-        ty,
-    )
 
 
 def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> int:
@@ -87,21 +56,18 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def _cmd_scaling(config: ExperimentConfig, out_dir: str, threads: int) -> int:
-    bundle, coeffs, dist, mx, ty = _bundle_for(config, config.n, check_feasible=False)
+    (_, _, mx, ty), bundle = _problem_and_bundle(config, config.n, check_feasible=False)
+    verdict = bundle.feasibility
     print(f"case = {bundle.case.name} {CASE_LABELS[bundle.case]}")
     print(f"n = {bundle.n}")
     print(f"k_n = {bundle.k_n}")
     print(f"xi = {bundle.xi!r}")
     print(f"p = {bundle.p}")
-    try:
-        thr = xi_threshold(
-            bundle.case, config.beta, mx.mda.alpha, ty.mda.alpha if ty.mda.kind == "frechet" else None
-        )
-        print(f"xi_threshold = {thr!r}")
-        print(f"feasible = {'yes' if config.xi > thr else 'no'}")
-    except LrdExtremesError as exc:
-        print(f"xi_threshold = infeasible ({exc})")
-        print("feasible = no")
+    if verdict.threshold is None:
+        print(f"xi_threshold = infeasible ({verdict.refusal})")
+    else:
+        print(f"xi_threshold = {verdict.threshold!r}")
+    print(f"feasible = {'yes' if verdict.refusal is None else 'no'}")
     print(f"sigma_n1 = {bundle.sigma_n1!r}")
     print(f"A_n = {bundle.A_n!r}")
     print(f"d_np = {bundle.d_np!r}")
@@ -143,33 +109,30 @@ def _cmd_convergence(config: ExperimentConfig, out_dir: str, threads: int) -> in
 
 
 def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
-    coeffs, dist, mx, ty = build_problem(config)
-    p = config.p_override if config.p_override is not None else select_p(config.beta)
+    problem, bundle = _problem_and_bundle(config, config.n, check_feasible=False)
+    _, _, mx, ty = problem
     pr = power_rank_integral(mx, ty)
     print(f"power_rank_integral = {pr!r}")
     print(f"power_rank_ok = {'yes' if pr != 0 else 'no'}")
-    for r in range(1, p + 1):
+    for r in range(1, bundle.p + 1):
         try:
             dr = check_condition_Dr(mx, ty, r)
             print(f"D_{r} = {dr!r}")
         except (LrdExtremesError, NotImplementedError) as exc:
             print(f"D_{r} = unavailable ({exc})")
-    bundle, coeffs, dist, mx, ty = _bundle_for(config, config.n, check_feasible=False)
-    reps = min(config.replicates, 10)
-    sups, urs = [], []
-    for r in range(reps):
-        seed = derive_seed(config.master_seed, r)
-        eps = gen_innovations(dist, bundle.n + coeffs.M, seed)
-        x = moving_average(coeffs.c, eps)
-        frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
-        urs.append(u_ratio(frame, bundle.k_n))
-        if frame.analytic and bundle.p <= 2:
-            sups.append(reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1).value)
-    print(f"median_u_ratio = {float(np.median(urs))!r}")
-    if sups:
-        print(f"median_reduction_sup = {float(np.median(sups))!r} (over {reps} replicates)")
+    R = min(config.replicates, 10)
+    reps = _run_replicate_loop(problem, bundle, config.master_seed, R, threads, with_reduction=True)
+    # the replicate kernel reports NaN where a diagnostic is undefined
+    urs = np.array([rep.u_ratio for rep in reps])
+    sups = np.array([rep.reduction_sup for rep in reps])
+    if np.all(np.isnan(urs)):
+        print("median_u_ratio = unavailable (needs an analytic X marginal)")
     else:
+        print(f"median_u_ratio = {float(np.median(urs))!r}")
+    if np.all(np.isnan(sups)):
         print("median_reduction_sup = unavailable (needs analytic marginal and p <= 2)")
+    else:
+        print(f"median_reduction_sup = {float(np.median(sups))!r} (over {R} replicates)")
     return EXIT_OK
 
 
@@ -221,7 +184,7 @@ def main(argv=None) -> int:
         write_errors_csv([(EXIT_NUMERIC, str(exc))], os.path.join(out_dir, "errors.csv"))
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DomainError) as exc:
+    except LrdExtremesError as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
         write_errors_csv([(EXIT_INFEASIBLE, v) for v in violations], os.path.join(out_dir, "errors.csv"))
         print(f"error: {exc}", file=sys.stderr)

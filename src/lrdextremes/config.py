@@ -13,13 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InfeasibleConfigError
+from .errors import ConfigError, DomainError
 from .model import (
     GaussianMarginal,
     IdentityTarget,
     InnovationDist,
     LogParetoTarget,
-    MdaCase,
     MdaTag,
     ParetoMarginal,
     ParetoTarget,
@@ -28,7 +27,7 @@ from .model import (
     SvLogPower,
     fit_empirical_marginal,
 )
-from .scaling import CASE_LABELS, xi_threshold
+from .scaling import xi_feasibility
 
 KNOWN_KEYS = {
     "beta",
@@ -238,16 +237,9 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
                 violations.append(f"k_n = ceil({nn}^{xi}) = {k_n} must lie in [2, n-1]")
 
     if require_feasible and beta is not None and xi is not None and x_tag is not None and y_tag is not None:
-        try:
-            case = MdaCase.classify(x_tag, y_tag)
-            thr = xi_threshold(case, beta, x_tag.alpha, y_tag.alpha if y_tag.kind == "frechet" else None)
-            if xi <= thr:
-                violations.append(
-                    f"xi = {xi} must exceed the {case.name} condition {CASE_LABELS[case]} "
-                    f"threshold {thr:.6g}"
-                )
-        except InfeasibleConfigError as exc:
-            violations.append(str(exc))
+        refusal = xi_feasibility(x_tag, y_tag, beta, xi).refusal
+        if refusal is not None:
+            violations.append(refusal)
 
     if violations:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations), violations)

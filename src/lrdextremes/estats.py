@@ -277,17 +277,8 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
 
     # (1-1/n, 1]: proper segments up to the largest U, then the limit piece
     i_hi = int(np.searchsorted(us, hi, side="right"))
-    pts = np.concatenate([[hi], us[i_hi:]])
-    evals = (i_hi + np.arange(len(pts) - 1)) / n
-    a, b = pts[:-1], pts[1:]
-    if len(a):
-        qa = np.asarray(ty.Q(a), dtype=float)
-        qb = np.asarray(ty.Q(b), dtype=float)
-        anti = np.diff(np.asarray(ty.cum_Q(pts), dtype=float))
-        body = float(np.sum((b - evals) * qb - (a - evals) * qa - anti))
-    else:
-        body = 0.0
-    last = float(pts[-1])
+    last = max(hi, float(us[-1]))
+    body = _stieltjes_y_minus_en(frame, hi, last, i_hi)
     tail = -(last - 1.0) * float(ty.Q(last)) - ty.integral_Q(last, 1.0)
     i2 = scale * (body + tail)
 

@@ -13,19 +13,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from .config import ExperimentConfig, build_problem
 from .errors import DomainError, InfeasibleConfigError
 from .estats import ProcessFrame, decompose_I, reduction_sup, u_ratio
 from .model import EmpiricalMarginal
 from .scaling import (
+    ScalingBundle,
     check_condition_Dr,
     iid_contrast,
     iid_scale,
     make_bundle,
     power_rank_integral,
-    xi_threshold,
 )
 from .simulate import config_hash, derive_seed, gen_innovations, moving_average
 
@@ -56,6 +56,7 @@ class McRunResult:
     summary: dict
     config_echo: dict
     master_seed: int
+    bundle: ScalingBundle | None = field(default=None, repr=False)
 
 
 def ks_test(sample) -> tuple[float, float]:
@@ -84,7 +85,7 @@ def summarize(z_samples: np.ndarray) -> dict:
     else:
         d, p = float("nan"), float("nan")
     qq = [
-        {"prob": q, "theoretical": float(_norm_quantile(q)), "empirical": float(np.quantile(z, q))}
+        {"prob": q, "theoretical": float(ndtri(q)), "empirical": float(np.quantile(z, q))}
         for q in QQ_PROBS
     ]
     return {
@@ -96,45 +97,40 @@ def summarize(z_samples: np.ndarray) -> dict:
     }
 
 
-def _norm_quantile(q: float) -> float:
-    from scipy.special import ndtri
-
-    return ndtri(q)
-
-
-def _feasibility_record(config: ExperimentConfig, problem) -> dict:
-    """Run the one-time hypothesis checks; raise before any simulation."""
+def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool = True):
+    """The realized (coeffs, dist, mx, ty) and the scaling bundle at size n."""
+    problem = build_problem(config)
     coeffs, dist, mx, ty = problem
-    case = None
-    record = {}
-    from .model import MdaCase
+    bundle = make_bundle(
+        mx,
+        ty,
+        coeffs.c,
+        dist.variance,
+        config.beta,
+        coeffs.L0,
+        n,
+        config.xi,
+        p=config.p_override,
+        spec_hash=config_hash(coeffs, dist, mx, ty, n),
+        check_feasible=check_feasible,
+    )
+    return problem, bundle
 
-    case = MdaCase.classify(mx.mda, ty.mda)
-    thr = xi_threshold(case, config.beta, mx.mda.alpha, ty.mda.alpha if ty.mda.kind == "frechet" else None)
-    record["case"] = case.name
-    record["xi_threshold"] = thr
-    if config.xi <= thr:
-        raise InfeasibleConfigError(
-            f"xi = {config.xi} does not exceed the {case.name} threshold {thr:.6g}",
-            [f"xi <= {thr:.6g} ({case.name} condition)"],
-        )
+
+def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
+    """Run the one-time hypothesis checks beyond xi; raise before any simulation."""
+    coeffs, dist, mx, ty = problem
+    record = {"case": bundle.case.name, "xi_threshold": bundle.feasibility.threshold}
     pr = power_rank_integral(mx, ty)
     record["power_rank_integral"] = pr
     if pr == 0.0:
         raise InfeasibleConfigError("power-rank integral vanishes; normalization by sigma_n1 is invalid")
-    p = config.p_override if config.p_override is not None else _select_p(config.beta)
-    record["p"] = p
+    record["p"] = bundle.p
     if isinstance(mx, EmpiricalMarginal):
         record["condition_Dr"] = "skipped (no analytic derivatives for the fitted marginal)"
     else:
-        record["condition_Dr"] = [check_condition_Dr(mx, ty, r) for r in range(1, p + 1)]
+        record["condition_Dr"] = [check_condition_Dr(mx, ty, r) for r in range(1, bundle.p + 1)]
     return record
-
-
-def _select_p(beta: float) -> int:
-    from .scaling import select_p
-
-    return select_p(beta)
 
 
 def _run_one(task) -> ReplicateResult:
@@ -157,6 +153,23 @@ def _run_one(task) -> ReplicateResult:
     else:
         red = float("nan")
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
+
+
+def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int, threads: int, with_reduction: bool):
+    """Replicates 0..R-1 of one bundle, in replicate order whatever the worker count."""
+    coeffs, dist, mx, ty = problem
+    tasks = [
+        (r, derive_seed(master_seed, r), coeffs, dist, mx, ty, bundle, with_reduction) for r in range(R)
+    ]
+    workers = os.cpu_count() if threads == 0 else threads
+    if workers is None or workers <= 1 or R == 1:
+        reps = [_run_one(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, R)) as pool:
+            chunk = max(1, R // (4 * min(workers, R)))
+            reps = list(pool.map(_run_one, tasks, chunksize=chunk))
+    reps.sort(key=lambda rep: rep.replicate)  # reduction by index, not completion order
+    return reps
 
 
 def run_replicates(
@@ -187,33 +200,9 @@ def run_replicates(
     if n is None:
         raise DomainError("an experiment size n is required")
 
-    problem = build_problem(config)
-    coeffs, dist, mx, ty = problem
-    feas = _feasibility_record(config, problem)
-    bundle = make_bundle(
-        mx,
-        ty,
-        coeffs.c,
-        dist.variance,
-        config.beta,
-        coeffs.L0,
-        n,
-        config.xi,
-        p=config.p_override,
-        spec_hash=config_hash(coeffs, dist, mx, ty, n),
-    )
-
-    tasks = [
-        (r, derive_seed(master_seed, r), coeffs, dist, mx, ty, bundle, with_reduction) for r in range(R)
-    ]
-    workers = os.cpu_count() if threads == 0 else threads
-    if workers is None or workers <= 1 or R == 1:
-        reps = [_run_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, R)) as pool:
-            chunk = max(1, R // (4 * min(workers, R)))
-            reps = list(pool.map(_run_one, tasks, chunksize=chunk))
-    reps.sort(key=lambda rep: rep.replicate)  # reduction by index, not completion order
+    problem, bundle = _problem_and_bundle(config, n)
+    feas = _feasibility_record(problem, bundle)
+    reps = _run_replicate_loop(problem, bundle, master_seed, R, threads, with_reduction)
 
     z = np.array([rep.z for rep in reps])
     summary = summarize(z)
@@ -221,7 +210,9 @@ def run_replicates(
     echo = config.as_dict()
     echo["n"] = n
     echo["R"] = R
-    return McRunResult(z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed)
+    return McRunResult(
+        z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=bundle
+    )
 
 
 def trend_nonincreasing(values, allowed_inversions: int = 1, rtol: float = 0.0) -> bool:
@@ -251,14 +242,7 @@ def convergence_study(
     rows = []
     for nn in n_grid:
         res = run_replicates(config, R=R, master_seed=master_seed, threads=threads, n=nn)
-        k_n = int(math.ceil(nn**config.xi))
-        sigma_n1 = None
-        # bundle values are recomputable from the result echo; recompute the
-        # deterministic contrast columns here
-        coeffs, dist, mx, ty = build_problem(config)
-        from .simulate import sigma_n1_exact
-
-        sigma_n1 = sigma_n1_exact(coeffs.c, dist.variance, nn)
+        k_n, sigma_n1 = res.bundle.k_n, res.bundle.sigma_n1
         i2 = np.median(np.abs([r.i2 for r in res.replicates]))
         i3 = np.median(np.abs([r.i3 for r in res.replicates]))
         urdev = np.median(np.abs([r.u_ratio - 1.0 for r in res.replicates]))

@@ -805,40 +805,6 @@ class LogParetoTarget(TargetMarginalY):
 
 
 @dataclass(frozen=True)
-class CustomTarget(TargetMarginalY):
-    """Target given by explicit Q_Y and f_YQ_Y callables (both picklable)."""
-
-    q_fn: object
-    fq_fn: object
-    mda_tag: MdaTag
-    L1s_fn: SlowlyVaryingFn | None = None
-    L2s_fn: SlowlyVaryingFn | None = None
-    L3s_fn: SlowlyVaryingFn | None = None
-
-    @property
-    def mda(self) -> MdaTag:
-        return self.mda_tag
-
-    @property
-    def L1s(self):
-        return self.L1s_fn
-
-    @property
-    def L2s(self):
-        return self.L2s_fn
-
-    @property
-    def L3s(self):
-        return self.L3s_fn
-
-    def Q(self, u):
-        return self.q_fn(u)
-
-    def fQ(self, u):
-        return self.fq_fn(u)
-
-
-@dataclass(frozen=True)
 class IdentityTarget(TargetMarginalY):
     """F_Y = F_X, so the subordinator G = Q_Y(F(x)) is the identity."""
 
@@ -929,13 +895,6 @@ class CoefficientModel:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def marginal_eval(m: MarginalX, which: str, arg):
-    """Evaluate one of the named marginal functions F, f, Q, fQ."""
-    if which not in ("F", "f", "Q", "fQ"):
-        raise DomainError(f"unknown marginal function {which!r}")
-    return getattr(m, which)(arg)
 
 
 def subordinate(mx: MarginalX, ty: TargetMarginalY, x):

@@ -20,6 +20,7 @@ from .errors import ConfigError, DomainError, InfeasibleConfigError, NumericErro
 from .model import (
     MarginalX,
     MdaCase,
+    MdaTag,
     SlowlyVaryingFn,
     SvRatio,
     SvScaled,
@@ -92,6 +93,11 @@ def d_np(n: int, p: int, beta: float, L0: SlowlyVaryingFn) -> float:
     return n ** (-p * (beta - 0.5)) * L0n**p * ln**0.5 * lln**0.75
 
 
+def _alpha0(y_mda: MdaTag) -> float | None:
+    """Tail index alpha0 of Y; None outside the Frechet domain."""
+    return y_mda.alpha if y_mda.kind == "frechet" else None
+
+
 def xi_threshold(case: MdaCase, beta: float, alpha: float | None = None, alpha0: float | None = None) -> float:
     """Lower bound on the extreme-count exponent xi for the given case.
 
@@ -129,6 +135,32 @@ def xi_threshold(case: MdaCase, beta: float, alpha: float | None = None, alpha0:
 
 
 @dataclass(frozen=True)
+class Feasibility:
+    """Verdict of the xi condition; ``refusal`` is None when xi is admissible."""
+
+    case: MdaCase
+    threshold: float | None
+    refusal: str | None
+
+
+def xi_feasibility(x_mda: MdaTag, y_mda: MdaTag, beta: float, xi: float) -> Feasibility:
+    """Decide whether xi exceeds the threshold of the case of (X, Y).
+
+    The refusal message cites the case's condition label; a threshold of
+    None means no xi in (0, 1) satisfies the condition.
+    """
+    case = MdaCase.classify(x_mda, y_mda)
+    condition = f"{case.name} condition {CASE_LABELS[case]}"
+    try:
+        thr = xi_threshold(case, beta, x_mda.alpha, _alpha0(y_mda))
+    except InfeasibleConfigError as exc:
+        return Feasibility(case, None, f"no xi satisfies the {condition}: {exc}")
+    if xi <= thr:
+        return Feasibility(case, thr, f"xi = {xi} must exceed the {condition} threshold {thr:.6g}")
+    return Feasibility(case, thr, None)
+
+
+@dataclass(frozen=True)
 class LFamily:
     """Slowly varying corrections derived from the two marginals.
 
@@ -151,7 +183,7 @@ class LFamily:
     @classmethod
     def from_marginals(cls, mx: MarginalX, ty: TargetMarginalY) -> "LFamily":
         alpha = mx.mda.alpha
-        alpha0 = ty.mda.alpha if ty.mda.kind == "frechet" else None
+        alpha0 = _alpha0(ty.mda)
         kw = {}
         if mx.L2 is not None and ty.L2s is not None:
             kw["L11"] = SvRatio(ty.L2s, mx.L2)
@@ -320,6 +352,7 @@ class ScalingBundle:
     mu_n: float
     lfam: LFamily = field(repr=False)
     spec_hash: str = ""
+    feasibility: Feasibility | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.k_n < self.n:
@@ -345,18 +378,16 @@ def make_bundle(
 
     With ``check_feasible`` the xi threshold of the case is enforced;
     disable it for purely diagnostic bundles outside the theorem's domain.
+    The verdict is kept on the bundle either way.
     """
     from .simulate import sigma_n1_exact
 
     if not 0.0 < xi < 1.0:
         raise ConfigError(f"xi = {xi} must lie in (0, 1)")
-    case = MdaCase.classify(mx.mda, ty.mda)
-    if check_feasible:
-        thr = xi_threshold(case, beta, mx.mda.alpha, ty.mda.alpha if ty.mda.kind == "frechet" else None)
-        if xi <= thr:
-            raise InfeasibleConfigError(
-                f"xi = {xi} at or below the {case.name} threshold {thr:.6g}", [f"xi <= {thr:.6g}"]
-            )
+    verdict = xi_feasibility(mx.mda, ty.mda, beta, xi)
+    if check_feasible and verdict.refusal is not None:
+        raise InfeasibleConfigError(verdict.refusal)
+    case = verdict.case
     k_n = int(math.ceil(n**xi))
     if k_n >= n:
         raise ConfigError(f"k_n = ceil(n^xi) = {k_n} must be < n = {n}")
@@ -374,4 +405,5 @@ def make_bundle(
         mu_n=centering(ty, n, k_n),
         lfam=lfam,
         spec_hash=spec_hash,
+        feasibility=verdict,
     )

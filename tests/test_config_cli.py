@@ -1,10 +1,12 @@
 """Tests for config parsing, serialization, and the command-line interface."""
 
+import numpy as np
 import pytest
 
 from lrdextremes.cli import main
 from lrdextremes.config import ExperimentConfig, parse_config, serialize_config
 from lrdextremes.errors import ConfigError
+from lrdextremes.mc import run_replicates
 from lrdextremes.scaling import select_p
 
 MINIMAL_CASE4 = """
@@ -15,6 +17,19 @@ xi = 0.9
 n = 32768
 R = 400
 master_seed = 2026004
+"""
+
+# fitted (empirical) X marginal: its MDA tag, and so the case, is known only
+# after the fit, so the parse step cannot check xi
+FITTED_CASE1 = """
+beta = 0.8
+x_marginal = empirical:0.05
+innovation = student_t:6,1
+y_marginal = pareto:8
+xi = 0.5
+n = 1024
+R = 4
+master_seed = 1
 """
 
 CASE2_ANALYTIC = """
@@ -158,6 +173,42 @@ class TestCli:
         errors = (tmp_path / "errors.csv").read_text().splitlines()
         assert errors[0] == "code,message"
         assert any("(**)" in ln for ln in errors[1:])
+
+    def test_mc_runtime_refusal_cites_condition(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FITTED_CASE1)
+        assert parse_config(FITTED_CASE1).xi == 0.5  # accepted at parse time
+        code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        errors = (tmp_path / "errors.csv").read_text().splitlines()
+        assert errors[0] == "code,message"
+        assert any("(*)" in ln and "CASE1" in ln for ln in errors[1:])
+
+    def test_fit_failure_exit_2_and_errors_csv(self, tmp_path, capsys):
+        # a tail fraction of 0.6 reaches below zero, where a Frechet fit is undefined
+        text = FITTED_CASE1.replace("empirical:0.05", "empirical:0.6").replace("xi = 0.5", "xi = 0.95")
+        cfg = write_config(tmp_path, text)
+        code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        errors = (tmp_path / "errors.csv").read_text().splitlines()
+        assert errors[0] == "code,message"
+        assert any("Frechet tail fit requires positive tail values" in ln for ln in errors[1:])
+
+    def test_diag_shares_the_replicate_kernel(self, tmp_path, capsys):
+        text = MINIMAL_CASE4.replace("n = 32768", "n = 512").replace("R = 400", "R = 12")
+        cfg = write_config(tmp_path, text)
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+        reps = run_replicates(parse_config(text), R=10).replicates
+        assert out["median_u_ratio"] == repr(float(np.median([r.u_ratio for r in reps])))
+        sup = repr(float(np.median([r.reduction_sup for r in reps])))
+        assert out["median_reduction_sup"] == f"{sup} (over 10 replicates)"
+
+    def test_diag_fitted_marginal_has_no_u_ratio(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FITTED_CASE1)
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "median_u_ratio = unavailable" in out
+        assert "median_reduction_sup = unavailable" in out
 
     def test_diag_identity_power_rank(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity").replace(

@@ -26,7 +26,6 @@ from lrdextremes.model import (
     SvScaled,
     clamp_events,
     fit_empirical_marginal,
-    marginal_eval,
     reset_clamp_events,
     slow_variation_ratio,
     subordinate,
@@ -104,17 +103,15 @@ class TestInnovations:
 class TestGaussianMarginal:
     def test_quantile_examples(self):
         m = GaussianMarginal(1.0)
-        assert marginal_eval(m, "Q", 0.5) == pytest.approx(0.0, abs=1e-12)
-        assert marginal_eval(m, "Q", 0.975) == pytest.approx(Q_975, abs=1e-8)
-        assert marginal_eval(m, "fQ", 0.5) == pytest.approx(FQ_HALF, abs=1e-10)
+        assert m.Q(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert m.Q(0.975) == pytest.approx(Q_975, abs=1e-8)
+        assert m.fQ(0.5) == pytest.approx(FQ_HALF, abs=1e-10)
 
     def test_domain_errors(self):
         m = GaussianMarginal(1.0)
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
-                marginal_eval(m, "Q", bad)
-        with pytest.raises(DomainError):
-            marginal_eval(m, "bogus", 0.5)
+                m.Q(bad)
 
     @pytest.mark.parametrize("s", [1.0, 0.5, 3.7])
     def test_fq_identity_grid(self, s):
