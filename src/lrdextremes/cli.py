@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
+from .estats import MAX_REDUCTION_ORDER
 from .mc import (
     _problem_and_bundle,
     _run_replicate_loop,
@@ -130,7 +131,7 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
     else:
         print(f"median_u_ratio = {float(np.median(urs))!r}")
     if np.all(np.isnan(sups)):
-        print("median_reduction_sup = unavailable (needs analytic marginal and p <= 2)")
+        print(f"median_reduction_sup = unavailable (needs analytic marginal and p <= {MAX_REDUCTION_ORDER})")
     else:
         print(f"median_reduction_sup = {float(np.median(sups))!r} (over {R} replicates)")
     return EXIT_OK

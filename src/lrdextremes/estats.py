@@ -17,7 +17,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericError, StateError
 from .model import CLAMP_EPS, EmpiricalMarginal, MarginalX, TargetMarginalY
 from .scaling import ScalingBundle
-from .simulate import PathPair, moving_average
+from .simulate import FilterPlan, PathPair
+
+# highest order of the multilinear forms, and so of the reduction supremum (a cost guard)
+MAX_REDUCTION_ORDER = 4
 
 # grid used for the smooth part of the reduction supremum
 TAIL_GRID_SIZE = 512
@@ -153,31 +156,95 @@ def hh_partial_sum_sup(frame: ProcessFrame, y0: float = 0.25, y1: float = 0.75) 
     return float(max(np.max(np.abs(vals_left)), np.max(np.abs(vals_right))))
 
 
+def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
+    """Y_{n,1..p} of one innovation vector, from the plan's cached filter spectra.
+
+    The power-sum paths p_m[i] = sum_k (c_k eps_{i-k})^m cost one rfft and
+    one irfft each; ``x``, when given, is p_1 = ``plan.apply(eps)``, the
+    path already computed.  Newton's identities e_m = (1/m) sum_{j=1}^m
+    (-1)^(j-1) e_{m-j} p_j assemble the elementary symmetric polynomials.
+    """
+    if p == 0:
+        return []
+    power_sums = [plan.apply(eps) if x is None else x] + [plan.apply(eps, m) for m in range(2, p + 1)]
+    e = [np.ones_like(power_sums[0]), power_sums[0]]
+    for m in range(2, p + 1):
+        acc = np.zeros_like(power_sums[0])
+        for j in range(1, m + 1):
+            acc += (-1.0) ** (j - 1) * e[m - j] * power_sums[j - 1]
+        e.append(acc / m)
+    return [float(np.sum(v)) for v in e[1:]]
+
+
 def multilinear_Y(eps, c, r: int) -> float:
     """Multilinear form Y_{n,r} over strictly increasing filter indices.
 
     Y_{n,r} = sum_{i=1}^n e_r(c_0 eps_i, c_1 eps_{i-1}, ..., c_M eps_{i-M})
     with e_r the elementary symmetric polynomial; r = 1 recovers the plain
     partial sum of the path.  Power sums are FFT convolutions and Newton's
-    identities assemble e_r, O(r^2 (n + M) log(n + M)).
+    identities assemble e_r, O(r (n + M) log(n + M)).
     """
-    if not 1 <= r <= 4:
-        raise StateError(f"order r = {r} unsupported (cost guard allows 1 <= r <= 4)")
+    if not 1 <= r <= MAX_REDUCTION_ORDER:
+        raise StateError(f"order r = {r} unsupported (cost guard allows 1 <= r <= {MAX_REDUCTION_ORDER})")
     eps = np.asarray(eps, dtype=float)
     c = np.asarray(c, dtype=float)
-    power_sums = [moving_average(c**m, eps**m) for m in range(1, r + 1)]
-    e = [np.ones_like(power_sums[0]), power_sums[0]]
-    for m in range(2, r + 1):
-        acc = np.zeros_like(power_sums[0])
-        for j in range(1, m + 1):
-            acc += (-1.0) ** (j - 1) * e[m - j] * power_sums[j - 1]
-        e.append(acc / m)
-    return float(np.sum(e[r]))
+    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), r), eps, r)[r - 1]
 
 
 class ReductionSupResult(NamedTuple):
     value: float
     grid_size: int
+
+
+@dataclass(frozen=True, eq=False)
+class TailGrid:
+    """Quantile-spaced grid for the smooth part of the reduction supremum.
+
+    Holds the points and F, F^(1..p) at them; they depend only on the X
+    marginal and p, so a replicate study computes them once.
+    """
+
+    points: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
+    derivs: tuple = field(repr=False)
+
+    @classmethod
+    def build(cls, mx: MarginalX, p: int) -> "TailGrid":
+        pts = np.asarray(mx.Q(np.linspace(TAIL_GRID_EPS, 1.0 - TAIL_GRID_EPS, TAIL_GRID_SIZE)), dtype=float)
+        derivs = tuple(np.asarray(mx.F_deriv(r, pts), dtype=float) for r in range(1, p + 1))
+        return cls(points=pts, F=np.asarray(mx.F(pts), dtype=float), derivs=derivs)
+
+
+def reduction_sup_sorted(xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
+    """``reduction_sup`` of a sorted sample ``xs`` given Y_{n,1..p} in ``y``.
+
+    The empirical term is evaluated at the sample points, their left limits
+    and the midpoints, with counts read off the ranks of the sort: i + 1
+    (right) and i (left) at sample point i, i + 1 at midpoint i.  Only the
+    tail grid is searched.  Ties need no exact counts: at a value v held by
+    xs[a..b-1] the ranks give counts between a and b, the first copy's left
+    count is a and the last copy's right count is b, and the remainder is
+    monotone in the count, so the supremum is the one exact counts give (a
+    midpoint that rounds onto a neighbour is covered the same way).
+    """
+    n = xs.size
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    pts = np.concatenate([xs, mids])
+    nF = n * np.asarray(mx.F(pts), dtype=float)
+    nF_t = n * tail.F
+    smooth, smooth_t = np.zeros_like(nF), np.zeros_like(nF_t)
+    for r, y_r in enumerate(y, start=1):
+        smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, pts), dtype=float) * y_r
+        smooth_t += (-1.0) ** (r - 1) * tail.derivs[r - 1] * y_r
+    right = np.arange(1.0, n + 1.0)
+    parts = (
+        (np.concatenate([right, right[:-1]]) - nF) + smooth,
+        (right - 1.0 - nF[:n]) + smooth[:n],  # a midpoint's left count equals its right count
+        (np.searchsorted(xs, tail.points, side="right") - nF_t) + smooth_t,
+        (np.searchsorted(xs, tail.points, side="left") - nF_t) + smooth_t,
+    )
+    sup = float(np.max([np.max(np.abs(v)) for v in parts]))
+    return ReductionSupResult(value=sup / sigma_n1, grid_size=pts.size + tail.points.size)
 
 
 def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
@@ -190,23 +257,15 @@ def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> Reductio
     """
     if isinstance(mx, EmpiricalMarginal):
         raise StateError("reduction diagnostics need analytic derivatives of F")
-    if p < 0 or p > 2:
-        raise DomainError("supported correction orders are p in {0, 1, 2}")
+    if not 0 <= p <= MAX_REDUCTION_ORDER:
+        raise DomainError(f"supported correction orders are 0 <= p <= {MAX_REDUCTION_ORDER}")
     x = np.asarray(x, dtype=float)
-    n = x.size
-    xs = np.sort(x)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    tail = np.asarray(mx.Q(np.linspace(TAIL_GRID_EPS, 1.0 - TAIL_GRID_EPS, TAIL_GRID_SIZE)))
-    grid = np.concatenate([xs, mids, tail])
-    F_g = np.asarray(mx.F(grid), dtype=float)
-    smooth = np.zeros_like(F_g)
-    for r in range(1, p + 1):
-        y_r = multilinear_Y(eps, c, r)
-        smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, grid), dtype=float) * y_r
-    right = np.searchsorted(xs, grid, side="right") - n * F_g + smooth
-    left = np.searchsorted(xs, grid, side="left") - n * F_g + smooth
-    sup = max(float(np.max(np.abs(right))), float(np.max(np.abs(left))))
-    return ReductionSupResult(value=sup / sigma_n1, grid_size=grid.size)
+    y = []
+    if p > 0:
+        eps = np.asarray(eps, dtype=float)
+        c = np.asarray(c, dtype=float)
+        y = multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), p), eps, p)
+    return reduction_sup_sorted(np.sort(x), y, TailGrid.build(mx, p), mx, sigma_n1)
 
 
 def z_statistic(y, bundle: ScalingBundle) -> float:

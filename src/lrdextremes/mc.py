@@ -17,7 +17,15 @@ from scipy.special import kolmogorov, ndtr, ndtri
 
 from .config import ExperimentConfig, build_problem
 from .errors import DomainError, InfeasibleConfigError
-from .estats import ProcessFrame, decompose_I, reduction_sup, u_ratio
+from .estats import (
+    MAX_REDUCTION_ORDER,
+    ProcessFrame,
+    TailGrid,
+    decompose_I,
+    multilinear_sums,
+    reduction_sup_sorted,
+    u_ratio,
+)
 from .model import EmpiricalMarginal
 from .scaling import (
     ScalingBundle,
@@ -27,7 +35,7 @@ from .scaling import (
     make_bundle,
     power_rank_integral,
 )
-from .simulate import config_hash, derive_seed, gen_innovations, moving_average
+from .simulate import FilterPlan, config_hash, derive_seed, gen_innovations
 
 QQ_PROBS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
@@ -133,10 +141,32 @@ def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     return record
 
 
-def _run_one(task) -> ReplicateResult:
-    r, seed, coeffs, dist, mx, ty, bundle, with_reduction = task
-    eps = gen_innovations(dist, bundle.n + coeffs.M, seed)
-    x = moving_average(coeffs.c, eps)
+@dataclass(frozen=True, eq=False)
+class ReplicatePlan:
+    """What every replicate of one (problem, bundle) shares, built once per run.
+
+    ``filter`` holds the spectra of c**m for m = 1..p when the reduction
+    supremum is computed (m = 1 otherwise); ``tail`` is its tail grid, or
+    None when no replicate computes the supremum: reduction off, a fitted
+    X marginal (no analytic F^(r)), or p above MAX_REDUCTION_ORDER.
+    """
+
+    filter: FilterPlan
+    tail: TailGrid | None
+
+    @classmethod
+    def build(cls, problem, bundle: ScalingBundle, with_reduction: bool) -> "ReplicatePlan":
+        coeffs, _, mx, _ = problem
+        reduced = with_reduction and not isinstance(mx, EmpiricalMarginal) and bundle.p <= MAX_REDUCTION_ORDER
+        order = max(bundle.p, 1) if reduced else 1
+        tail = TailGrid.build(mx, bundle.p) if reduced else None
+        return cls(filter=FilterPlan.build(coeffs.c, bundle.n, order), tail=tail)
+
+
+def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
+    _, dist, mx, ty = problem
+    eps = gen_innovations(dist, plan.filter.n + plan.filter.M, seed)
+    x = plan.filter.apply(eps)
     frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
     if frame.analytic:
         # the uniform transform is exact, so the decomposition and the
@@ -148,26 +178,45 @@ def _run_one(task) -> ReplicateResult:
         nan = float("nan")
         z = bundle.A_n / bundle.sigma_n1 * (float(np.sum(frame.y_sorted[bundle.n - bundle.k_n :])) - bundle.mu_n)
         i1, i2, i3, ur = nan, nan, nan, nan
-    if with_reduction and frame.analytic and bundle.p <= 2:
-        red = reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1).value
+    if plan.tail is not None:
+        y = multilinear_sums(plan.filter, eps, bundle.p, x=x)
+        red = reduction_sup_sorted(frame.x_sorted, y, plan.tail, mx, bundle.sigma_n1).value
     else:
         red = float("nan")
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
 
 
+# (problem, bundle, plan) of the run, set once in each pool worker
+_worker_run = None
+
+
+def _init_worker(problem, bundle: ScalingBundle, plan: ReplicatePlan) -> None:
+    global _worker_run
+    _worker_run = (problem, bundle, plan)
+
+
+def _run_task(task) -> ReplicateResult:
+    r, seed = task
+    return _run_one(r, seed, *_worker_run)
+
+
 def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int, threads: int, with_reduction: bool):
-    """Replicates 0..R-1 of one bundle, in replicate order whatever the worker count."""
-    coeffs, dist, mx, ty = problem
-    tasks = [
-        (r, derive_seed(master_seed, r), coeffs, dist, mx, ty, bundle, with_reduction) for r in range(R)
-    ]
+    """Replicates 0..R-1 of one bundle, in replicate order whatever the worker count.
+
+    The plan is built here, once; pool workers receive it with the problem
+    and the bundle when they start, so a task is only (r, seed).
+    """
+    plan = ReplicatePlan.build(problem, bundle, with_reduction)
+    tasks = [(r, derive_seed(master_seed, r)) for r in range(R)]
     workers = os.cpu_count() if threads == 0 else threads
     if workers is None or workers <= 1 or R == 1:
-        reps = [_run_one(t) for t in tasks]
+        reps = [_run_one(r, seed, problem, bundle, plan) for r, seed in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, R)) as pool:
-            chunk = max(1, R // (4 * min(workers, R)))
-            reps = list(pool.map(_run_one, tasks, chunksize=chunk))
+        n_workers = min(workers, R)
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker, initargs=(problem, bundle, plan)
+        ) as pool:
+            reps = list(pool.map(_run_task, tasks, chunksize=max(1, R // (4 * n_workers))))
     reps.sort(key=lambda rep: rep.replicate)  # reduction by index, not completion order
     return reps
 

@@ -334,7 +334,7 @@ class GaussianMarginal(MarginalX):
         m = r - 1
         coeffs = np.zeros(m + 1)
         coeffs[m] = 1.0
-        he = np.polynomial.hermite_e.hermeval(z, coeffs)
+        he = np.polynomial.hermite_e.hermeval(z, coeffs) if m else 1.0  # He_0 = 1
         return (-1.0) ** m * he * phi / self.s**r
 
 

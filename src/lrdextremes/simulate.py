@@ -2,8 +2,14 @@
 
 The linear process is realized with a truncated filter of length M + 1 and
 exactly M pre-sample innovations, so the path is stationary under the
-truncated model with no burn-in discard.  Filtering uses FFT convolution,
-O((n + M) log(n + M)).
+truncated model with no burn-in discard.
+
+Filtering is a circular FFT convolution of length
+L = scipy.fft.next_fast_len(n + M, real=True): outputs M..M+n-1 of the
+linear convolution never wrap around at that length, O((n + M) log(n + M)).
+A ``FilterPlan`` holds the spectra rfft(c**m, L) for one (filter, n), so a
+replicate study transforms the filter once per run and each replicate pays
+one rfft and one irfft per power.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import zeta
@@ -135,6 +142,46 @@ def gen_innovations(dist: InnovationDist, count: int, seed: int) -> np.ndarray:
     return dist.sample(count, rng)
 
 
+@dataclass(frozen=True, eq=False)
+class FilterPlan:
+    """Spectra of the filter powers c**m, m = 1..order, at one path length n.
+
+    ``apply(eps, m)`` returns sum_k c_k^m eps_{i-k}^m for i = 1..n, the
+    path itself for m = 1 and the power sums of the multilinear forms for
+    m >= 2.  ``eps`` carries the M pre-sample innovations first.  A
+    length-one filter (M = 0) is a pointwise product and needs no FFT, so
+    its ``spectra`` hold the scalars c_0**m.
+    """
+
+    n: int
+    M: int
+    L: int
+    spectra: tuple = field(repr=False)
+
+    @classmethod
+    def build(cls, c, n: int, order: int = 1) -> "FilterPlan":
+        c = np.asarray(c, dtype=float)
+        if n < 1:
+            raise DomainError("n must be >= 1")
+        if order < 1:
+            raise DomainError("filter order must be >= 1")
+        M = len(c) - 1
+        L = sfft.next_fast_len(n + M, real=True)
+        if M == 0:
+            return cls(n=n, M=0, L=L, spectra=tuple(float(c[0]) ** m for m in range(1, order + 1)))
+        spectra = tuple(sfft.rfft(c**m, L) for m in range(1, order + 1))
+        return cls(n=n, M=M, L=L, spectra=spectra)
+
+    def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
+        if len(eps) != self.n + self.M:
+            raise DomainError(f"innovation vector has length {len(eps)}, expected n + M = {self.n + self.M}")
+        if self.M == 0:
+            return self.spectra[m - 1] * (eps if m == 1 else eps**m)
+        spec = sfft.rfft(eps if m == 1 else eps**m, self.L) * self.spectra[m - 1]
+        # a copy, so the result does not pin the length-L buffer
+        return sfft.irfft(spec, self.L)[self.M : self.M + self.n].copy()
+
+
 def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """X_i = sum_{k=0}^M c_k eps_{i-k} for i = 1..n via FFT convolution.
 
@@ -147,7 +194,7 @@ def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     n = len(eps) - M
     if n < 1:
         raise DomainError(f"innovation vector too short: need more than {M} entries")
-    return fftconvolve(c, eps)[M : M + n]
+    return FilterPlan.build(c, n).apply(eps)
 
 
 def config_hash(coeffs: CoefficientModel, dist: InnovationDist, mx: MarginalX, ty: TargetMarginalY, n: int) -> str:
@@ -247,21 +294,38 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
     return sigma_eps2 * (partial + float(tail))
 
 
-def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n: int) -> float:
+def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
 
-    Evaluates n*rho_0 + 2*sum_{k=1}^{n-1} (n-k) rho_k with rho computed by
-    FFT autocorrelation of the filter, O((n + M) log M).
+    Evaluates n*rho_0 + 2*(n*S1 - S2), where S1 and S2 are the sums of
+    rho_k and k*rho_k over 1 <= k <= min(n-1, M), with rho computed by FFT
+    autocorrelation of the filter, O((n + M) log M).  ``n`` may be a
+    sequence of sizes: all of them then come from one autocorrelation and
+    one pass of cumulative sums, and the result is an array.
     """
-    if n < 1:
+    ns = np.atleast_1d(np.asarray(n))
+    if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
+        raise DomainError("n must be an integer or a non-empty sequence of integers")
+    if np.any(ns < 1):
         raise DomainError("n must be >= 1")
     c = np.asarray(c, dtype=float)
     M = len(c) - 1
-    kmax = min(n - 1, M)
-    rho = autocovariances(c, sigma_eps2, kmax)
-    weights = n - np.arange(kmax + 1, dtype=float)
-    var = n * rho[0] + 2.0 * float(np.dot(weights[1:], rho[1:]))
-    return math.sqrt(var)
+    kmax = np.minimum(ns - 1, M)
+    rho = autocovariances(c, sigma_eps2, int(kmax.max()))
+    k = np.arange(rho.size, dtype=float)
+    # S1, S2 at each distinct kmax, accumulated over the gaps between them
+    # (pairwise sums within a gap, so no long running sum loses digits)
+    ks, where = np.unique(kmax, return_inverse=True)
+    s1, s2 = np.empty(ks.size), np.empty(ks.size)
+    acc1 = acc2 = 0.0
+    prev = 0
+    for j, K in enumerate(ks):
+        acc1 += float(np.sum(rho[prev + 1 : K + 1]))
+        acc2 += float(np.dot(k[prev + 1 : K + 1], rho[prev + 1 : K + 1]))
+        s1[j], s2[j] = acc1, acc2
+        prev = K
+    out = np.sqrt(ns * rho[0] + 2.0 * (ns * s1[where] - s2[where]))
+    return float(out[0]) if np.ndim(n) == 0 else out
 
 
 def dump_path_csv(pp: PathPair, path) -> None:

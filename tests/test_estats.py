@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 
 from lrdextremes.errors import ConfigError, DomainError, StateError
 from lrdextremes.estats import (
+    TAIL_GRID_EPS,
+    TAIL_GRID_SIZE,
     ProcessFrame,
+    TailGrid,
     alpha_n,
     decompose_I,
     hh_partial_sum_sup,
     i3_direct,
+    multilinear_sums,
     multilinear_Y,
     quantile_process,
     reduction_sup,
+    reduction_sup_sorted,
     tail_alpha_sup,
     top_k_sum,
     trimmed_sum,
@@ -35,10 +40,12 @@ from lrdextremes.model import (
 )
 from lrdextremes.scaling import LFamily, ScalingBundle, make_bundle
 from lrdextremes.simulate import (
+    FilterPlan,
     build_coefficient_model,
     derive_seed,
     gen_innovations,
     moving_average,
+    sigma_n1_exact,
 )
 
 
@@ -225,7 +232,66 @@ class TestReductionSup:
 
     def test_unsupported_orders(self):
         with pytest.raises(DomainError):
-            reduction_sup(np.ones(4), np.ones(4), np.array([1.0]), 3, GaussianMarginal(1.0), 1.0)
+            reduction_sup(np.ones(4), np.ones(4), np.array([1.0]), 5, GaussianMarginal(1.0), 1.0)
+
+
+def searchsorted_reduction_sup(x, eps, c, p, mx, sigma_n1):
+    """Reference supremum: exact searchsorted counts on the full 2n - 1 + 512 point grid."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    xs = np.sort(x)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    tail = np.asarray(mx.Q(np.linspace(TAIL_GRID_EPS, 1.0 - TAIL_GRID_EPS, TAIL_GRID_SIZE)))
+    grid = np.concatenate([xs, mids, tail])
+    F_g = np.asarray(mx.F(grid), dtype=float)
+    smooth = np.zeros_like(F_g)
+    for r in range(1, p + 1):
+        y_r = multilinear_Y(eps, c, r)
+        smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, grid), dtype=float) * y_r
+    right = np.searchsorted(xs, grid, side="right") - n * F_g + smooth
+    left = np.searchsorted(xs, grid, side="left") - n * F_g + smooth
+    sup = max(float(np.max(np.abs(right))), float(np.max(np.abs(left))))
+    return sup / sigma_n1
+
+
+class TestReductionSupOracle:
+    """The rank-based kernel equals the searchsorted reference bit for bit."""
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_case4_replicates(self, p):
+        n = 2**12
+        cm = build_coefficient_model(0.8, tol=1e-3)
+        mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
+        sig = sigma_n1_exact(cm.c, 1.0, n)
+        plan, tail = FilterPlan.build(cm.c, n, max(p, 1)), TailGrid.build(mx, p)
+        for r in range(20):
+            eps = gen_innovations(InnovationDist.gaussian(1.0), n + cm.M, derive_seed(2026004, r))
+            x = plan.apply(eps)
+            expected = searchsorted_reduction_sup(x, eps, cm.c, p, mx, sig)
+            # the replicate kernel: one plan and one tail grid for all replicates, x reused
+            y = multilinear_sums(plan, eps, p, x=x)
+            assert reduction_sup_sorted(np.sort(x), y, tail, mx, sig).value == expected
+            assert reduction_sup(x, eps, cm.c, p, mx, sig).value == expected
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_ties_need_no_exact_counts(self, p):
+        # repeated values, and neighbours one ulp apart whose midpoint rounds onto one of them
+        mx = GaussianMarginal(1.0)
+        hand = np.array([0.3, -1.2, 0.3, 2.0, 1.0, np.nextafter(1.0, 2.0), -1.2, 0.3, 0.7, -0.1])
+        rng = np.random.default_rng(p)
+        for x in [hand] + [rng.integers(-3, 4, 40) / 2.0 for _ in range(20)]:
+            expected = searchsorted_reduction_sup(x, x, np.array([1.0]), p, mx, 1.5)
+            assert reduction_sup(x, x, np.array([1.0]), p, mx, 1.5).value == expected
+
+    def test_order_three_tiny_filter(self):
+        rng = np.random.default_rng(33)
+        c = rng.uniform(0.2, 1.0, 4)
+        eps = rng.standard_normal(50 + 3)
+        x = moving_average(c, eps)
+        mx = GaussianMarginal(math.sqrt(float(np.sum(c * c))))
+        expected = searchsorted_reduction_sup(x, eps, c, 3, mx, 2.0)
+        assert math.isfinite(expected)
+        assert reduction_sup(x, eps, c, 3, mx, 2.0).value == expected
 
 
 def tiny_case4_setup(n=512, seed_r=0, xi=0.9):

@@ -20,7 +20,8 @@ from lrdextremes.mc import (
     write_z_samples_csv,
 )
 from lrdextremes.scaling import make_bundle
-from lrdextremes.simulate import config_hash, derive_seed, simulate_path
+from lrdextremes.simulate import config_hash, derive_seed, gen_innovations, moving_average, simulate_path
+from test_estats import searchsorted_reduction_sup
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -121,6 +122,23 @@ class TestRunReplicates:
         assert feas["xi_threshold"] == pytest.approx(0.8)
         assert feas["power_rank_integral"] > 0
         assert feas["p"] == 1
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_higher_order_reduction_sup(self, p):
+        # orders above 1 go through the plan's cached c**m spectra, in the pool too
+        cfg = small_config(p_override=p, replicates=3)
+        res = run_replicates(cfg, threads=1)
+        assert run_replicates(cfg, threads=2).replicates == res.replicates
+        coeffs, dist, mx, ty = build_problem(cfg)
+        for rep in res.replicates:
+            eps = gen_innovations(dist, cfg.n + coeffs.M, rep.seed)
+            x = moving_average(coeffs.c, eps)
+            assert rep.reduction_sup == searchsorted_reduction_sup(x, eps, coeffs.c, p, mx, res.bundle.sigma_n1)
+
+    def test_reduction_order_above_four_is_not_computed(self):
+        res = run_replicates(small_config(p_override=5, replicates=2))
+        assert np.all(np.isfinite(res.z_samples))
+        assert all(math.isnan(rep.reduction_sup) for rep in res.replicates)
 
     def test_empirical_marginal_mc_smoke(self):
         # heavy-tailed innovations with a fitted X marginal (diagnostic

@@ -141,6 +141,25 @@ class TestMovingAverage:
         with pytest.raises(DomainError):
             moving_average(np.ones(5), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "n,M",
+        [
+            (1, 3000),  # a single output of a long filter
+            (500, 0),  # identity-length filter
+            (1024 - 200, 200),  # n + M is a fast length: L = n + M exactly
+            (1025 - 200, 200),  # one above: L > n + M
+        ],
+    )
+    def test_filter_length_edges(self, n, M):
+        rng = np.random.default_rng(n + 7 * M)
+        c = rng.uniform(0.05, 1.0, M + 1)
+        eps = rng.standard_normal(n + M)
+        x = moving_average(c, eps)
+        direct = direct_convolution(c, eps)
+        assert x.shape == (n,)
+        assert x.flags.owndata
+        assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
+
 
 class TestSimulatePath:
     def test_identity_subordination(self):
@@ -251,6 +270,28 @@ class TestSigmaN1:
             eps = gen_innovations(d, 2**10 + cm.M, derive_seed(2718, r))
             sums.append(float(np.sum(moving_average(cm.c, eps))))
         assert np.var(sums, ddof=1) == pytest.approx(sig2, rel=0.15)
+
+    def test_n_grid_matches_pairwise_weights(self):
+        # the grid evaluation against today's formula n rho_0 + 2 sum (n - k) rho_k
+        cm = build_coefficient_model(0.8, tol=1e-3)
+        ns = [2**15, 1, 2, 1000, cm.M, cm.M + 1, cm.M + 2, 2**17, 1000]
+        rho = autocovariances(cm.c, 1.3, cm.M)
+        grid = sigma_n1_exact(cm.c, 1.3, ns)
+        assert grid.shape == (len(ns),)
+        for n, val in zip(ns, grid):
+            kmax = min(n - 1, cm.M)
+            weights = n - np.arange(kmax + 1, dtype=float)
+            oracle = math.sqrt(n * rho[0] + 2.0 * float(np.dot(weights[1:], rho[1 : kmax + 1])))
+            assert val == pytest.approx(oracle, rel=1e-13)
+            scalar = sigma_n1_exact(cm.c, 1.3, n)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(oracle, rel=1e-13)
+
+    def test_n_grid_domain(self):
+        with pytest.raises(DomainError):
+            sigma_n1_exact(np.array([1.0, 0.5]), 1.0, [4, 0])
+        with pytest.raises(DomainError):
+            sigma_n1_exact(np.array([1.0, 0.5]), 1.0, [])
 
     def test_growth_exponent_smoke(self):
         cm = build_coefficient_model(0.75, M=2**16)
