@@ -175,9 +175,10 @@ class FilterPlan:
     def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
         if len(eps) != self.n + self.M:
             raise DomainError(f"innovation vector has length {len(eps)}, expected n + M = {self.n + self.M}")
+        e = eps if m == 1 else eps**m
         if self.M == 0:
-            return self.spectra[m - 1] * (eps if m == 1 else eps**m)
-        spec = sfft.rfft(eps if m == 1 else eps**m, self.L) * self.spectra[m - 1]
+            return self.spectra[m - 1] * e
+        spec = sfft.rfft(e, self.L) * self.spectra[m - 1]
         # a copy, so the result does not pin the length-L buffer
         return sfft.irfft(spec, self.L)[self.M : self.M + self.n].copy()
 
