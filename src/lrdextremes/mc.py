@@ -141,14 +141,24 @@ def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     return record
 
 
+def _reduction_skip_reason(mx, p: int, with_reduction: bool) -> str | None:
+    """Why no replicate computes the reduction supremum, or None when every replicate does."""
+    if not with_reduction:
+        return "reduction off"
+    if isinstance(mx, EmpiricalMarginal):
+        return "fitted X marginal (no analytic F^(r))"
+    if p > MAX_REDUCTION_ORDER:
+        return f"p = {p} > MAX_REDUCTION_ORDER = {MAX_REDUCTION_ORDER}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ReplicatePlan:
     """What every replicate of one (problem, bundle) shares, built once per run.
 
     ``filter`` holds the spectra of c**m for m = 1..p when the reduction
     supremum is computed (m = 1 otherwise); ``tail`` is its tail grid, or
-    None when no replicate computes the supremum: reduction off, a fitted
-    X marginal (no analytic F^(r)), or p above MAX_REDUCTION_ORDER.
+    None when ``_reduction_skip_reason`` gives a reason not to compute it.
     """
 
     filter: FilterPlan
@@ -157,7 +167,7 @@ class ReplicatePlan:
     @classmethod
     def build(cls, problem, bundle: ScalingBundle, with_reduction: bool) -> "ReplicatePlan":
         coeffs, _, mx, _ = problem
-        reduced = with_reduction and not isinstance(mx, EmpiricalMarginal) and bundle.p <= MAX_REDUCTION_ORDER
+        reduced = _reduction_skip_reason(mx, bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
         tail = TailGrid.build(mx, bundle.p) if reduced else None
         return cls(filter=FilterPlan.build(coeffs.c, bundle.n, order), tail=tail)
@@ -186,12 +196,27 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
 
 
+# A replicate allocates a few dozen arrays of about n + M floats.  glibc's
+# malloc maps blocks above its mmap threshold to fresh pages and returns
+# free heap above its trim threshold (both 128 KiB at start), so each such
+# array faults its pages in anew.  Freeing a mapped block raises the mmap
+# threshold to the block's size and the trim threshold to twice that
+# (mallopt(3)): 8 MiB keeps the arrays of n + M <= 2^20 on reused heap
+# pages.  Other allocators ignore it.
+_HEAP_BLOCK_FLOATS = 2**20
+
+
+def _raise_mmap_threshold() -> None:
+    np.empty(_HEAP_BLOCK_FLOATS)  # allocated and freed at once
+
+
 # (problem, bundle, plan) of the run, set once in each pool worker
 _worker_run = None
 
 
 def _init_worker(problem, bundle: ScalingBundle, plan: ReplicatePlan) -> None:
     global _worker_run
+    _raise_mmap_threshold()
     _worker_run = (problem, bundle, plan)
 
 
@@ -206,6 +231,7 @@ def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int
     The plan is built here, once; pool workers receive it with the problem
     and the bundle when they start, so a task is only (r, seed).
     """
+    _raise_mmap_threshold()
     plan = ReplicatePlan.build(problem, bundle, with_reduction)
     tasks = [(r, derive_seed(master_seed, r)) for r in range(R)]
     workers = os.cpu_count() if threads == 0 else threads
@@ -251,6 +277,7 @@ def run_replicates(
 
     problem, bundle = _problem_and_bundle(config, n)
     feas = _feasibility_record(problem, bundle)
+    feas["reduction_sup"] = _reduction_skip_reason(problem[2], bundle.p, with_reduction) or "computed"
     reps = _run_replicate_loop(problem, bundle, master_seed, R, threads, with_reduction)
 
     z = np.array([rep.z for rep in reps])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lrdextremes.config import ExperimentConfig, build_problem
-from lrdextremes.estats import reduction_sup
+from lrdextremes.estats import TailGrid, multilinear_sums, reduction_sup_sorted
 from lrdextremes.mc import run_replicates, summarize, trend_nonincreasing
 from lrdextremes.model import (
     ExponentialTarget,
@@ -25,6 +25,7 @@ from lrdextremes.model import (
 )
 from lrdextremes.scaling import iid_contrast, iid_scale, karamata_product
 from lrdextremes.simulate import (
+    FilterPlan,
     autocovariance_model,
     build_coefficient_model,
     derive_seed,
@@ -208,10 +209,11 @@ def test_criterion_5_variance_bookkeeping():
     cm = build_coefficient_model(0.8, tol=1e-3)
     dist = InnovationDist.gaussian(1.0)
     n = 2**12
+    plan = FilterPlan.build(cm.c, n)
     sums = np.empty(2000)
     for r in range(2000):
         eps = gen_innovations(dist, n + cm.M, derive_seed(555, r))
-        sums[r] = float(np.sum(moving_average(cm.c, eps)))
+        sums[r] = float(np.sum(plan.apply(eps)))
     mc_var = float(np.var(sums, ddof=1))
     exact = sigma_n1_exact(cm.c, 1.0, n) ** 2
     var_ok = abs(mc_var / exact - 1.0) <= 0.10
@@ -246,13 +248,16 @@ def test_criterion_7_reduction_trend():
     mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
     dist = InnovationDist.gaussian(1.0)
     medians = []
+    tail = TailGrid.build(mx, 1)
     for n in (2**12, 2**14, 2**16):
         sig = sigma_n1_exact(cm.c, 1.0, n)
+        plan = FilterPlan.build(cm.c, n)
         vals = []
         for r in range(50):
             eps = gen_innovations(dist, n + cm.M, derive_seed(MASTER_SEED, r))
-            x = moving_average(cm.c, eps)
-            vals.append(reduction_sup(x, eps, cm.c, 1, mx, sig).value)
+            x = plan.apply(eps)
+            y = multilinear_sums(plan, eps, 1, x=x)
+            vals.append(reduction_sup_sorted(np.sort(x), y, tail, mx, sig).value)
         medians.append(float(np.median(vals)))
     ok = medians[0] >= medians[1] >= medians[2]
     report(7, ok, f"medians = {['%.4f' % m for m in medians]}")

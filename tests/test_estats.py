@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from lrdextremes.errors import ConfigError, DomainError, StateError
 from lrdextremes.estats import (
@@ -204,6 +205,31 @@ class TestMultilinear:
     def test_cost_guard(self):
         with pytest.raises(StateError):
             multilinear_Y(np.ones(4), np.ones(2), 5)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_partitioned_plan_matches_single_fft(self, p):
+        # M + 1 = 32263 >= 32 n: segments of 4 n taps, the last one padded
+        n = 2**8
+        cm = build_coefficient_model(0.8, tol=1e-3)
+        plan = FilterPlan.build(cm.c, n, p)
+        assert len(plan.spectra[0]) == 32
+        reference = SingleFftFilter(cm.c, n)
+        for r in range(3):
+            eps = gen_innovations(InnovationDist.gaussian(1.0), n + cm.M, derive_seed(2026004, r))
+            got, expected = multilinear_sums(plan, eps, p), multilinear_sums(reference, eps, p)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+class SingleFftFilter:
+    """The unpartitioned filter: one transform of every power at next_fast_len(n + M)."""
+
+    def __init__(self, c, n):
+        self.c, self.n, self.M = np.asarray(c, dtype=float), n, len(c) - 1
+        self.L = sfft.next_fast_len(n + self.M, real=True)
+
+    def apply(self, eps, m=1):
+        spec = sfft.rfft(eps**m, self.L) * sfft.rfft(self.c**m, self.L)
+        return sfft.irfft(spec, self.L)[self.M : self.M + self.n].copy()
 
 
 class TestReductionSup:

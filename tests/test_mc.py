@@ -122,6 +122,10 @@ class TestRunReplicates:
         assert feas["xi_threshold"] == pytest.approx(0.8)
         assert feas["power_rank_integral"] > 0
         assert feas["p"] == 1
+        assert feas["reduction_sup"] == "computed"
+        off = run_replicates(small_config(replicates=2), with_reduction=False)
+        assert off.summary["feasibility"]["reduction_sup"] == "reduction off"
+        assert all(math.isnan(rep.reduction_sup) for rep in off.replicates)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_higher_order_reduction_sup(self, p):
@@ -135,10 +139,20 @@ class TestRunReplicates:
             x = moving_average(coeffs.c, eps)
             assert rep.reduction_sup == searchsorted_reduction_sup(x, eps, coeffs.c, p, mx, res.bundle.sigma_n1)
 
+    def test_partitioned_filter_thread_invariance(self):
+        # M + 1 = 32263 >= 32 n at n = 2^6: the filter runs in segments of 4 n taps
+        cfg = small_config(p_override=2, replicates=4, n=2**6, trunc_tol=1e-3)
+        res = run_replicates(cfg, threads=1)
+        again = run_replicates(cfg, threads=2)
+        assert again.z_samples.tobytes() == res.z_samples.tobytes()
+        assert again.replicates == res.replicates
+        assert all(math.isfinite(rep.reduction_sup) for rep in res.replicates)
+
     def test_reduction_order_above_four_is_not_computed(self):
         res = run_replicates(small_config(p_override=5, replicates=2))
         assert np.all(np.isfinite(res.z_samples))
         assert all(math.isnan(rep.reduction_sup) for rep in res.replicates)
+        assert res.summary["feasibility"]["reduction_sup"] == "p = 5 > MAX_REDUCTION_ORDER = 4"
 
     def test_empirical_marginal_mc_smoke(self):
         # heavy-tailed innovations with a fitted X marginal (diagnostic
@@ -158,6 +172,7 @@ class TestRunReplicates:
         feas = res.summary["feasibility"]
         assert feas["case"] == "CASE1"
         assert "skipped" in feas["condition_Dr"]
+        assert feas["reduction_sup"] == "fitted X marginal (no analytic F^(r))"
 
 
 class TestConvergenceStudy:

@@ -19,6 +19,7 @@ from lrdextremes.model import (
 )
 from lrdextremes.simulate import (
     M_CAP,
+    FilterPlan,
     autocovariance,
     autocovariance_model,
     autocovariances,
@@ -142,12 +143,27 @@ class TestMovingAverage:
             moving_average(np.ones(5), np.ones(3))
 
     @pytest.mark.parametrize(
+        "n,M,segments",
+        [(1, 30, 1), (1, 31, 8), (1, 3000, 751), (64, 2046, 1), (64, 2047, 8), (64, 3000, 12), (64, 2**18 + 5, 1025)],
+    )
+    def test_partition_rule(self, n, M, segments):
+        # segments of 4 n taps once M + 1 >= 32 n, else one segment of M + 1 taps
+        plan = FilterPlan.build(np.ones(M + 1), n)
+        assert len(plan.spectra[0]) == segments
+        assert plan.B == (4 * n if segments > 1 else M + 1)
+
+    @pytest.mark.parametrize(
         "n,M",
         [
-            (1, 3000),  # a single output of a long filter
+            (1, 3000),  # a single output of a long filter: B = 4, M + 1 not a multiple
             (500, 0),  # identity-length filter
             (1024 - 200, 200),  # n + M is a fast length: L = n + M exactly
             (1025 - 200, 200),  # one above: L > n + M
+            (1, 31),  # n = 1 with M + 1 = 32 n
+            (64, 32 * 64 - 1),  # M + 1 = 32 n: segments of B = 4 n fill the taps exactly
+            (64, 32 * 64 - 2),  # M + 1 = 32 n - 1: one segment
+            (64, 3000),  # M + 1 not a multiple of B = 256
+            (64, 2**18 + 5),  # more windows than one row block
         ],
     )
     def test_filter_length_edges(self, n, M):
@@ -224,6 +240,16 @@ class TestAutocovariance:
         for k in range(20):
             assert vec[k] == pytest.approx(autocovariance(c, 1.7, k), rel=1e-12)
         assert np.all(vec[20:] == 0.0)
+
+    @pytest.mark.parametrize("kmax", [0, 3, 40, 4095, 5000])
+    def test_short_autocorrelation_matches_dot(self, kmax):
+        # the circular autocorrelation is only as long as lags 0..min(kmax, M) need
+        cm = build_coefficient_model(0.8, M=4095)
+        vec = autocovariances(cm.c, 1.3, kmax)
+        assert vec.shape == (kmax + 1,)
+        direct = [autocovariance(cm.c, 1.3, k) for k in range(min(kmax, cm.M) + 1)]
+        np.testing.assert_allclose(vec[: len(direct)], direct, rtol=1e-12, atol=0.0)
+        assert np.all(vec[cm.M + 1 :] == 0.0)
 
     def test_model_tail_correction_consistent(self):
         # enlarging M must not change the tail-corrected value
