@@ -20,14 +20,8 @@ from .errors import (
 from .estats import (
     Decomposition,
     ProcessFrame,
-    alpha_n,
     decompose_I,
-    hh_partial_sum_sup,
-    i3_direct,
-    multilinear_Y,
-    quantile_process,
     reduction_sup,
-    tail_alpha_sup,
     top_k_sum,
     trimmed_sum,
     u_ratio,

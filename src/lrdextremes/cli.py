@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import ExperimentConfig, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
-from .estats import MAX_REDUCTION_ORDER
 from .mc import (
     _problem_and_bundle,
+    _reduction_skip_reason,
     _run_replicate_loop,
     convergence_study,
     run_replicates,
@@ -130,8 +130,9 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
         print("median_u_ratio = unavailable (needs an analytic X marginal)")
     else:
         print(f"median_u_ratio = {float(np.median(urs))!r}")
-    if np.all(np.isnan(sups)):
-        print(f"median_reduction_sup = unavailable (needs analytic marginal and p <= {MAX_REDUCTION_ORDER})")
+    skip = _reduction_skip_reason(mx, bundle.p, with_reduction=True)
+    if skip is not None:
+        print(f"median_reduction_sup = unavailable ({skip})")
     else:
         print(f"median_reduction_sup = {float(np.median(sups))!r} (over {R} replicates)")
     return EXIT_OK

@@ -1,14 +1,13 @@
 """Order-statistic functionals and empirical-process machinery.
 
-Holds the extreme and trimmed sums, the uniform empirical and quantile
-processes, the multilinear forms entering the reduction principle, the
-normalized extreme-sum statistic Z_n, and its exact three-term split into
-the driving integral I1 and the two asymptotically negligible remainders.
+Holds the extreme and trimmed sums, the multilinear forms entering the
+reduction principle, the normalized extreme-sum statistic Z_n, and its
+exact three-term split into the driving integral I1 and the two
+asymptotically negligible remainders.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,9 +45,8 @@ class ProcessFrame:
     analytic: bool = True
 
     @classmethod
-    def from_path(cls, path, mx: MarginalX, ty: TargetMarginalY, sigma_n1: float) -> "ProcessFrame":
-        x = path.x if isinstance(path, PathPair) else np.asarray(path, dtype=float)
-        xs = np.sort(x)
+    def from_path(cls, x, mx: MarginalX, ty: TargetMarginalY, sigma_n1: float) -> "ProcessFrame":
+        xs = np.sort(np.asarray(x, dtype=float))
         u = np.clip(np.asarray(mx.F(xs), dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS)
         ys = np.asarray(ty.Q(u), dtype=float)
         return cls(
@@ -61,10 +59,6 @@ class ProcessFrame:
             ty=ty,
             analytic=not isinstance(mx, EmpiricalMarginal),
         )
-
-    def E_n(self, y):
-        """Uniform empirical CDF at y."""
-        return np.searchsorted(self.u_sorted, y, side="right") / self.n
 
     def u_order(self, k: int) -> float:
         """Order statistic U_{k:n}, 1-indexed."""
@@ -111,53 +105,12 @@ def trimmed_sum(sample, m: int, k: int) -> float:
     return direct
 
 
-def alpha_n(frame: ProcessFrame, y: float) -> float:
-    """Uniform empirical process sigma_{n,1}^-1 * n * (E_n(y) - y)."""
-    if not frame.analytic:
-        raise StateError("empirical-marginal frames do not carry a valid uniform transform")
-    if not 0.0 < y < 1.0:
-        raise DomainError("y must lie in (0, 1)")
-    return float(frame.n * (frame.E_n(y) - y) / frame.sigma_n1)
-
-
-def quantile_process(frame: ProcessFrame, y: float) -> float:
-    """General quantile process sigma_{n,1}^-1 * n * (Q(y) - Q_n(y)).
-
-    Q_n is the left-continuous sample quantile, Q_n(y) = X_{k:n} on
-    ((k-1)/n, k/n].
-    """
-    if not 0.0 < y < 1.0:
-        raise DomainError("y must lie in (0, 1)")
-    k = int(math.ceil(frame.n * y))
-    k = min(max(k, 1), frame.n)
-    return float(frame.n * (frame.mx.Q(y) - frame.x_sorted[k - 1]) / frame.sigma_n1)
-
-
-def hh_partial_sum_sup(frame: ProcessFrame, y0: float = 0.25, y1: float = 0.75) -> float:
-    """sup over [y0, y1] of |q_n(y) + sigma_{n,1}^-1 * sum_i X_i|.
-
-    The quantile-process approximation by partial sums predicts this
-    supremum vanishes in probability on interior intervals.  Q_n is
-    piecewise constant and Q is increasing, so the supremum is attained at
-    segment endpoints; the evaluation is exact.
-    """
-    if not 0.0 < y0 < y1 < 1.0:
-        raise DomainError("need 0 < y0 < y1 < 1")
-    n = frame.n
-    shift = float(np.sum(frame.x_sorted)) / frame.sigma_n1
-    k_lo = int(math.ceil(n * y0))
-    k_hi = int(math.ceil(n * y1))
-    ks = np.arange(k_lo, k_hi + 1)
-    lefts = np.maximum((ks - 1) / n, y0) + 1e-300  # just inside the half-open segment
-    rights = np.minimum(ks / n, y1)
-    qn = frame.x_sorted[ks - 1]
-    vals_left = n * (frame.mx.Q(lefts) - qn) / frame.sigma_n1 + shift
-    vals_right = n * (frame.mx.Q(rights) - qn) / frame.sigma_n1 + shift
-    return float(max(np.max(np.abs(vals_left)), np.max(np.abs(vals_right))))
-
-
 def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
     """Y_{n,1..p} of one innovation vector, from the plan's cached filter spectra.
+
+    Y_{n,r} = sum_{i=1}^n e_r(c_0 eps_i, c_1 eps_{i-1}, ..., c_M eps_{i-M}),
+    with e_r the elementary symmetric polynomial (a sum over strictly
+    increasing filter indices); Y_{n,1} is the plain partial sum of the path.
 
     The power-sum paths p_m[i] = sum_k (c_k eps_{i-k})^m cost one rfft and
     one irfft each; ``x``, when given, is p_1 = ``plan.apply(eps)``, the
@@ -174,21 +127,6 @@ def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
             acc += (-1.0) ** (j - 1) * e[m - j] * power_sums[j - 1]
         e.append(acc / m)
     return [float(np.sum(v)) for v in e[1:]]
-
-
-def multilinear_Y(eps, c, r: int) -> float:
-    """Multilinear form Y_{n,r} over strictly increasing filter indices.
-
-    Y_{n,r} = sum_{i=1}^n e_r(c_0 eps_i, c_1 eps_{i-1}, ..., c_M eps_{i-M})
-    with e_r the elementary symmetric polynomial; r = 1 recovers the plain
-    partial sum of the path.  Power sums are FFT convolutions and Newton's
-    identities assemble e_r, O(r (n + M) log(n + M)).
-    """
-    if not 1 <= r <= MAX_REDUCTION_ORDER:
-        raise StateError(f"order r = {r} unsupported (cost guard allows 1 <= r <= {MAX_REDUCTION_ORDER})")
-    eps = np.asarray(eps, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), r), eps, r)[r - 1]
 
 
 class ReductionSupResult(NamedTuple):
@@ -281,6 +219,11 @@ def z_statistic(y, bundle: ScalingBundle) -> float:
     return bundle.A_n / bundle.sigma_n1 * (top_k_sum(arr, bundle.k_n) - bundle.mu_n)
 
 
+def _frame_z(frame: ProcessFrame, bundle: ScalingBundle) -> float:
+    """Z_n = A_n sigma_{n,1}^-1 (top k_n sum - mu_n), read off the frame's sorted Y."""
+    return bundle.A_n / bundle.sigma_n1 * (float(np.sum(frame.y_sorted[frame.n - bundle.k_n :])) - bundle.mu_n)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Three-term split of Z_n; i3 is defined as the residual z - i1 - i2."""
@@ -314,10 +257,12 @@ def _stieltjes_y_minus_en(frame: ProcessFrame, lo: float, hi: float, i_lo: int) 
 def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     """Exact Stieltjes evaluation of the decomposition Z_n = I1 + I2 + I3.
 
-    I1 = -A_n int_(1-k_n/n, 1-1/n] alpha_n(y) dQ_Y(y) drives the normal
-    limit; I2 covers (1-1/n, 1] where the final segment uses the boundary
-    limit (y-1) Q_Y(y) -> 0; I3 is the residual (its direct integral form
-    is ``i3_direct``).
+    With alpha_n(y) = sigma_{n,1}^-1 n (E_n(y) - y) the uniform empirical
+    process, I1 = -A_n int_(1-k_n/n, 1-1/n] alpha_n(y) dQ_Y(y) drives the
+    normal limit; I2 covers (1-1/n, 1] where the final segment uses the
+    boundary limit (y-1) Q_Y(y) -> 0; I3 is the residual z - I1 - I2, equal
+    to A_n sigma_{n,1}^-1 n int_{U_{n-k_n:n}}^{1-k_n/n} (1 - k_n/n - E_n(y)) dQ_Y(y),
+    oriented (negative when the order statistic exceeds 1 - k_n/n).
     """
     if not frame.analytic:
         raise StateError("decomposition requires an analytic X marginal")
@@ -341,32 +286,8 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     tail = -(last - 1.0) * float(ty.Q(last)) - ty.integral_Q(last, 1.0)
     i2 = scale * (body + tail)
 
-    z = bundle.A_n / bundle.sigma_n1 * (float(np.sum(frame.y_sorted[n - k_n :])) - bundle.mu_n)
+    z = _frame_z(frame, bundle)
     return Decomposition(i1=i1, i2=i2, i3=z - i1 - i2, z=z)
-
-
-def i3_direct(frame: ProcessFrame, bundle: ScalingBundle) -> float:
-    """Direct integral form of I3, for cross-checking the residual definition.
-
-    I3 = A_n sigma^-1 n int_{U_{n-k_n:n}}^{1-k_n/n} (1 - k_n/n - E_n(y)) dQ_Y(y),
-    oriented (negative when the order statistic exceeds 1 - k_n/n).
-    """
-    n, k_n = frame.n, bundle.k_n
-    us = frame.u_sorted
-    ty = frame.ty
-    c0 = 1.0 - k_n / n
-    a = frame.u_order(n - k_n)
-    sign = 1.0
-    lo, hi = a, c0
-    if a > c0:
-        sign, lo, hi = -1.0, c0, a
-    i_lo = int(np.searchsorted(us, lo, side="right"))
-    i_hi = int(np.searchsorted(us, hi, side="right"))
-    pts = np.concatenate([[lo], us[i_lo:i_hi], [hi]])
-    evals = (i_lo + np.arange(len(pts) - 1)) / n
-    qs = np.asarray(ty.Q(pts), dtype=float)
-    val = float(np.sum((c0 - evals) * np.diff(qs)))
-    return sign * bundle.A_n / bundle.sigma_n1 * n * val
 
 
 def u_ratio(frame: ProcessFrame, k_n: int) -> float:
@@ -374,21 +295,3 @@ def u_ratio(frame: ProcessFrame, k_n: int) -> float:
     if not 1 <= k_n < frame.n:
         raise DomainError("need 1 <= k_n < n")
     return frame.u_order(frame.n - k_n) / (1.0 - k_n / frame.n)
-
-
-def tail_alpha_sup(frame: ProcessFrame, k_n: int) -> float:
-    """sup over (1 - k_n/n, 1) of |alpha_n|, evaluated on the jump grid."""
-    if not frame.analytic:
-        raise StateError("empirical-marginal frames do not carry a valid uniform transform")
-    if not 1 <= k_n < frame.n:
-        raise DomainError("need 1 <= k_n < n")
-    n = frame.n
-    lo = 1.0 - k_n / n
-    us = frame.u_sorted
-    i_lo = int(np.searchsorted(us, lo, side="right"))
-    pts = np.concatenate([[lo], us[i_lo:], [1.0]])
-    evals = (i_lo + np.arange(len(pts) - 1)) / n
-    # on each segment (a, b] the integrand e - y is monotone in y
-    a, b = pts[:-1], pts[1:]
-    dev = np.maximum(np.abs(evals - a), np.abs(evals - b))
-    return float(n * np.max(dev) / frame.sigma_n1)

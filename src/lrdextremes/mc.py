@@ -21,12 +21,13 @@ from .estats import (
     MAX_REDUCTION_ORDER,
     ProcessFrame,
     TailGrid,
+    _frame_z,
     decompose_I,
     multilinear_sums,
     reduction_sup_sorted,
     u_ratio,
 )
-from .model import EmpiricalMarginal
+from .model import EmpiricalMarginal, ParetoMarginal
 from .scaling import (
     ScalingBundle,
     check_condition_Dr,
@@ -128,6 +129,11 @@ def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool =
 def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     """Run the one-time hypothesis checks beyond xi; raise before any simulation."""
     coeffs, dist, mx, ty = problem
+    if isinstance(mx, ParetoMarginal):
+        raise InfeasibleConfigError(
+            "declared Pareto X marginal: no linear process of this model has it "
+            "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
+        )
     record = {"case": bundle.case.name, "xi_threshold": bundle.feasibility.threshold}
     pr = power_rank_integral(mx, ty)
     record["power_rank_integral"] = pr
@@ -186,7 +192,7 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
         ur = u_ratio(frame, bundle.k_n)
     else:
         nan = float("nan")
-        z = bundle.A_n / bundle.sigma_n1 * (float(np.sum(frame.y_sorted[bundle.n - bundle.k_n :])) - bundle.mu_n)
+        z = _frame_z(frame, bundle)
         i1, i2, i3, ur = nan, nan, nan, nan
     if plan.tail is not None:
         y = multilinear_sums(plan.filter, eps, bundle.p, x=x)

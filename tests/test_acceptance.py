@@ -276,10 +276,10 @@ def test_criterion_8_u_ratio(case4_n11, case4_n13, case4_n15):
 
 def test_criterion_9_oracle_equivalences():
     """Exhaustive equivalences: multilinear forms, FFT filter, trimmed sums, top-k."""
-    from lrdextremes.estats import multilinear_Y, top_k_sum, trimmed_sum
+    from lrdextremes.estats import top_k_sum, trimmed_sum
 
     ok = True
-    # multilinear forms vs brute enumeration, n, M <= 4, r <= 3
+    # the replicate kernel's multilinear forms vs brute enumeration, n, M <= 4, r <= 3
     for n, M, r in itertools.product((1, 2, 3, 4), (0, 1, 2, 3, 4), (1, 2, 3)):
         if r > M + 1:
             continue
@@ -293,7 +293,7 @@ def test_criterion_9_oracle_equivalences():
                 for j in combo:
                     prod *= c[j] * eps[(i - j) + M - 1]
                 brute += prod
-        val = multilinear_Y(eps, c, r)
+        val = multilinear_sums(FilterPlan.build(c, n, r), eps, r)[r - 1]
         ok &= abs(val - brute) <= 1e-10 * max(1.0, abs(brute))
 
     # FFT vs direct convolution at 1e-10

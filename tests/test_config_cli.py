@@ -183,6 +183,18 @@ class TestCli:
         assert errors[0] == "code,message"
         assert any("(*)" in ln and "CASE1" in ln for ln in errors[1:])
 
+    @pytest.mark.parametrize("command,size", [("mc", "n = 512"), ("convergence", "n_grid = 256,512")])
+    def test_declared_pareto_marginal_refused(self, tmp_path, capsys, command, size):
+        # xi = 0.95 clears the Case 2 threshold, so only the marginal itself is refused
+        text = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95").replace("n = 10000", size)
+        cfg = write_config(tmp_path, text + "innovation = student_t:6,1\n")
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        errors = (tmp_path / "errors.csv").read_text().splitlines()
+        assert errors[0] == "code,message"
+        assert any(ln.startswith("2,declared Pareto X marginal") for ln in errors[1:])
+        assert not (tmp_path / "z_samples.csv").exists()
+
     def test_fit_failure_exit_2_and_errors_csv(self, tmp_path, capsys):
         # a tail fraction of 0.6 reaches below zero, where a Frechet fit is undefined
         text = FITTED_CASE1.replace("empirical:0.05", "empirical:0.6").replace("xi = 0.5", "xi = 0.95")
@@ -209,6 +221,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median_u_ratio = unavailable" in out
         assert "median_reduction_sup = unavailable" in out
+
+    def test_diag_names_why_the_reduction_is_skipped(self, tmp_path, capsys):
+        text = MINIMAL_CASE4.replace("n = 32768", "n = 256").replace("R = 400", "R = 2") + "p_override = 5\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "median_reduction_sup = unavailable (p = 5 > MAX_REDUCTION_ORDER = 4)" in out
 
     def test_diag_identity_power_rank(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity").replace(

@@ -1,5 +1,6 @@
 """Tests for order-statistic functionals and the Z_n decomposition."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,22 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
-from lrdextremes.errors import ConfigError, DomainError, StateError
+from lrdextremes.errors import ConfigError, DomainError
 from lrdextremes.estats import (
     TAIL_GRID_EPS,
     TAIL_GRID_SIZE,
     ProcessFrame,
     TailGrid,
-    alpha_n,
     decompose_I,
-    hh_partial_sum_sup,
-    i3_direct,
     multilinear_sums,
-    multilinear_Y,
-    quantile_process,
     reduction_sup,
     reduction_sup_sorted,
-    tail_alpha_sup,
     top_k_sum,
     trimmed_sum,
     u_ratio,
@@ -37,11 +32,11 @@ from lrdextremes.model import (
     InnovationDist,
     MdaCase,
     ParetoTarget,
-    fit_empirical_marginal,
 )
 from lrdextremes.scaling import LFamily, ScalingBundle, make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
+    PathPair,
     build_coefficient_model,
     derive_seed,
     gen_innovations,
@@ -103,71 +98,6 @@ class TestTrimmedSum:
             trimmed_sum([1.0, 2.0], 1, 1)
 
 
-class TestAlphaN:
-    def test_balanced_point(self):
-        fr = frame_from_uniforms([0.2, 0.6])
-        assert alpha_n(fr, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_excess(self):
-        # E_2(0.7) = 1 for U = (0.2, 0.6): value n(E - y) = 2 * 0.3
-        fr = frame_from_uniforms([0.2, 0.6])
-        assert alpha_n(fr, 0.7) == pytest.approx(0.6, abs=1e-12)
-
-    def test_negative_excess(self):
-        # E_2(0.7) = 1/2 for U = (0.2, 0.8): value 2 * (0.5 - 0.7) = -0.4
-        fr = frame_from_uniforms([0.2, 0.8])
-        assert alpha_n(fr, 0.7) == pytest.approx(-0.4, abs=1e-12)
-
-    def test_vanishes_near_zero(self):
-        fr = frame_from_uniforms([0.2, 0.8])
-        assert alpha_n(fr, 1e-9) == pytest.approx(0.0, abs=1e-6)
-
-    def test_empirical_frame_unsupported(self):
-        rng = np.random.default_rng(0)
-        m = fit_empirical_marginal(rng.standard_normal(20_000), 0.05, mda="gumbel")
-        fr = ProcessFrame.from_path(rng.standard_normal(100), m, ExponentialTarget(), 1.0)
-        with pytest.raises(StateError):
-            alpha_n(fr, 0.5)
-
-
-class TestQuantileProcess:
-    def test_exact_quantile_sample_bound(self):
-        mx = GaussianMarginal(1.0)
-        n = 256
-        grid = (np.arange(n) + 0.5) / n
-        x = mx.Q(grid)
-        fr = ProcessFrame.from_path(x, mx, IdentityTarget(mx), sigma_n1=float(n))
-        ys = np.linspace(0.05, 0.95, 91)
-        spacing = np.max(np.diff(mx.Q(np.linspace(0.02, 0.98, 2 * n))))
-        for y in ys:
-            assert abs(quantile_process(fr, y)) <= n / float(n) * 2 * spacing + 1e-12
-
-    def test_single_point(self):
-        mx = GaussianMarginal(1.0)
-        fr = ProcessFrame.from_path(np.array([0.3]), mx, IdentityTarget(mx), 1.0)
-        for y in (0.1, 0.5, 0.9):
-            assert quantile_process(fr, y) == pytest.approx(mx.Q(y) - 0.3, abs=1e-12)
-
-    def test_hh_partial_sum_median_decreases(self):
-        # quantile process approximated by partial sums on interior intervals
-        cm = build_coefficient_model(0.8, tol=1e-3)
-        mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
-        ty = IdentityTarget(mx)
-        d = InnovationDist.gaussian(1.0)
-        from lrdextremes.simulate import sigma_n1_exact
-
-        medians = []
-        for n in (2**10, 2**13):
-            sig = sigma_n1_exact(cm.c, 1.0, n)
-            vals = []
-            for r in range(30):
-                eps = gen_innovations(d, n + cm.M, derive_seed(424242, r))
-                fr = ProcessFrame.from_path(moving_average(cm.c, eps), mx, ty, sig)
-                vals.append(hh_partial_sum_sup(fr))
-            medians.append(float(np.median(vals)))
-        assert medians[1] < medians[0]
-
-
 def brute_multilinear(eps, c, r, n):
     """Exhaustive enumeration over strictly increasing index tuples."""
     M = len(c) - 1
@@ -181,17 +111,23 @@ def brute_multilinear(eps, c, r, n):
     return total
 
 
+def kernel_Y(eps, c, r):
+    """Y_{n,r} as a replicate computes it: one plan of order r, then multilinear_sums."""
+    eps, c = np.asarray(eps, dtype=float), np.asarray(c, dtype=float)
+    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), r), eps, r)[r - 1]
+
+
 class TestMultilinear:
     def test_order_one_is_partial_sum(self):
         rng = np.random.default_rng(4)
         c = rng.uniform(0.2, 1.0, 5)
         eps = rng.standard_normal(12 + 4)
         x = moving_average(c, eps)
-        assert multilinear_Y(eps, c, 1) == pytest.approx(float(np.sum(x)), rel=1e-12)
+        assert kernel_Y(eps, c, 1) == pytest.approx(float(np.sum(x)), rel=1e-12)
 
     def test_single_pair_example(self):
         # n = 1, c = (1, 1/2), eps = (2, 1): only the pair c_0 c_1 eps_1 eps_0
-        val = multilinear_Y(np.array([2.0, 1.0]), np.array([1.0, 0.5]), 2)
+        val = kernel_Y(np.array([2.0, 1.0]), np.array([1.0, 0.5]), 2)
         assert val == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("n,M,r", [(n, M, r) for n in (1, 2, 3, 4) for M in (0, 1, 2, 3, 4) for r in (1, 2, 3) if r <= M + 1])
@@ -200,11 +136,7 @@ class TestMultilinear:
         c = rng.uniform(0.2, 1.5, M + 1)
         eps = rng.standard_normal(n + M)
         expected = brute_multilinear(eps, c, r, n)
-        assert multilinear_Y(eps, c, r) == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-    def test_cost_guard(self):
-        with pytest.raises(StateError):
-            multilinear_Y(np.ones(4), np.ones(2), 5)
+        assert kernel_Y(eps, c, r) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_partitioned_plan_matches_single_fft(self, p):
@@ -272,7 +204,7 @@ def searchsorted_reduction_sup(x, eps, c, p, mx, sigma_n1):
     F_g = np.asarray(mx.F(grid), dtype=float)
     smooth = np.zeros_like(F_g)
     for r in range(1, p + 1):
-        y_r = multilinear_Y(eps, c, r)
+        y_r = kernel_Y(eps, c, r)
         smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, grid), dtype=float) * y_r
     right = np.searchsorted(xs, grid, side="right") - n * F_g + smooth
     left = np.searchsorted(xs, grid, side="left") - n * F_g + smooth
@@ -320,6 +252,30 @@ class TestReductionSupOracle:
         assert reduction_sup(x, eps, c, 3, mx, 2.0).value == expected
 
 
+def i3_direct(frame: ProcessFrame, bundle: ScalingBundle) -> float:
+    """Direct integral form of I3, for cross-checking the residual definition.
+
+    I3 = A_n sigma^-1 n int_{U_{n-k_n:n}}^{1-k_n/n} (1 - k_n/n - E_n(y)) dQ_Y(y),
+    oriented (negative when the order statistic exceeds 1 - k_n/n).
+    """
+    n, k_n = frame.n, bundle.k_n
+    us = frame.u_sorted
+    ty = frame.ty
+    c0 = 1.0 - k_n / n
+    a = frame.u_order(n - k_n)
+    sign = 1.0
+    lo, hi = a, c0
+    if a > c0:
+        sign, lo, hi = -1.0, c0, a
+    i_lo = int(np.searchsorted(us, lo, side="right"))
+    i_hi = int(np.searchsorted(us, hi, side="right"))
+    pts = np.concatenate([[lo], us[i_lo:i_hi], [hi]])
+    evals = (i_lo + np.arange(len(pts) - 1)) / n
+    qs = np.asarray(ty.Q(pts), dtype=float)
+    val = float(np.sum((c0 - evals) * np.diff(qs)))
+    return sign * bundle.A_n / bundle.sigma_n1 * n * val
+
+
 def tiny_case4_setup(n=512, seed_r=0, xi=0.9):
     cm = build_coefficient_model(0.8, tol=0.01)
     mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
@@ -360,6 +316,16 @@ class TestZStatistic:
         frame, bundle = tiny_case4_setup()
         with pytest.raises(ConfigError):
             z_statistic(np.ones(100), bundle)
+
+    def test_path_from_another_configuration(self):
+        frame, bundle = tiny_case4_setup()
+        tagged = dataclasses.replace(bundle, spec_hash="model-a")
+        y = frame.y_sorted.copy()
+        same = PathPair(x=frame.x_sorted, y=y, seed=0, spec_hash="model-a")
+        assert z_statistic(same, tagged) == z_statistic(y, bundle)
+        other = PathPair(x=frame.x_sorted, y=y, seed=0, spec_hash="model-b")
+        with pytest.raises(ConfigError, match="different configuration"):
+            z_statistic(other, tagged)
 
 
 class TestDecomposition:
@@ -410,31 +376,3 @@ class TestLemmaDiagnostics:
         grid = (np.arange(n) + 0.5) / n
         fr = frame_from_uniforms(grid)
         assert u_ratio(fr, 100) == pytest.approx(1.0, abs=2e-3)
-
-    def test_tail_alpha_sup_finite_and_positive(self):
-        frame, bundle = tiny_case4_setup()
-        val = tail_alpha_sup(frame, bundle.k_n)
-        assert math.isfinite(val)
-        assert val >= 0
-
-    def test_tail_alpha_sup_tracks_rate_bound(self):
-        # median sup over (1 - k_n/n, 1) of |alpha_n| stays within the
-        # d_{n,p} + fQ(1 - k_n/n) envelope (trend check with 0.5 slack)
-        from lrdextremes.scaling import d_np
-
-        cm = build_coefficient_model(0.8, tol=1e-3)
-        mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
-        ty = ExponentialTarget()
-        d = InnovationDist.gaussian(1.0)
-        ratios = []
-        for n in (2**11, 2**13, 2**15):
-            bundle = make_bundle(mx, ty, cm.c, 1.0, 0.8, cm.L0, n, 0.9)
-            vals = []
-            for r in range(50):
-                eps = gen_innovations(d, n + cm.M, derive_seed(2026004, r))
-                fr = ProcessFrame.from_path(moving_average(cm.c, eps), mx, ty, bundle.sigma_n1)
-                vals.append(tail_alpha_sup(fr, bundle.k_n))
-            envelope = d_np(n, bundle.p, 0.8, cm.L0) + float(mx.fQ(1.0 - bundle.k_n / n))
-            ratios.append(float(np.median(vals)) / envelope)
-        assert all(math.isfinite(r) for r in ratios)
-        assert max(ratios) <= ratios[0] * 1.5

@@ -1,0 +1,64 @@
+"""The package surface that the benchmark scripts use still exists.
+
+``perfbench/`` runs the package through its public names in separate
+interpreters, so a removed or renamed name would only show as a failed
+benchmark run.  This test reads those scripts with ``ast``, finds every
+attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
+``lx.mc.write_z_samples_csv``, ``simulate.config_hash``, ...) and resolves
+it against the package.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def package_roots(tree: ast.AST) -> dict[str, str]:
+    """Local name -> module path, for every import of the package in the script."""
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "lrdextremes":
+                    roots[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lrdextremes":
+            for alias in node.names:
+                roots[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return roots
+
+
+def attribute_chains(tree: ast.AST, roots: dict[str, str]) -> set[tuple[str, ...]]:
+    """Every (root, attr, attr, ...) chain whose innermost value is a package root."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            chains.add((node.id, *reversed(parts)))
+    return chains
+
+
+def resolve(dotted: str) -> bool:
+    """Whether ``lrdextremes.a.b...`` is reachable by attribute access from the package."""
+    obj = importlib.import_module("lrdextremes")
+    for attr in dotted.split(".")[1:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("script", ["jobs.py", "record_reference.py"])
+def test_benchmark_names_resolve(script):
+    tree = ast.parse((PERFBENCH / script).read_text(), filename=script)
+    roots = package_roots(tree)
+    chains = attribute_chains(tree, roots)
+    assert chains, f"no package names found in {script}; the scan no longer matches its imports"
+    missing = [".".join(chain) for chain in sorted(chains) if not resolve(".".join((roots[chain[0]], *chain[1:])))]
+    assert not missing, f"{script} uses names the package no longer has: {missing}"
