@@ -53,8 +53,6 @@ from .model import (
     SvConstant,
     SvLogPower,
     SvNumeric,
-    SvRatio,
-    SvScaled,
     TargetMarginalY,
     clamp_events,
     fit_empirical_marginal,
@@ -63,7 +61,6 @@ from .model import (
     sv_eval,
 )
 from .scaling import (
-    LFamily,
     ScalingBundle,
     big_A,
     centering,

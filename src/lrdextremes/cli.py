@@ -16,6 +16,7 @@ import numpy as np
 from .config import ExperimentConfig, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
+    _marginal_refusal,
     _problem_and_bundle,
     _reduction_skip_reason,
     _run_replicate_loop,
@@ -121,6 +122,10 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
             print(f"D_{r} = {dr!r}")
         except (LrdExtremesError, NotImplementedError) as exc:
             print(f"D_{r} = unavailable ({exc})")
+    if (refusal := _marginal_refusal(mx)) is not None:
+        print(f"median_u_ratio = unavailable ({refusal})")
+        print(f"median_reduction_sup = unavailable ({refusal})")
+        return EXIT_OK
     R = min(config.replicates, 10)
     reps = _run_replicate_loop(problem, bundle, config.master_seed, R, threads, with_reduction=True)
     # the replicate kernel reports NaN where a diagnostic is undefined

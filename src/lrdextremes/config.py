@@ -28,6 +28,7 @@ from .model import (
     fit_empirical_marginal,
 )
 from .scaling import xi_feasibility
+from .simulate import build_coefficient_model, moving_average
 
 KNOWN_KEYS = {
     "beta",
@@ -293,8 +294,6 @@ def build_problem(config: ExperimentConfig):
     calibration path drawn under SeedSequence(master_seed, spawn_key=(0, 0)),
     a stream disjoint from every replicate stream.
     """
-    from .simulate import build_coefficient_model, moving_average
-
     L0 = _parse_sv(config.l0)
     coeffs = build_coefficient_model(config.beta, L0, config.trunc_tol)
     dist = _parse_innovation(config.innovation)

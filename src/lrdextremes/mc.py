@@ -126,14 +126,21 @@ def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool =
     return problem, bundle
 
 
-def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
-    """Run the one-time hypothesis checks beyond xi; raise before any simulation."""
-    coeffs, dist, mx, ty = problem
+def _marginal_refusal(mx) -> str | None:
+    """Why no replicate can run on this X marginal, or None when replicates can."""
     if isinstance(mx, ParetoMarginal):
-        raise InfeasibleConfigError(
+        return (
             "declared Pareto X marginal: no linear process of this model has it "
             "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
         )
+    return None
+
+
+def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
+    """Run the one-time hypothesis checks beyond xi; raise before any simulation."""
+    coeffs, dist, mx, ty = problem
+    if (refusal := _marginal_refusal(mx)) is not None:
+        raise InfeasibleConfigError(refusal)
     record = {"case": bundle.case.name, "xi_threshold": bundle.feasibility.threshold}
     pr = power_rank_integral(mx, ty)
     record["power_rank_integral"] = pr

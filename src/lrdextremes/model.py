@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import ClampWarning, DomainError, FitError, StateError
@@ -89,28 +90,6 @@ class SvLogPower(SlowlyVaryingFn):
     def _eval(self, u):
         lg = np.maximum(np.log(u), 1.0)
         return self.c * lg**self.b
-
-
-@dataclass(frozen=True)
-class SvRatio(SlowlyVaryingFn):
-    num: SlowlyVaryingFn
-    den: SlowlyVaryingFn
-
-    def _eval(self, u):
-        return self.num._eval(u) / self.den._eval(u)
-
-
-@dataclass(frozen=True)
-class SvScaled(SlowlyVaryingFn):
-    c: float
-    inner: SlowlyVaryingFn
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError(f"scale must be positive, got {self.c}")
-
-    def _eval(self, u):
-        return self.c * self.inner._eval(u)
 
 
 @dataclass(frozen=True)
@@ -615,8 +594,6 @@ class TargetMarginalY:
 
     def integral_Q(self, lo: float, hi: float) -> float:
         """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
-        from scipy.integrate import quad
-
         val, err = quad(lambda u: self.Q(u), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
         return float(val)
 

@@ -11,6 +11,7 @@ baseline scale used for the LRD-vs-iid contrast diagnostic.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,10 @@ from .model import (
     MdaCase,
     MdaTag,
     SlowlyVaryingFn,
-    SvRatio,
-    SvScaled,
     TargetMarginalY,
     sv_eval,
 )
+from .simulate import sigma_n1_exact
 
 # quadrature defaults: absolute/relative tolerances and the endpoint split
 QUAD_EPSABS = 1e-8
@@ -93,39 +93,36 @@ def d_np(n: int, p: int, beta: float, L0: SlowlyVaryingFn) -> float:
     return n ** (-p * (beta - 0.5)) * L0n**p * ln**0.5 * lln**0.75
 
 
-def _alpha0(y_mda: MdaTag) -> float | None:
-    """Tail index alpha0 of Y; None outside the Frechet domain."""
-    return y_mda.alpha if y_mda.kind == "frechet" else None
+def case_exponent(x_mda: MdaTag, y_mda: MdaTag) -> float:
+    """Exponent e = 1 + 1/alpha [X Frechet] - 1/alpha0 [Y Frechet] of the case of (X, Y).
+
+    The only place the four MDA cases differ: A_n grows like (n/k_n)^e and
+    the xi threshold divides by e.
+    """
+    e = 1.0
+    if x_mda.kind == "frechet":
+        e += 1.0 / x_mda.alpha
+    if y_mda.kind == "frechet":
+        e -= 1.0 / y_mda.alpha
+    return e
 
 
-def xi_threshold(case: MdaCase, beta: float, alpha: float | None = None, alpha0: float | None = None) -> float:
-    """Lower bound on the extreme-count exponent xi for the given case.
+def xi_threshold(x_mda: MdaTag, y_mda: MdaTag, beta: float) -> float:
+    """Lower bound (beta + 1/alpha [X Frechet]) / e on the extreme-count exponent xi.
 
-    Feasibility (threshold < 1) requires alpha0 > (1-beta)^-1 in Cases 1
-    and 3; Cases 1 and 2 additionally require alpha >= 4 because the
+    Feasibility (threshold < 1) requires alpha0 > (1-beta)^-1 when only Y
+    is Frechet; a Frechet X additionally needs alpha >= 4 because the
     innovations have a finite fourth moment.
     """
     if not 0.5 < beta < 1.0:
         raise DomainError("beta must lie in (1/2, 1)")
-    if case in (MdaCase.CASE1, MdaCase.CASE2):
-        if alpha is None:
-            raise DomainError(f"{case.name} requires the tail index alpha of X")
-        if alpha < 4:
-            raise InfeasibleConfigError(
-                f"alpha = {alpha} < 4: finite fourth innovation moment forces alpha >= 4 in {case.name}"
-            )
-    if case in (MdaCase.CASE1, MdaCase.CASE3):
-        if alpha0 is None:
-            raise DomainError(f"{case.name} requires the tail index alpha0 of Y")
-
-    if case is MdaCase.CASE1:
-        thr = (beta + 1.0 / alpha) / (1.0 + 1.0 / alpha - 1.0 / alpha0)
-    elif case is MdaCase.CASE2:
-        thr = (beta + 1.0 / alpha) / (1.0 + 1.0 / alpha)
-    elif case is MdaCase.CASE3:
-        thr = beta / (1.0 - 1.0 / alpha0)
-    else:
-        thr = beta
+    case = MdaCase.classify(x_mda, y_mda)
+    x_frechet = x_mda.kind == "frechet"
+    if x_frechet and x_mda.alpha < 4:
+        raise InfeasibleConfigError(
+            f"alpha = {x_mda.alpha} < 4: finite fourth innovation moment forces alpha >= 4 in {case.name}"
+        )
+    thr = (beta + 1.0 / x_mda.alpha if x_frechet else beta) / case_exponent(x_mda, y_mda)
     if thr >= 1.0:
         raise InfeasibleConfigError(
             f"{case.name} infeasible: xi threshold {thr:.4g} >= 1 "
@@ -152,7 +149,7 @@ def xi_feasibility(x_mda: MdaTag, y_mda: MdaTag, beta: float, xi: float) -> Feas
     case = MdaCase.classify(x_mda, y_mda)
     condition = f"{case.name} condition {CASE_LABELS[case]}"
     try:
-        thr = xi_threshold(case, beta, x_mda.alpha, _alpha0(y_mda))
+        thr = xi_threshold(x_mda, y_mda, beta)
     except InfeasibleConfigError as exc:
         return Feasibility(case, None, f"no xi satisfies the {condition}: {exc}")
     if xi <= thr:
@@ -160,72 +157,17 @@ def xi_feasibility(x_mda: MdaTag, y_mda: MdaTag, beta: float, xi: float) -> Feas
     return Feasibility(case, thr, None)
 
 
-@dataclass(frozen=True)
-class LFamily:
-    """Slowly varying corrections derived from the two marginals.
-
-    L11..L14 are the marginal ratios, L21..L24 include the Karamata
-    constants of the four cases.  Members whose ingredients are absent for
-    the given case pair are None.
-    """
-
-    alpha: float | None
-    alpha0: float | None
-    L11: SlowlyVaryingFn | None = None
-    L12: SlowlyVaryingFn | None = None
-    L13: SlowlyVaryingFn | None = None
-    L14: SlowlyVaryingFn | None = None
-    L21: SlowlyVaryingFn | None = None
-    L22: SlowlyVaryingFn | None = None
-    L23: SlowlyVaryingFn | None = None
-    L24: SlowlyVaryingFn | None = None
-
-    @classmethod
-    def from_marginals(cls, mx: MarginalX, ty: TargetMarginalY) -> "LFamily":
-        alpha = mx.mda.alpha
-        alpha0 = _alpha0(ty.mda)
-        kw = {}
-        if mx.L2 is not None and ty.L2s is not None:
-            kw["L11"] = SvRatio(ty.L2s, mx.L2)
-            kw["L21"] = SvScaled(1.0 / alpha - 1.0 / alpha0 + 1.0, kw["L11"])
-        if mx.L2 is not None and ty.L3s is not None:
-            kw["L12"] = SvRatio(ty.L3s, mx.L2)
-            kw["L22"] = SvScaled(1.0 / alpha + 1.0, kw["L12"])
-        if mx.L3 is not None and ty.L2s is not None:
-            kw["L13"] = SvRatio(ty.L2s, mx.L3)
-            # constant uses the target index alpha0, matching the exponent
-            # 1 - 1/alpha0 in the normalizer's table
-            kw["L23"] = SvScaled(1.0 - 1.0 / alpha0, kw["L13"])
-        if mx.L3 is not None and ty.L3s is not None:
-            kw["L14"] = SvRatio(ty.L3s, mx.L3)
-            kw["L24"] = kw["L14"]
-        return cls(alpha=alpha, alpha0=alpha0, **kw)
-
-
-_CASE_EXPONENT = {
-    MdaCase.CASE1: lambda a, a0: 1.0 + 1.0 / a - 1.0 / a0,
-    MdaCase.CASE2: lambda a, a0: 1.0 + 1.0 / a,
-    MdaCase.CASE3: lambda a, a0: 1.0 - 1.0 / a0,
-    MdaCase.CASE4: lambda a, a0: 1.0,
-}
-
-_CASE_L2J = {
-    MdaCase.CASE1: "L21",
-    MdaCase.CASE2: "L22",
-    MdaCase.CASE3: "L23",
-    MdaCase.CASE4: "L24",
-}
-
-
-def big_A(case: MdaCase, n: int, k_n: int, lfam: LFamily) -> float:
-    """Normalizing constant A_n = (n/k_n)^expo * L2j(n/k_n) for the case."""
+def big_A(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
+    """A_n = (n/k_n)^e * e * L_Y(n/k_n) / L_X(n/k_n), e = case_exponent, L = L2 if Frechet else L3."""
     if not 1 <= k_n < n:
         raise DomainError("need 1 <= k_n < n")
-    L2j = getattr(lfam, _CASE_L2J[case])
-    if L2j is None:
-        raise ConfigError(f"missing slowly varying components for {case.name}")
+    L_X = mx.L2 if mx.mda.kind == "frechet" else mx.L3
+    L_Y = ty.L2s if ty.mda.kind == "frechet" else ty.L3s
+    if L_X is None or L_Y is None:
+        raise ConfigError(f"missing slowly varying components for {MdaCase.classify(mx.mda, ty.mda).name}")
+    e = case_exponent(mx.mda, ty.mda)
     u = n / k_n
-    return u ** _CASE_EXPONENT[case](lfam.alpha, lfam.alpha0) * sv_eval(L2j, u)
+    return u**e * (e * (sv_eval(L_Y, u) / sv_eval(L_X, u)))
 
 
 def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: float = QUAD_EPSREL) -> float:
@@ -252,9 +194,7 @@ def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: flo
 
 def karamata_product(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
     """A_n * K_n; tends to 1 as k_n and n/k_n grow."""
-    lfam = LFamily.from_marginals(mx, ty)
-    case = MdaCase.classify(mx.mda, ty.mda)
-    return big_A(case, n, k_n, lfam) * karamata_K(mx, ty, n, k_n)
+    return big_A(mx, ty, n, k_n) * karamata_K(mx, ty, n, k_n)
 
 
 def centering(ty: TargetMarginalY, n: int, k_n: int) -> float:
@@ -293,8 +233,6 @@ def _quad_pieces(fn, edges, epsrel: float) -> float:
     Plain QUADPACK segments only; Gauss-Kronrod nodes stay interior, so
     integrable endpoint singularities are never evaluated directly.
     """
-    import warnings
-
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -350,7 +288,6 @@ class ScalingBundle:
     A_n: float
     d_np: float
     mu_n: float
-    lfam: LFamily = field(repr=False)
     spec_hash: str = ""
     feasibility: Feasibility | None = field(default=None, repr=False)
 
@@ -380,8 +317,6 @@ def make_bundle(
     disable it for purely diagnostic bundles outside the theorem's domain.
     The verdict is kept on the bundle either way.
     """
-    from .simulate import sigma_n1_exact
-
     if not 0.0 < xi < 1.0:
         raise ConfigError(f"xi = {xi} must lie in (0, 1)")
     verdict = xi_feasibility(mx.mda, ty.mda, beta, xi)
@@ -391,7 +326,6 @@ def make_bundle(
     k_n = int(math.ceil(n**xi))
     if k_n >= n:
         raise ConfigError(f"k_n = ceil(n^xi) = {k_n} must be < n = {n}")
-    lfam = LFamily.from_marginals(mx, ty)
     pp = p if p is not None else select_p(beta)
     return ScalingBundle(
         case=case,
@@ -400,10 +334,9 @@ def make_bundle(
         xi=xi,
         p=pp,
         sigma_n1=sigma_n1_exact(c, sigma_eps2, n),
-        A_n=big_A(case, n, k_n, lfam),
+        A_n=big_A(mx, ty, n, k_n),
         d_np=d_np(n, pp, beta, L0),
         mu_n=centering(ty, n, k_n),
-        lfam=lfam,
         spec_hash=spec_hash,
         feasibility=verdict,
     )

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import beta as beta_fn, betainc, zeta
 
 from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
@@ -334,8 +334,6 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
     )
     a = M - k + 0.5  # midpoint continuation of the discrete sum
     if isinstance(L0, SvConstant):
-        from scipy.special import beta as beta_fn, betainc
-
         x = k / (k + a)
         tail = L0.c**2 * k ** (1.0 - 2.0 * beta) * beta_fn(2.0 * beta - 1.0, 1.0 - beta) * betainc(
             2.0 * beta - 1.0, 1.0 - beta, x

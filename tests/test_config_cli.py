@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrdextremes import cli
 from lrdextremes.cli import main
 from lrdextremes.config import ExperimentConfig, parse_config, serialize_config
 from lrdextremes.errors import ConfigError
@@ -228,6 +229,20 @@ class TestCli:
         assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "median_reduction_sup = unavailable (p = 5 > MAX_REDUCTION_ORDER = 4)" in out
+
+    def test_diag_runs_no_replicate_on_a_declared_pareto_marginal(self, tmp_path, capsys, monkeypatch):
+        text = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95").replace("n = 10000", "n = 4096")
+        cfg = write_config(tmp_path, text + "innovation = student_t:6,1\n")
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("diag ran replicates on a declared Pareto X marginal")
+
+        monkeypatch.setattr(cli, "_run_replicate_loop", no_replicates)
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+        assert "power_rank_integral" in out and "D_1" in out
+        for name in ("median_u_ratio", "median_reduction_sup"):
+            assert out[name].startswith("unavailable (declared Pareto X marginal")
 
     def test_diag_identity_power_rank(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity").replace(

@@ -33,7 +33,7 @@ from lrdextremes.model import (
     MdaCase,
     ParetoTarget,
 )
-from lrdextremes.scaling import LFamily, ScalingBundle, make_bundle
+from lrdextremes.scaling import ScalingBundle, make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
     PathPair,
@@ -299,7 +299,6 @@ class TestZStatistic:
             A_n=10.0,
             d_np=1.0,
             mu_n=63.2455532033676,
-            lfam=LFamily(None, None),
         )
         y = np.array([30.0, 1.0, 40.0, 2.0])
         assert z_statistic(y, bundle) == pytest.approx(10.0 / 2.0 * (70.0 - 63.2455532033676), rel=1e-12)
@@ -364,7 +363,6 @@ class TestDecomposition:
             A_n=bundle.A_n,
             d_np=bundle.d_np,
             mu_n=bundle.mu_n,
-            lfam=bundle.lfam,
         )
         with pytest.raises(DomainError):
             decompose_I(frame, small)

@@ -22,8 +22,6 @@ from lrdextremes.model import (
     ParetoTarget,
     SvConstant,
     SvLogPower,
-    SvRatio,
-    SvScaled,
     clamp_events,
     fit_empirical_marginal,
     reset_clamp_events,
@@ -45,12 +43,6 @@ class TestSlowlyVarying:
     def test_log_power_at_e(self):
         assert sv_eval(SvLogPower(1.0, 0.5), math.e) == pytest.approx(1.0)
 
-    def test_ratio(self):
-        assert sv_eval(SvRatio(SvConstant(4.0), SvConstant(1.0)), 10.0) == 4.0
-
-    def test_scaled(self):
-        assert sv_eval(SvScaled(3.0, SvLogPower(1.0, 1.0)), math.e**2) == pytest.approx(6.0)
-
     def test_domain_error(self):
         with pytest.raises(DomainError):
             sv_eval(SvConstant(1.0), 1.0)
@@ -63,8 +55,8 @@ class TestSlowlyVarying:
             SvConstant(2.5),
             SvLogPower(1.0, 0.5),
             SvLogPower(3.0, -1.0),
-            SvRatio(SvLogPower(1.0, 1.0), SvConstant(4.0)),
-            SvScaled(0.5, SvLogPower(1.0, 0.25)),
+            SvLogPower(0.25, 1.0),
+            SvLogPower(0.5, 0.25),
             GaussianMarginal(1.0).L3,
         ],
     )

@@ -1,6 +1,7 @@
 """Tests for the deterministic scaling constants and hypothesis checkers."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 from scipy.integrate import quad
@@ -11,14 +12,17 @@ from lrdextremes.model import (
     ExponentialTarget,
     GaussianMarginal,
     IdentityTarget,
+    MarginalX,
     MdaCase,
+    MdaTag,
     ParetoMarginal,
     ParetoTarget,
+    SlowlyVaryingFn,
     SvConstant,
 )
 from lrdextremes.scaling import (
-    LFamily,
     big_A,
+    case_exponent,
     sigma_ratio_asymptotic,
     centering,
     check_condition_Dr,
@@ -42,6 +46,14 @@ D_NP_REF = 74.2167404951329  # n=1e4, p=1, beta=0.8, constant L0
 SIGMA_NP_REF = 630.957344480193  # sqrt((1e4)^1.4)
 K_N_CASE2_REF = 0.0100872885125388  # 3.2*(0.01^1.25 - 0.0001^1.25)
 A_N_CASE2_REF = 98.8211768802619  # 100^1.25 * 0.3125
+# A_n at (n, k_n) = (1e4, 1e2), one marginal pair per case; pinned exactly,
+# so a change in the order of A_n's float operations shows
+A_N_PINS = [
+    (ParetoMarginal(4.0), ParetoTarget(6.0), 238.51738098858624),
+    (ParetoMarginal(4.0), ExponentialTarget(), 98.82117688026186),
+    (GaussianMarginal(1.0), ParetoTarget(6.0), 78.64391245481399),
+    (GaussianMarginal(1.0), ExponentialTarget(), 33.886634630496346),
+]
 CENT_PARETO2_REF = 63.2455532033676  # 100*2*sqrt(0.1)
 CENT_EXP_REF = 33.0258509299405  # 100*0.1*(1 - log 0.1)
 A_N_SCALE_REF = 0.0316227766016838  # 100^0.25/100
@@ -107,88 +119,103 @@ class TestDnp:
             d_np(8, 1, 0.8, CONST1)
 
 
+FRECHET4 = MdaTag("frechet", 4.0)
+GUMBEL = MdaTag("gumbel")
+
+
+@dataclass(frozen=True)
+class TagOnlyMarginal(MarginalX):
+    """An X marginal with only the tag and slowly varying parts that big_A reads."""
+
+    mda: MdaTag
+    L2: SlowlyVaryingFn | None = None
+    L3: SlowlyVaryingFn | None = None
+
+
+@pytest.mark.parametrize(
+    "x_mda,y_mda,expected",
+    [
+        (FRECHET4, MdaTag("frechet", 6.0), 1 + 1 / 4 - 1 / 6),
+        (FRECHET4, GUMBEL, 1 + 1 / 4),
+        (GUMBEL, MdaTag("frechet", 6.0), 1 - 1 / 6),
+        (GUMBEL, GUMBEL, 1.0),
+    ],
+    ids=["case1", "case2", "case3", "case4"],
+)
+def test_case_exponent(x_mda, y_mda, expected):
+    assert case_exponent(x_mda, y_mda) == expected
+
+
 class TestXiThreshold:
     def test_case1(self):
-        assert xi_threshold(MdaCase.CASE1, 0.7, alpha=4.0, alpha0=5.0) == pytest.approx(0.95 / 1.05, rel=1e-12)
+        assert xi_threshold(FRECHET4, MdaTag("frechet", 5.0), 0.7) == pytest.approx(0.95 / 1.05, rel=1e-12)
 
     def test_case2(self):
-        assert xi_threshold(MdaCase.CASE2, 0.8, alpha=4.0) == pytest.approx(1.05 / 1.25, rel=1e-12)
+        assert xi_threshold(FRECHET4, GUMBEL, 0.8) == pytest.approx(1.05 / 1.25, rel=1e-12)
 
     def test_case3(self):
-        assert xi_threshold(MdaCase.CASE3, 0.8, alpha0=6.0) == pytest.approx(0.96, rel=1e-12)
+        assert xi_threshold(GUMBEL, MdaTag("frechet", 6.0), 0.8) == pytest.approx(0.96, rel=1e-12)
 
     def test_case4(self):
-        assert xi_threshold(MdaCase.CASE4, 0.8) == pytest.approx(0.8)
+        assert xi_threshold(GUMBEL, GUMBEL, 0.8) == pytest.approx(0.8)
 
     def test_infeasible_alpha0(self):
         # alpha0 <= (1-beta)^-1 pushes the threshold to 1
         with pytest.raises(InfeasibleConfigError):
-            xi_threshold(MdaCase.CASE3, 0.8, alpha0=2.0)
+            xi_threshold(GUMBEL, MdaTag("frechet", 2.0), 0.8)
         with pytest.raises(InfeasibleConfigError):
-            xi_threshold(MdaCase.CASE1, 0.8, alpha=4.0, alpha0=5.0)  # needs alpha0 > 5
+            xi_threshold(FRECHET4, MdaTag("frechet", 5.0), 0.8)  # needs alpha0 > 5
 
     def test_alpha_floor(self):
         with pytest.raises(InfeasibleConfigError):
-            xi_threshold(MdaCase.CASE2, 0.8, alpha=3.0)
+            xi_threshold(MdaTag("frechet", 3.0), GUMBEL, 0.8)
 
     def test_missing_index(self):
+        # a Frechet tag without its tail index is refused before any threshold
         with pytest.raises(DomainError):
-            xi_threshold(MdaCase.CASE1, 0.8, alpha=4.0)
+            MdaTag("frechet")
 
 
 class TestBigA:
     def test_case4_identical_light_tails(self):
         mx = GaussianMarginal(1.0)
-        lfam = LFamily.from_marginals(mx, IdentityTarget(mx))
-        assert big_A(MdaCase.CASE4, 1000, 100, lfam) == pytest.approx(10.0, rel=1e-12)
+        assert big_A(mx, IdentityTarget(mx), 1000, 100) == pytest.approx(10.0, rel=1e-12)
 
     def test_case2_reference(self):
-        lfam = LFamily.from_marginals(ParetoMarginal(4.0), ExponentialTarget())
-        assert big_A(MdaCase.CASE2, 10**4, 10**2, lfam) == pytest.approx(A_N_CASE2_REF, rel=1e-12)
+        assert big_A(ParetoMarginal(4.0), ExponentialTarget(), 10**4, 10**2) == pytest.approx(A_N_CASE2_REF, rel=1e-12)
+
+    @pytest.mark.parametrize("mx,ty,expected", A_N_PINS, ids=["case1", "case2", "case3", "case4"])
+    def test_pinned_values(self, mx, ty, expected):
+        assert big_A(mx, ty, 10**4, 10**2) == expected
 
     def test_increasing_in_ratio_all_cases(self):
-        pairs = {
-            MdaCase.CASE1: (ParetoMarginal(4.0), ParetoTarget(6.0)),
-            MdaCase.CASE2: (ParetoMarginal(4.0), ExponentialTarget()),
-            MdaCase.CASE3: (GaussianMarginal(1.0), ParetoTarget(6.0)),
-            MdaCase.CASE4: (GaussianMarginal(1.0), ExponentialTarget()),
-        }
-        for case, (mx, ty) in pairs.items():
-            lfam = LFamily.from_marginals(mx, ty)
+        for mx, ty, _ in A_N_PINS:
             k_n = 1000
-            vals = [big_A(case, k_n * r, k_n, lfam) for r in (10, 100, 1000, 10000)]
-            assert all(b > a for a, b in zip(vals, vals[1:])), case
+            vals = [big_A(mx, ty, k_n * r, k_n) for r in (10, 100, 1000, 10000)]
+            assert all(b > a for a, b in zip(vals, vals[1:])), MdaCase.classify(mx.mda, ty.mda)
 
     def test_missing_components(self):
-        lfam = LFamily.from_marginals(ParetoMarginal(4.0), ExponentialTarget())
-        with pytest.raises(ConfigError):
-            big_A(MdaCase.CASE3, 1000, 10, lfam)
+        # a Gumbel X without its L3 has no normalizing constant
+        with pytest.raises(ConfigError, match="CASE4"):
+            big_A(TagOnlyMarginal(GUMBEL), ExponentialTarget(), 1000, 10)
 
     def test_log_slope_equals_case_exponent_for_constant_L(self):
         # with constant slowly varying parts the constant cancels from the
-        # two-point log slope, leaving the case exponent exactly
-        alpha, alpha0 = 4.0, 6.0
-        const = SvConstant(0.3125)
-        lfam = LFamily(
-            alpha=alpha,
-            alpha0=alpha0,
-            L21=const,
-            L22=const,
-            L23=const,
-            L24=const,
-        )
-        expected = {
-            MdaCase.CASE1: 1 + 1 / alpha - 1 / alpha0,
-            MdaCase.CASE2: 1 + 1 / alpha,
-            MdaCase.CASE3: 1 - 1 / alpha0,
-            MdaCase.CASE4: 1.0,
-        }
+        # two-point log slope, leaving the case exponent exactly; no Gumbel
+        # X of the package has a constant L3, so that side is tag-only
+        gumbel_x = TagOnlyMarginal(GUMBEL, L3=SvConstant(0.3125))
+        pairs = [
+            (ParetoMarginal(4.0), ParetoTarget(6.0)),
+            (ParetoMarginal(4.0), ExponentialTarget()),
+            (gumbel_x, ParetoTarget(6.0)),
+            (gumbel_x, ExponentialTarget()),
+        ]
         k_n = 10**3
-        for case, expo in expected.items():
-            a1 = big_A(case, 10**5 * k_n, k_n, lfam)
-            a2 = big_A(case, 10**8 * k_n, k_n, lfam)
+        for mx, ty in pairs:
+            a1 = big_A(mx, ty, 10**5 * k_n, k_n)
+            a2 = big_A(mx, ty, 10**8 * k_n, k_n)
             slope = (math.log(a2) - math.log(a1)) / (math.log(1e8) - math.log(1e5))
-            assert slope == pytest.approx(expo, abs=1e-6)
+            assert slope == pytest.approx(case_exponent(mx.mda, ty.mda), abs=1e-6)
 
 
 class TestKaramata:

@@ -5,7 +5,8 @@ interpreters, so a removed or renamed name would only show as a failed
 benchmark run.  This test reads those scripts with ``ast``, finds every
 attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
 ``lx.mc.write_z_samples_csv``, ``simulate.config_hash``, ...) and resolves
-it against the package.
+it against the package.  It also keeps every import inside the package at
+module level, where a module's dependencies are visible at a glance.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lrdextremes"
 
 
 def package_roots(tree: ast.AST) -> dict[str, str]:
@@ -62,3 +64,20 @@ def test_benchmark_names_resolve(script):
     assert chains, f"no package names found in {script}; the scan no longer matches its imports"
     missing = [".".join(chain) for chain in sorted(chains) if not resolve(".".join((roots[chain[0]], *chain[1:])))]
     assert not missing, f"{script} uses names the package no longer has: {missing}"
+
+
+def function_local_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function name, line) of every import statement inside a function body."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((fn.name, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_function_local_imports(module):
+    local = function_local_imports(ast.parse((PACKAGE / module).read_text(), filename=module))
+    assert not local, f"{module} imports inside functions at {local}"
