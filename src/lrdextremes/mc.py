@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
@@ -170,8 +170,10 @@ class ReplicatePlan:
     """What every replicate of one (problem, bundle) shares, built once per run.
 
     ``filter`` holds the spectra of c**m for m = 1..p when the reduction
-    supremum is computed (m = 1 otherwise); ``tail`` is its tail grid, or
-    None when ``_reduction_skip_reason`` gives a reason not to compute it.
+    supremum is computed (m = 1 otherwise); those of c come from the
+    bundle's plan, so a run transforms the taps once per power.  ``tail``
+    is its tail grid, or None when ``_reduction_skip_reason`` gives a
+    reason not to compute it.
     """
 
     filter: FilterPlan
@@ -179,11 +181,11 @@ class ReplicatePlan:
 
     @classmethod
     def build(cls, problem, bundle: ScalingBundle, with_reduction: bool) -> "ReplicatePlan":
-        coeffs, _, mx, _ = problem
+        mx = problem[2]
         reduced = _reduction_skip_reason(mx, bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
         tail = TailGrid.build(mx, bundle.p) if reduced else None
-        return cls(filter=FilterPlan.build(coeffs.c, bundle.n, order), tail=tail)
+        return cls(filter=bundle.filter_plan.with_order(order), tail=tail)
 
 
 def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
@@ -299,8 +301,10 @@ def run_replicates(
     echo = config.as_dict()
     echo["n"] = n
     echo["R"] = R
+    # the result does not keep the filter plan alive: its spectra and taps are the run's largest arrays
+    kept = replace(bundle, filter_plan=None)
     return McRunResult(
-        z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=bundle
+        z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=kept
     )
 
 

@@ -236,10 +236,18 @@ class MarginalX:
         raise StateError(f"{type(self).__name__} does not provide analytic derivatives")
 
 
-def _check_prob_open(y) -> np.ndarray:
+_PROB_OPEN_REFUSAL = "quantile-side argument must lie in the open interval (0, 1)"
+
+
+def _check_prob_open(y):
+    # quad passes Python floats: compare them as they are, no array round trip
+    if isinstance(y, float):
+        if y <= 0.0 or y >= 1.0:
+            raise DomainError(_PROB_OPEN_REFUSAL)
+        return y
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("quantile-side argument must lie in the open interval (0, 1)")
+        raise DomainError(_PROB_OPEN_REFUSAL)
     return arr
 
 

@@ -26,7 +26,7 @@ from .model import (
     TargetMarginalY,
     sv_eval,
 )
-from .simulate import sigma_n1_exact
+from .simulate import FilterPlan, sigma_n1_from_autocovariances
 
 # quadrature defaults: absolute/relative tolerances and the endpoint split
 QUAD_EPSABS = 1e-8
@@ -277,7 +277,12 @@ def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int, epsrel: float
 
 @dataclass(frozen=True)
 class ScalingBundle:
-    """All deterministic constants needed to normalize one experiment size."""
+    """All deterministic constants needed to normalize one experiment size.
+
+    ``filter_plan`` is the power-1 ``FilterPlan`` at n that ``sigma_n1``
+    came from, set by ``make_bundle`` so that a run's replicates filter
+    with the same spectra.
+    """
 
     case: MdaCase
     n: int
@@ -290,6 +295,7 @@ class ScalingBundle:
     mu_n: float
     spec_hash: str = ""
     feasibility: Feasibility | None = field(default=None, repr=False)
+    filter_plan: FilterPlan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k_n < self.n:
@@ -327,16 +333,18 @@ def make_bundle(
     if k_n >= n:
         raise ConfigError(f"k_n = ceil(n^xi) = {k_n} must be < n = {n}")
     pp = p if p is not None else select_p(beta)
+    plan = FilterPlan.build(c, n)
     return ScalingBundle(
         case=case,
         n=n,
         k_n=k_n,
         xi=xi,
         p=pp,
-        sigma_n1=sigma_n1_exact(c, sigma_eps2, n),
+        sigma_n1=sigma_n1_from_autocovariances(plan.autocovariances(sigma_eps2), n),
         A_n=big_A(mx, ty, n, k_n),
         d_np=d_np(n, pp, beta, L0),
         mu_n=centering(ty, n, k_n),
         spec_hash=spec_hash,
         feasibility=verdict,
+        filter_plan=plan,
     )

@@ -25,9 +25,14 @@ lost at M / n = 16 for some n (0.83-1.35x), so the partition starts at
 M / n = 32, where every sweep won.  Among B = n, 2 n, 4 n, 8 n and 16 n,
 4 n was the fastest at every n above with M / n = 64 and 512.
 
-A ``FilterPlan`` holds the segment spectra of c**m for one (filter, n), so a
-replicate study transforms the filter once per run and each replicate pays
-one batched rfft over its windows and one irfft per power.
+A ``FilterPlan`` holds the segment spectra of c**m for one (filter, n), and
+it is the only place the taps are transformed.  A replicate study builds
+the power-1 plan once, in its scaling bundle, and adds the powers 2..p to
+it, so the taps are transformed once per power and run; each replicate
+pays one batched rfft over its windows and one irfft per power.  The exact
+autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them, come
+from the same plan: a one-segment plan reads them off its spectrum, and a
+partitioned one filters the reversed taps in one pass, O((n + M) log n).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -176,6 +181,9 @@ class FilterPlan:
     ``apply(eps, m)`` returns sum_k c_k^m eps_{i-k}^m for i = 1..n, the
     path itself for m = 1 and the power sums of the multilinear forms for
     m >= 2.  ``eps`` carries the M pre-sample innovations first.
+    ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from
+    the power-1 spectra, so the taps are transformed here only, once per
+    power.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
     module docstring (B = 4 n when M + 1 >= 32 n, else B = M + 1), after
@@ -193,6 +201,7 @@ class FilterPlan:
     M: int
     B: int
     L: int
+    taps: np.ndarray = field(repr=False)
     spectra: tuple = field(repr=False)
 
     @classmethod
@@ -200,19 +209,24 @@ class FilterPlan:
         c = np.asarray(c, dtype=float)
         if n < 1:
             raise DomainError("n must be >= 1")
-        if order < 1:
-            raise DomainError("filter order must be >= 1")
         M = len(c) - 1
         B = _SEGMENT_PATHS * n if M + 1 >= _PARTITION_MIN_PATHS * n else M + 1
         L = sfft.next_fast_len(n + B - 1, real=True)
-        if M == 0:
-            return cls(n=n, M=0, B=1, L=L, spectra=tuple(float(c[0]) ** m for m in range(1, order + 1)))
-        S = -(-(M + 1) // B)
-        pad = np.zeros(S * B - (M + 1))
-        spectra = tuple(
-            sfft.rfft(np.concatenate([pad, c**m]).reshape(S, B)[::-1], L, axis=-1) for m in range(1, order + 1)
-        )
-        return cls(n=n, M=M, B=B, L=L, spectra=spectra)
+        return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order)
+
+    def with_order(self, order: int) -> "FilterPlan":
+        """This plan with the spectra of c**m for m = 1..order; those it holds are kept, not recomputed."""
+        if order < 1:
+            raise DomainError("filter order must be >= 1")
+        kept = self.spectra[:order]
+        return replace(self, spectra=kept + tuple(self._spectrum(m) for m in range(len(kept) + 1, order + 1)))
+
+    def _spectrum(self, m: int):
+        if self.M == 0:
+            return float(self.taps[0]) ** m
+        S = -(-(self.M + 1) // self.B)
+        pad = np.zeros(S * self.B - (self.M + 1))
+        return sfft.rfft(np.concatenate([pad, self.taps**m]).reshape(S, self.B)[::-1], self.L, axis=-1)
 
     def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
         if len(eps) != self.n + self.M:
@@ -229,6 +243,21 @@ class FilterPlan:
             spec += (sfft.rfft(windows[lo : lo + rows], L, axis=-1) * C[lo : lo + rows]).sum(axis=0)
         # a copy, so the result does not pin the length-L buffer
         return sfft.irfft(spec, L)[B - 1 : B - 1 + n].copy()
+
+    def autocovariances(self, sigma_eps2: float) -> np.ndarray:
+        """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M).
+
+        One segment reads them off its own spectrum as irfft(|C|^2, L): a
+        circular autocorrelation of length L >= n + M does not wrap on lags
+        below n.  Several segments filter the reversed taps
+        [c_M, ..., c_0, 0, ...], whose output i is sum_{k>=i} c_k c_{k-i}.
+        """
+        C = self.spectra[0]
+        if self.M > 0 and len(C) == 1:
+            acorr = sfft.irfft(C[0].real**2 + C[0].imag**2, self.L)
+        else:
+            acorr = self.apply(np.concatenate([self.taps[::-1], np.zeros(self.n - 1)]))
+        return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
 
 
 def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -298,21 +327,17 @@ def autocovariance(c: np.ndarray, sigma_eps2: float, k: int) -> float:
 
 
 def autocovariances(c: np.ndarray, sigma_eps2: float, kmax: int) -> np.ndarray:
-    """Lags 0..kmax of the exact truncated-model autocovariance, via FFT.
+    """Lags 0..kmax of the exact truncated-model autocovariance.
 
-    A circular autocorrelation irfft(|rfft(c)|^2) of length at least
-    M + min(kmax, M) + 1 has no wrap-around on lags 0..min(kmax, M), so its
-    cost follows the lags asked for, not the 2M + 1 of the full one.
+    Lags 0..min(kmax, M) come from ``FilterPlan.autocovariances`` on the
+    plan at n = min(kmax, M) + 1, so the cost follows the lags asked for;
+    lags beyond M are 0.
     """
     c = np.asarray(c, dtype=float)
-    M = len(c) - 1
-    upto = min(kmax, M)
-    L = sfft.next_fast_len(M + upto + 1, real=True)
-    spec = sfft.rfft(c, L)
-    acorr = sfft.irfft(spec.real**2 + spec.imag**2, L)  # index k = sum_j c_j c_{j+k}
     out = np.zeros(kmax + 1)
-    out[: upto + 1] = acorr[: upto + 1]
-    return sigma_eps2 * out
+    rho = FilterPlan.build(c, min(kmax, len(c) - 1) + 1).autocovariances(sigma_eps2)
+    out[: rho.size] = rho
+    return out
 
 
 def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int, sigma_eps2: float = 1.0) -> float:
@@ -348,25 +373,17 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
     return sigma_eps2 * (partial + float(tail))
 
 
-def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
-    """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
+def sigma_n1_from_autocovariances(rho: np.ndarray, n):
+    """sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) from the autocovariances rho_0, rho_1, ...
 
     Evaluates n*rho_0 + 2*(n*S1 - S2), where S1 and S2 are the sums of
-    rho_k and k*rho_k over 1 <= k <= min(n-1, M), with rho computed by FFT
-    autocorrelation of the filter at the length these lags need,
-    O(M log M).  ``n`` may be a sequence of sizes: all of them then come
-    from one autocorrelation and one pass of cumulative sums, and the
-    result is an array.
+    rho_k and k*rho_k over 1 <= k <= n-1; lags past the end of ``rho``
+    count as 0, so it must hold every nonzero lag below the largest n.
+    ``n`` may be a sequence of sizes: all of them then come from one pass
+    of cumulative sums, and the result is an array.
     """
     ns = np.atleast_1d(np.asarray(n))
-    if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
-        raise DomainError("n must be an integer or a non-empty sequence of integers")
-    if np.any(ns < 1):
-        raise DomainError("n must be >= 1")
-    c = np.asarray(c, dtype=float)
-    M = len(c) - 1
-    kmax = np.minimum(ns - 1, M)
-    rho = autocovariances(c, sigma_eps2, int(kmax.max()))
+    kmax = np.minimum(ns - 1, rho.size - 1)
     k = np.arange(rho.size, dtype=float)
     # S1, S2 at each distinct kmax, accumulated over the gaps between them
     # (pairwise sums within a gap, so no long running sum loses digits)
@@ -381,6 +398,25 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
         prev = K
     out = np.sqrt(ns * rho[0] + 2.0 * (ns * s1[where] - s2[where]))
     return float(out[0]) if np.ndim(n) == 0 else out
+
+
+def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
+    """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
+
+    ``sigma_n1_from_autocovariances`` on the lags 0..min(max n - 1, M) of
+    ``FilterPlan.autocovariances`` at n = min(max n - 1, M) + 1, the
+    shortest plan that holds every lag the sizes need.  ``n`` may be a
+    sequence of sizes: all of them then come from that one plan, and the
+    result is an array.
+    """
+    ns = np.atleast_1d(np.asarray(n))
+    if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
+        raise DomainError("n must be an integer or a non-empty sequence of integers")
+    if np.any(ns < 1):
+        raise DomainError("n must be >= 1")
+    c = np.asarray(c, dtype=float)
+    plan = FilterPlan.build(c, min(int(ns.max()) - 1, len(c) - 1) + 1)
+    return sigma_n1_from_autocovariances(plan.autocovariances(sigma_eps2), n)
 
 
 def dump_path_csv(pp: PathPair, path) -> None:

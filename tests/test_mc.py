@@ -10,6 +10,8 @@ from lrdextremes.config import ExperimentConfig, build_problem
 from lrdextremes.errors import DomainError, InfeasibleConfigError
 from lrdextremes.estats import z_statistic
 from lrdextremes.mc import (
+    ReplicatePlan,
+    _problem_and_bundle,
     convergence_study,
     ks_test,
     run_replicates,
@@ -20,7 +22,15 @@ from lrdextremes.mc import (
     write_z_samples_csv,
 )
 from lrdextremes.scaling import make_bundle
-from lrdextremes.simulate import config_hash, derive_seed, gen_innovations, moving_average, simulate_path
+from lrdextremes.simulate import (
+    FilterPlan,
+    autocovariance,
+    config_hash,
+    derive_seed,
+    gen_innovations,
+    moving_average,
+    simulate_path,
+)
 from test_estats import searchsorted_reduction_sup
 
 
@@ -147,6 +157,32 @@ class TestRunReplicates:
         assert again.z_samples.tobytes() == res.z_samples.tobytes()
         assert again.replicates == res.replicates
         assert all(math.isfinite(rep.reduction_sup) for rep in res.replicates)
+
+    @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
+    def test_run_transforms_the_taps_once_per_power(self, n, segments, monkeypatch):
+        # M = 32262: partitioned at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
+        cfg = small_config(p_override=2, replicates=2, n=n, trunc_tol=1e-3)
+        problem, bundle = _problem_and_bundle(cfg, n)
+        plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
+        assert len(bundle.filter_plan.spectra[0]) == segments
+        assert plan.filter.spectra[0] is bundle.filter_plan.spectra[0]
+        assert len(plan.filter.spectra) == 2
+        powers = []
+        spectrum = FilterPlan._spectrum
+        monkeypatch.setattr(FilterPlan, "_spectrum", lambda self, m: powers.append(m) or spectrum(self, m))
+        res = run_replicates(cfg, threads=1)
+        assert powers == [1, 2]
+        # the result keeps the bundle's numbers, not its spectra and taps
+        assert res.bundle.filter_plan is None and res.bundle.sigma_n1 == bundle.sigma_n1
+
+    def test_partitioned_bundle_sigma_matches_pairwise_weights(self):
+        cfg = small_config(p_override=2, n=2**6, trunc_tol=1e-3)
+        (coeffs, dist, _, _), bundle = _problem_and_bundle(cfg, cfg.n)
+        assert coeffs.M == 32262 and len(bundle.filter_plan.spectra[0]) > 1
+        n, s2 = cfg.n, dist.variance
+        rho = np.array([autocovariance(coeffs.c, s2, k) for k in range(n)])
+        oracle = math.sqrt(n * rho[0] + 2.0 * float(np.dot(n - np.arange(1.0, n), rho[1:])))
+        assert bundle.sigma_n1 == pytest.approx(oracle, rel=1e-13)
 
     def test_reduction_order_above_four_is_not_computed(self):
         res = run_replicates(small_config(p_override=5, replicates=2))

@@ -29,6 +29,7 @@ from lrdextremes.model import (
     subordinate,
     sv_eval,
 )
+from lrdextremes.model import _check_prob_open
 
 # high-precision values computed with an independent mpmath oracle
 # (root-solve of ncdf(x) = 0.975, and 1/sqrt(2*pi))
@@ -104,6 +105,23 @@ class TestGaussianMarginal:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 m.Q(bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
+    def test_scalar_and_array_refusals_agree(self, bad):
+        # quad's Python floats take the scalar path; both refuse alike
+        messages = set()
+        for arg in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad])):
+            with pytest.raises(DomainError) as exc:
+                _check_prob_open(arg)
+            messages.add(str(exc.value))
+        assert messages == {"quantile-side argument must lie in the open interval (0, 1)"}
+
+    def test_nan_passes_the_check_on_both_paths(self):
+        assert math.isnan(_check_prob_open(float("nan")))
+        assert np.isnan(_check_prob_open(np.array([0.5, np.nan]))[1])
+        assert _check_prob_open(0.25) == 0.25
+        assert math.isnan(GaussianMarginal(1.0).Q(float("nan")))
+        assert np.isnan(GaussianMarginal(1.0).Q(np.array([np.nan]))[0])
 
     @pytest.mark.parametrize("s", [1.0, 0.5, 3.7])
     def test_fq_identity_grid(self, s):

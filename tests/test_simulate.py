@@ -243,13 +243,32 @@ class TestAutocovariance:
 
     @pytest.mark.parametrize("kmax", [0, 3, 40, 4095, 5000])
     def test_short_autocorrelation_matches_dot(self, kmax):
-        # the circular autocorrelation is only as long as lags 0..min(kmax, M) need
+        # lags 0..min(kmax, M) come from the plan at min(kmax, M) + 1: partitioned for kmax 0, 3, 40
         cm = build_coefficient_model(0.8, M=4095)
         vec = autocovariances(cm.c, 1.3, kmax)
         assert vec.shape == (kmax + 1,)
         direct = [autocovariance(cm.c, 1.3, k) for k in range(min(kmax, cm.M) + 1)]
         np.testing.assert_allclose(vec[: len(direct)], direct, rtol=1e-12, atol=0.0)
         assert np.all(vec[cm.M + 1 :] == 0.0)
+
+    @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095)])
+    def test_plan_autocovariances_match_dot(self, n, M):
+        # partitioned plans filter the reversed taps, one-segment plans read |C|^2
+        c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
+        plan = FilterPlan.build(c, n)
+        rho = plan.autocovariances(0.7)
+        assert rho.shape == (min(n - 1, M) + 1,)
+        np.testing.assert_allclose(rho, [autocovariance(c, 0.7, k) for k in range(rho.size)], rtol=1e-12, atol=0.0)
+
+    def test_with_order_keeps_the_spectra_it_holds(self):
+        c = np.random.default_rng(4).uniform(0.05, 1.0, 3000)
+        plan = FilterPlan.build(c, 64)
+        higher = plan.with_order(3)
+        assert higher.spectra[0] is plan.spectra[0]
+        fresh = FilterPlan.build(c, 64, 3)
+        for m in (1, 2, 3):
+            np.testing.assert_array_equal(higher.spectra[m - 1], fresh.spectra[m - 1])
+        assert higher.with_order(1).spectra == higher.spectra[:1]
 
     def test_model_tail_correction_consistent(self):
         # enlarging M must not change the tail-corrected value

@@ -6,7 +6,9 @@ benchmark run.  This test reads those scripts with ``ast``, finds every
 attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
 ``lx.mc.write_z_samples_csv``, ``simulate.config_hash``, ...) and resolves
 it against the package.  It also keeps every import inside the package at
-module level, where a module's dependencies are visible at a glance.
+module level, where a module's dependencies are visible at a glance, and
+every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
+the filter's transforms.
 """
 
 import ast
@@ -19,15 +21,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lrdextremes"
 
 
-def package_roots(tree: ast.AST) -> dict[str, str]:
+def package_roots(tree: ast.AST, package: str = "lrdextremes") -> dict[str, str]:
     """Local name -> module path, for every import of the package in the script."""
     roots = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] == "lrdextremes":
-                    roots[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lrdextremes":
+                if alias.name.split(".")[0] == package:
+                    # ``import a.b`` binds ``a``; ``import a.b as x`` binds ``x`` to ``a.b``
+                    local = alias.asname or package
+                    roots[local] = alias.name if alias.asname else package
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
             for alias in node.names:
                 roots[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     return roots
@@ -81,3 +85,29 @@ def function_local_imports(tree: ast.AST) -> list[tuple[str, int]]:
 def test_no_function_local_imports(module):
     local = function_local_imports(ast.parse((PACKAGE / module).read_text(), filename=module))
     assert not local, f"{module} imports inside functions at {local}"
+
+
+
+def fft_uses(tree: ast.AST) -> list[int]:
+    """Lines that name ``scipy.fft`` or anything in it, through any import of scipy."""
+    roots = package_roots(tree, "scipy")
+    lines = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            dotted = ".".join((roots[node.id], *reversed(parts)))
+            if dotted == "scipy.fft" or dotted.startswith("scipy.fft."):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_fft_calls_only_in_the_filter_plan(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    if module == "simulate.py":
+        tree.body = [node for node in tree.body if not (isinstance(node, ast.ClassDef) and node.name == "FilterPlan")]
+    outside = fft_uses(tree)
+    assert not outside, f"{module} uses scipy.fft outside simulate.FilterPlan at lines {outside}"
