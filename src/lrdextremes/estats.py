@@ -106,27 +106,38 @@ def trimmed_sum(sample, m: int, k: int) -> float:
 
 
 def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
-    """Y_{n,1..p} of one innovation vector, from the plan's cached filter spectra.
+    """Y_{n,1..p} of one innovation vector, from a filter plan of order p.
 
     Y_{n,r} = sum_{i=1}^n e_r(c_0 eps_i, c_1 eps_{i-1}, ..., c_M eps_{i-M}),
     with e_r the elementary symmetric polynomial (a sum over strictly
     increasing filter indices); Y_{n,1} is the plain partial sum of the path.
 
-    The power-sum paths p_m[i] = sum_k (c_k eps_{i-k})^m cost one rfft and
-    one irfft each; ``x``, when given, is p_1 = ``plan.apply(eps)``, the
-    path already computed.  Newton's identities e_m = (1/m) sum_{j=1}^m
-    (-1)^(j-1) e_{m-j} p_j assemble the elementary symmetric polynomials.
+    Newton's identities e_m = (1/m) sum_{j=1}^m (-1)^(j-1) e_{m-j} p_j
+    assemble the elementary symmetric polynomials from the power-sum paths
+    p_j[i] = sum_k (c_k eps_{i-k})^j.  The paths p_j, j < p, cost one rfft
+    and one irfft each (``x``, when given, is p_1 = ``plan.apply(eps)``, the
+    path already computed).  The top power enters Y_{n,p} only through its
+    total, so it is ``plan.power_total(eps, p)``, one weighted sum of
+    eps**p, not a path:
+
+        Y_{n,p} = (1/p) [sum_{j<p} (-1)^(j-1) sum_i e_{p-j}[i] p_j[i] + (-1)^(p-1) sum_i p_p[i]].
     """
     if p == 0:
         return []
-    power_sums = [plan.apply(eps) if x is None else x] + [plan.apply(eps, m) for m in range(2, p + 1)]
-    e = [np.ones_like(power_sums[0]), power_sums[0]]
+    x = plan.apply(eps) if x is None else x
+    power_sums = [x] + [plan.apply(eps, m) for m in range(2, p)]
+    e = [None, x]  # e_0 = 1 enters as the plain power sum
     for m in range(2, p + 1):
-        acc = np.zeros_like(power_sums[0])
-        for j in range(1, m + 1):
+        acc = np.zeros_like(x)
+        for j in range(1, m):
             acc += (-1.0) ** (j - 1) * e[m - j] * power_sums[j - 1]
-        e.append(acc / m)
-    return [float(np.sum(v)) for v in e[1:]]
+        if m < p:
+            acc += (-1.0) ** (m - 1) * power_sums[m - 1]
+            e.append(acc / m)
+    y = [float(np.sum(v)) for v in e[1:]]
+    if p >= 2:
+        y.append((float(np.sum(acc)) + (-1.0) ** (p - 1) * plan.power_total(eps, p)) / p)
+    return y
 
 
 class ReductionSupResult(NamedTuple):

@@ -169,11 +169,13 @@ def _reduction_skip_reason(mx, p: int, with_reduction: bool) -> str | None:
 class ReplicatePlan:
     """What every replicate of one (problem, bundle) shares, built once per run.
 
-    ``filter`` holds the spectra of c**m for m = 1..p when the reduction
-    supremum is computed (m = 1 otherwise); those of c come from the
-    bundle's plan, so a run transforms the taps once per power.  ``tail``
-    is its tail grid, or None when ``_reduction_skip_reason`` gives a
-    reason not to compute it.
+    ``filter`` is the filter plan of order p when the reduction supremum
+    is computed (order 1 otherwise): the spectra of c**m for m < p, and the
+    window sums of c**p that give the top power's total as one weighted sum
+    per replicate.  The spectra of c come from the bundle's plan, so a run
+    transforms the taps once per filtered power and never transforms c**p.
+    ``tail`` is its tail grid, or None when ``_reduction_skip_reason``
+    gives a reason not to compute it.
     """
 
     filter: FilterPlan

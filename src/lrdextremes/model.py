@@ -2,8 +2,11 @@
 
 Marginal distributions expose the quartet F, f, Q, fQ together with their
 maximum-domain-of-attraction tag and the slowly varying parts of the tail
-(L1, L2 in the heavy-tailed case, L3 in the light-tailed case).  All types
-are immutable after construction and safe to share between processes.
+(L1, L2 in the heavy-tailed case, L3 in the light-tailed case).  The
+upper-tail forms ``Q_upper(t) = Q(1 - t)`` and ``fQ_upper`` take the tail
+probability t itself: 1 - t keeps only t's leading digits, and none below
+t = 2^-54, where it rounds to 1.  All types are immutable after
+construction and safe to share between processes.
 """
 
 from __future__ import annotations
@@ -162,10 +165,14 @@ class InnovationDist:
         return self.sigma_eps**2
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        # scaled in place, so a draw of count floats allocates one array, not two
         if self.kind == "gaussian":
-            return self.sigma_eps * rng.standard_normal(count)
-        scale = math.sqrt((self.nu - 2.0) / self.nu)
-        return self.sigma_eps * scale * rng.standard_t(self.nu, size=count)
+            out = rng.standard_normal(count)
+            out *= self.sigma_eps
+        else:
+            out = rng.standard_t(self.nu, size=count)
+            out *= self.sigma_eps * math.sqrt((self.nu - 2.0) / self.nu)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +237,13 @@ class MarginalX:
 
     def fQ(self, y):
         return self.f(self.Q(y))
+
+    def Q_upper(self, t):
+        """Q(1 - t) from the upper-tail probability t; the generic form rounds 1 - t."""
+        return self.Q(1.0 - np.asarray(t, dtype=float))
+
+    def fQ_upper(self, t):
+        return self.f(self.Q_upper(t))
 
     def F_deriv(self, r: int, x):
         """r-th derivative of F; only analytic variants support r >= 2."""
@@ -296,6 +310,9 @@ class GaussianMarginal(MarginalX):
     def fQ(self, y):
         z = ndtri(_check_prob_open(y))
         return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
+
+    def Q_upper(self, t):
+        return -self.s * ndtri(_check_prob_open(t))
 
     def von_mises_integral(self, y):
         """V(y) = int_{1-y}^1 (1-v)/fQ(v) dv, exact via the Mills ratio."""
@@ -377,6 +394,12 @@ class ParetoMarginal(MarginalX):
     def fQ(self, y):
         y = _check_prob_open(y)
         return (self.alpha / self.x_m) * (1.0 - y) ** (1.0 + 1.0 / self.alpha)
+
+    def Q_upper(self, t):
+        return self.x_m * _check_prob_open(t) ** (-1.0 / self.alpha)
+
+    def fQ_upper(self, t):
+        return (self.alpha / self.x_m) * _check_prob_open(t) ** (1.0 + 1.0 / self.alpha)
 
     def F_deriv(self, r: int, x):
         if r < 0:
@@ -600,6 +623,10 @@ class TargetMarginalY:
         """Density-quantile function f_Y(Q_Y(u))."""
         raise NotImplementedError
 
+    def fQ_upper(self, t):
+        """f_Y(Q_Y(1 - t)) from the upper-tail probability t; the generic form rounds 1 - t."""
+        return self.fQ(1.0 - np.asarray(t, dtype=float))
+
     def integral_Q(self, lo: float, hi: float) -> float:
         """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
         val, err = quad(lambda u: self.Q(u), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
@@ -653,6 +680,9 @@ class ParetoTarget(TargetMarginalY):
         # f_Y Q_Y (1-y) = alpha0 * y^(1 + 1/alpha0) exactly
         return self.alpha0 * (1.0 - np.asarray(u, dtype=float)) ** (1.0 + 1.0 / self.alpha0)
 
+    def fQ_upper(self, t):
+        return self.alpha0 * np.asarray(t, dtype=float) ** (1.0 + 1.0 / self.alpha0)
+
     def cum_Q(self, u):
         g = 1.0 - 1.0 / self.alpha0
         return (1.0 - (1.0 - np.asarray(u, dtype=float)) ** g) / g
@@ -686,6 +716,9 @@ class ExponentialTarget(TargetMarginalY):
 
     def fQ(self, u):
         return 1.0 - np.asarray(u, dtype=float)
+
+    def fQ_upper(self, t):
+        return np.asarray(t, dtype=float)
 
     def cum_Q(self, u):
         # P(u) = 1 - (1-u)(1 - log(1-u)), with limit 1 at u = 1
@@ -761,6 +794,14 @@ class LogParetoTarget(TargetMarginalY):
         out = np.where(above, upper, 1.0 / self._slope0())
         return out if out.ndim else float(out)
 
+    def fQ_upper(self, t):
+        t = np.asarray(t, dtype=float)
+        above = t < 1.0 - self.u0
+        tt = np.where(above, t, 1.0 - self.u0)
+        upper = self.base.fQ_upper(tt) * self.base.Q_upper(tt) / self.base.mda.alpha
+        out = np.where(above, upper, 1.0 / self._slope0())
+        return out if out.ndim else float(out)
+
     def cum_Q(self, u):
         if not isinstance(self.base, ParetoMarginal):
             return super().cum_Q(u)
@@ -816,6 +857,9 @@ class IdentityTarget(TargetMarginalY):
 
     def fQ(self, u):
         return self.mx.fQ(u)
+
+    def fQ_upper(self, t):
+        return self.mx.fQ_upper(t)
 
     def cum_Q(self, u):
         # closed antiderivatives for the analytic bases

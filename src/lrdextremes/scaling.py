@@ -261,13 +261,15 @@ def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int, epsrel: float
 
     Finite values verify the derivative-weighted integrability hypothesis;
     divergence raises NumericError.  Requires analytic derivatives of F.
+    The integrand is taken at the upper-tail probability u = 1 - y itself:
+    the quadrature refines towards u = 0, where 1 - u rounds to 1 and would
+    lose u's digits.
     """
     if r < 1:
         raise DomainError("r must be >= 1")
 
     def integrand(u):
-        y = 1.0 - u
-        return mx.F_deriv(r, mx.Q(y)) / ty.fQ(y)
+        return mx.F_deriv(r, mx.Q_upper(u)) / ty.fQ_upper(u)
 
     val = _quad_pieces(integrand, [0.0, 1e-6, 0.5], epsrel)
     if not math.isfinite(val) or abs(val) > 1e12:

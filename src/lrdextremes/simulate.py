@@ -25,14 +25,32 @@ lost at M / n = 16 for some n (0.83-1.35x), so the partition starts at
 M / n = 32, where every sweep won.  Among B = n, 2 n, 4 n, 8 n and 16 n,
 4 n was the fastest at every n above with M / n = 64 and 512.
 
-A ``FilterPlan`` holds the segment spectra of c**m for one (filter, n), and
-it is the only place the taps are transformed.  A replicate study builds
-the power-1 plan once, in its scaling bundle, and adds the powers 2..p to
-it, so the taps are transformed once per power and run; each replicate
-pays one batched rfft over its windows and one irfft per power.  The exact
-autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them, come
-from the same plan: a one-segment plan reads them off its spectrum, and a
-partitioned one filters the reversed taps in one pass, O((n + M) log n).
+A ``FilterPlan`` of order p serves the power-sum paths
+p_m[i] = sum_k c_k^m eps_{i-k}^m, m = 1..p, of one (filter, n), and it is
+the only place the taps are transformed.  It holds the segment spectra of
+c**m for the powers it filters, m = 1..max(p-1, 1); each replicate pays one
+batched rfft over its windows and one irfft per such power.  The top power
+p >= 2 is needed only through its total, and
+
+    sum_{i=1}^n p_p[i] = sum_j eps_j^p w_p[j],
+
+where w_p[j] sums c**p over the n taps that meet eps_j (a window of n
+consecutive taps, length n + M in all).  So the plan keeps w_p instead of
+a spectrum, and a replicate pays one blocked multiply-and-sum over eps for
+it, not a filter pass.  The window sums are built by pairwise doubling in
+cache-sized chunks (``window_sums``), which keeps each within a relative
+(ceil(log2 n) + 1) * 2^-53 of exact; differences of a running cumsum lose
+digits on the small windows of the tail.  No replicate kernel calls a
+BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @): those run
+OpenBLAS's own threads, so a run with one worker would not be one core.
+
+A replicate study builds the power-1 plan once, in its scaling bundle, and
+raises it to order p in its replicate plan, so the taps are transformed
+once per filtered power and run, and c**p is not transformed at all.  The
+exact autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them,
+come from the same plan: a one-segment plan reads them off its spectrum,
+and a partitioned one filters the reversed taps in one pass,
+O((n + M) log n).
 """
 
 from __future__ import annotations
@@ -73,6 +91,10 @@ _SEGMENT_PATHS = 4
 # innovations per batched segment transform, about 2 MB: the block depends
 # only on the FFT length, so results do not depend on the worker count
 _BLOCK_POINTS = 2**18
+
+# points per chunk of the window sums and per block of the top-power sum,
+# 512 KB, so the working arrays stay in cache
+_CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +196,58 @@ def gen_innovations(dist: InnovationDist, count: int, seed: int) -> np.ndarray:
     return dist.sample(count, rng)
 
 
+def window_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """s[j] = a[j-n+1] + ... + a[j] for j = 0..len(a)+n-2, entries outside ``a`` counting as 0.
+
+    Pairwise doubling: level h holds the sums of h consecutive entries, and
+    level 2h adds two neighbours of level h.  A window takes the levels of
+    the binary digits of n, lowest first, so each sum is a tree of depth at
+    most floor(log2 n) + 1 and, on input of one sign, lies within
+    (ceil(log2 n) + 1) * 2^-53 of exact.  The output is cut into chunks of
+    about ``_CHUNK_POINTS`` so each level stays in cache; every sum has the
+    same tree whatever the chunk, so the result does not depend on it.
+    """
+    a = np.asarray(a, dtype=float)
+    if n < 1:
+        raise DomainError("window length n must be >= 1")
+    size = a.size + n - 1
+    padded = np.zeros(size + n - 1)
+    padded[n - 1 : n - 1 + a.size] = a
+    out = np.empty(size)
+    T = max(_CHUNK_POINTS, n)
+    spare, other = np.empty(T + n - 1), np.empty(T + n - 1)
+    for lo in range(0, size, T):
+        t = min(T, size - lo)
+        level, acc = padded[lo : lo + t + n - 1], out[lo : lo + t]
+        h, start = 1, 0
+        while True:
+            if n & h:
+                if start:
+                    np.add(acc, level[start : start + t], out=acc)
+                else:
+                    acc[:] = level[:t]
+                start += h
+            if 2 * h > n:
+                break
+            up = spare[: level.size - h]
+            np.add(level[:-h], level[h:], out=up)
+            level, h = up, 2 * h
+            spare, other = other, spare
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FilterPlan:
-    """Segment spectra of the filter powers c**m, m = 1..order, at one path length n.
+    """The power sums p_m[i] = sum_k c_k^m eps_{i-k}^m, m = 1..order, at one path length n.
 
-    ``apply(eps, m)`` returns sum_k c_k^m eps_{i-k}^m for i = 1..n, the
-    path itself for m = 1 and the power sums of the multilinear forms for
-    m >= 2.  ``eps`` carries the M pre-sample innovations first.
+    ``apply(eps, m)`` returns p_m[1..n] for the filtered powers
+    m = 1..max(order-1, 1): the path itself for m = 1.  For order >= 2,
+    ``power_total(eps, order)`` returns sum_i p_order[i] from the window
+    sums ``weights`` of c**order, with no filter pass (module docstring).
+    ``eps`` carries the M pre-sample innovations first.
     ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from
     the power-1 spectra, so the taps are transformed here only, once per
-    power.
+    filtered power.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
     module docstring (B = 4 n when M + 1 >= 32 n, else B = M + 1), after
@@ -203,6 +267,8 @@ class FilterPlan:
     L: int
     taps: np.ndarray = field(repr=False)
     spectra: tuple = field(repr=False)
+    order: int = 1
+    weights: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, c, n: int, order: int = 1) -> "FilterPlan":
@@ -215,11 +281,18 @@ class FilterPlan:
         return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order)
 
     def with_order(self, order: int) -> "FilterPlan":
-        """This plan with the spectra of c**m for m = 1..order; those it holds are kept, not recomputed."""
+        """This plan raised or lowered to ``order``; the spectra it holds are kept, not recomputed."""
         if order < 1:
             raise DomainError("filter order must be >= 1")
-        kept = self.spectra[:order]
-        return replace(self, spectra=kept + tuple(self._spectrum(m) for m in range(len(kept) + 1, order + 1)))
+        filtered = max(order - 1, 1)
+        kept = self.spectra[:filtered]
+        spectra = kept + tuple(self._spectrum(m) for m in range(len(kept) + 1, filtered + 1))
+        if order == self.order:
+            weights = self.weights
+        else:
+            # eps[j] meets the taps M-j .. M-j+n-1: windows of n reversed taps
+            weights = window_sums(self.taps[::-1] ** order, self.n) if order >= 2 else None
+        return replace(self, spectra=spectra, order=order, weights=weights)
 
     def _spectrum(self, m: int):
         if self.M == 0:
@@ -228,21 +301,48 @@ class FilterPlan:
         pad = np.zeros(S * self.B - (self.M + 1))
         return sfft.rfft(np.concatenate([pad, self.taps**m]).reshape(S, self.B)[::-1], self.L, axis=-1)
 
-    def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
+    def _check_length(self, eps: np.ndarray) -> None:
         if len(eps) != self.n + self.M:
             raise DomainError(f"innovation vector has length {len(eps)}, expected n + M = {self.n + self.M}")
+
+    def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
+        self._check_length(eps)
+        if not 1 <= m <= len(self.spectra):
+            raise DomainError(f"a plan of order {self.order} filters the powers 1..{len(self.spectra)}, not {m}")
         e = eps if m == 1 else eps**m
         if self.M == 0:
             return self.spectra[m - 1] * e
         n, B, L, C = self.n, self.B, self.L, self.spectra[m - 1]
         last = len(C) - 1
-        spec = sfft.rfft(e[last * B :], L) * C[last]
+        spec = sfft.rfft(e[last * B :], L)
+        spec *= C[last]
         windows, C = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
         rows = max(1, _BLOCK_POINTS // L)
         for lo in range(0, last, rows):
-            spec += (sfft.rfft(windows[lo : lo + rows], L, axis=-1) * C[lo : lo + rows]).sum(axis=0)
+            block = sfft.rfft(windows[lo : lo + rows], L, axis=-1)
+            block *= C[lo : lo + rows]
+            spec += block.sum(axis=0)
         # a copy, so the result does not pin the length-L buffer
         return sfft.irfft(spec, L)[B - 1 : B - 1 + n].copy()
+
+    def power_total(self, eps: np.ndarray, m: int) -> float:
+        """sum_{i=1}^n p_m[i] = sum_j eps_j^m w_m[j] for the plan's top power m = order >= 2.
+
+        Block by block, a multiply and ``np.sum`` (pairwise); the block
+        sums are then summed pairwise too.  No BLAS call (module docstring).
+        """
+        self._check_length(eps)
+        if self.weights is None or m != self.order:
+            raise DomainError(f"a plan of order {self.order} holds the window sums of no power {m}")
+        parts = np.empty(-(-len(eps) // _CHUNK_POINTS))
+        buf = np.empty(min(_CHUNK_POINTS, len(eps)))
+        for b, lo in enumerate(range(0, len(eps), _CHUNK_POINTS)):
+            e = eps[lo : lo + _CHUNK_POINTS]
+            prod = buf[: e.size]
+            np.power(e, m, out=prod)
+            prod *= self.weights[lo : lo + _CHUNK_POINTS]
+            parts[b] = np.sum(prod)
+        return float(np.sum(parts))
 
     def autocovariances(self, sigma_eps2: float) -> np.ndarray:
         """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M).

@@ -111,10 +111,15 @@ def brute_multilinear(eps, c, r, n):
     return total
 
 
-def kernel_Y(eps, c, r):
-    """Y_{n,r} as a replicate computes it: one plan of order r, then multilinear_sums."""
+def kernel_Y(eps, c, r, p=None):
+    """Y_{n,r} as a replicate of order p (default r) computes it: one plan of order p, then multilinear_sums.
+
+    At r = p >= 2 this is the route of the top power, one weighted sum of
+    eps**p; below p the power sum of order r is a filtered path.
+    """
     eps, c = np.asarray(eps, dtype=float), np.asarray(c, dtype=float)
-    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), r), eps, r)[r - 1]
+    p = r if p is None else p
+    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), p), eps, p)[r - 1]
 
 
 class TestMultilinear:
@@ -163,6 +168,10 @@ class SingleFftFilter:
         spec = sfft.rfft(eps**m, self.L) * sfft.rfft(self.c**m, self.L)
         return sfft.irfft(spec, self.L)[self.M : self.M + self.n].copy()
 
+    def power_total(self, eps, m):
+        # the whole path of the top power, then its sum
+        return float(np.sum(self.apply(eps, m)))
+
 
 class TestReductionSup:
     def test_single_point_hand_formula(self):
@@ -204,7 +213,7 @@ def searchsorted_reduction_sup(x, eps, c, p, mx, sigma_n1):
     F_g = np.asarray(mx.F(grid), dtype=float)
     smooth = np.zeros_like(F_g)
     for r in range(1, p + 1):
-        y_r = kernel_Y(eps, c, r)
+        y_r = kernel_Y(eps, c, r, p)
         smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, grid), dtype=float) * y_r
     right = np.searchsorted(xs, grid, side="right") - n * F_g + smooth
     left = np.searchsorted(xs, grid, side="left") - n * F_g + smooth

@@ -158,22 +158,39 @@ class TestRunReplicates:
         assert again.replicates == res.replicates
         assert all(math.isfinite(rep.reduction_sup) for rep in res.replicates)
 
+    def test_partitioned_filter_thread_invariance_order_three(self):
+        # p = 3: c**2 filtered in segments, the c**3 total from the window sums, in the pool too
+        cfg = small_config(p_override=3, replicates=4, n=2**6, trunc_tol=1e-3)
+        res = run_replicates(cfg, threads=1)
+        again = run_replicates(cfg, threads=2)
+        assert again.z_samples.tobytes() == res.z_samples.tobytes()
+        assert again.replicates == res.replicates
+        coeffs, dist, mx, _ = build_problem(cfg)
+        for rep in res.replicates:
+            eps = gen_innovations(dist, cfg.n + coeffs.M, rep.seed)
+            x = moving_average(coeffs.c, eps)
+            assert rep.reduction_sup == searchsorted_reduction_sup(x, eps, coeffs.c, 3, mx, res.bundle.sigma_n1)
+
     @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
     def test_run_transforms_the_taps_once_per_power(self, n, segments, monkeypatch):
         # M = 32262: partitioned at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
-        cfg = small_config(p_override=2, replicates=2, n=n, trunc_tol=1e-3)
-        problem, bundle = _problem_and_bundle(cfg, n)
-        plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
-        assert len(bundle.filter_plan.spectra[0]) == segments
-        assert plan.filter.spectra[0] is bundle.filter_plan.spectra[0]
-        assert len(plan.filter.spectra) == 2
-        powers = []
         spectrum = FilterPlan._spectrum
-        monkeypatch.setattr(FilterPlan, "_spectrum", lambda self, m: powers.append(m) or spectrum(self, m))
-        res = run_replicates(cfg, threads=1)
-        assert powers == [1, 2]
-        # the result keeps the bundle's numbers, not its spectra and taps
-        assert res.bundle.filter_plan is None and res.bundle.sigma_n1 == bundle.sigma_n1
+        for p, transformed in [(2, [1]), (3, [1, 2])]:
+            # the top power p is summed through its window sums: c**p is never transformed
+            cfg = small_config(p_override=p, replicates=2, n=n, trunc_tol=1e-3)
+            problem, bundle = _problem_and_bundle(cfg, n)
+            plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
+            assert len(bundle.filter_plan.spectra[0]) == segments
+            assert plan.filter.spectra[0] is bundle.filter_plan.spectra[0]
+            assert len(plan.filter.spectra) == p - 1
+            assert plan.filter.weights.shape == (n + plan.filter.M,)
+            powers = []
+            monkeypatch.setattr(FilterPlan, "_spectrum", lambda self, m: powers.append(m) or spectrum(self, m))
+            res = run_replicates(cfg, threads=1)
+            monkeypatch.undo()
+            assert powers == transformed
+            # the result keeps the bundle's numbers, not its spectra and taps
+            assert res.bundle.filter_plan is None and res.bundle.sigma_n1 == bundle.sigma_n1
 
     def test_partitioned_bundle_sigma_matches_pairwise_weights(self):
         cfg = small_config(p_override=2, n=2**6, trunc_tol=1e-3)

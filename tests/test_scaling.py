@@ -12,6 +12,7 @@ from lrdextremes.model import (
     ExponentialTarget,
     GaussianMarginal,
     IdentityTarget,
+    LogParetoTarget,
     MarginalX,
     MdaCase,
     MdaTag,
@@ -343,6 +344,32 @@ class TestConditionDr:
     def test_r_zero_rejected(self):
         with pytest.raises(DomainError):
             check_condition_Dr(GaussianMarginal(1.0), ExponentialTarget(), 0)
+
+    def test_nodes_where_one_minus_u_rounds_to_one(self):
+        # the quadrature refines below u = 2^-54 here; D_3 used to be a DomainError.
+        # References: int_0^inf F^(r)(s z) phi(z) / (2 Phi(-z)^1.5) dz by mpmath at 30 digits
+        reference = {
+            1: 0.984339457005495303493249034216,
+            2: -1.28156203086085569273582666757,
+            3: 1.6700067486901657520435665673,
+            4: -2.43799424425758054072943124427,
+            5: 4.21614499570083929991755769212,
+        }
+        mx, ty = GaussianMarginal(1.3), ParetoTarget(2.0)
+        for r, ref in reference.items():
+            assert check_condition_Dr(mx, ty, r) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.5, 0.25, 2.0**-20])
+    def test_upper_tail_forms_match_the_plain_ones(self, t):
+        # 1 - t is exact at these t, so both routes see the same point
+        for mx in (GaussianMarginal(1.3), ParetoMarginal(3.0, 2.0)):
+            assert mx.Q_upper(t) == pytest.approx(mx.Q(1.0 - t), rel=1e-13)
+            assert mx.fQ_upper(t) == pytest.approx(mx.fQ(1.0 - t), rel=1e-13)
+        for ty in (ParetoTarget(2.0), ExponentialTarget(), IdentityTarget(GaussianMarginal(1.3))):
+            assert ty.fQ_upper(t) == pytest.approx(ty.fQ(1.0 - t), rel=1e-13)
+        log_target = LogParetoTarget(ParetoMarginal(3.0))
+        assert log_target.fQ_upper(t) == pytest.approx(log_target.fQ(1.0 - t), rel=1e-13)
+        assert log_target.fQ_upper(0.75) == log_target.fQ(0.25)  # the spliced body
 
 
 class TestMakeBundle:

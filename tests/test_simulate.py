@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sfft
 
+from lrdextremes import simulate
 from lrdextremes.errors import ConfigError, DomainError, TruncationWarning
 from lrdextremes.model import (
     CoefficientModel,
@@ -33,6 +36,7 @@ from lrdextremes.simulate import (
     sigma_n1_exact,
     simulate_path,
     truncation_length,
+    window_sums,
 )
 
 
@@ -177,6 +181,87 @@ class TestMovingAverage:
         assert np.max(np.abs(x - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
+def product_apply(plan, eps, m=1):
+    """``FilterPlan.apply`` with a fresh array for every spectrum product: the plain formula the in-place one matches."""
+    e = eps if m == 1 else eps**m
+    n, B, L, C = plan.n, plan.B, plan.L, plan.spectra[m - 1]
+    last = len(C) - 1
+    spec = sfft.rfft(e[last * B :], L) * C[last]
+    windows, C = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
+    rows = max(1, simulate._BLOCK_POINTS // L)
+    for lo in range(0, last, rows):
+        spec += (sfft.rfft(windows[lo : lo + rows], L, axis=-1) * C[lo : lo + rows]).sum(axis=0)
+    return sfft.irfft(spec, L)[B - 1 : B - 1 + n]
+
+
+class TestInPlaceKernels:
+    """The in-place forms of the replicate kernels give the bytes of the plain formulas."""
+
+    def test_innovations_match_the_scaled_draw(self):
+        rng = np.random.default_rng(99)
+        expected = 1.7 * rng.standard_normal(5000)
+        assert gen_innovations(InnovationDist.gaussian(1.7), 5000, 99).tobytes() == expected.tobytes()
+        rng = np.random.default_rng(99)
+        expected = 0.8 * math.sqrt((6.0 - 2.0) / 6.0) * rng.standard_t(6.0, size=5000)
+        assert gen_innovations(InnovationDist.student_t(6.0, 0.8), 5000, 99).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (64, 2**18 + 5), (200, 50)])
+    def test_apply_matches_the_product_formula(self, n, M):
+        rng = np.random.default_rng(n + M)
+        c = rng.uniform(0.05, 1.0, M + 1)
+        eps = rng.standard_normal(n + M)
+        plan = FilterPlan.build(c, n, 3)
+        for m in (1, 2):
+            assert plan.apply(eps, m).tobytes() == product_apply(plan, eps, m).tobytes()
+
+
+def window_oracle(a, n, j):
+    return math.fsum(a[max(0, j - n + 1) : j + 1])
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 100, 2**13])
+    def test_against_fsum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.lognormal(0.0, 3.0, n + 700)  # positive, over many binades
+        w = window_sums(a, n)
+        assert w.shape == (a.size + n - 1,)
+        # every window at small n; edges and a stride of the rest at n = 2^13
+        js = np.arange(w.size) if n <= 100 else np.unique(np.r_[0 : 40, w.size - 40 : w.size, 0 : w.size : 97])
+        oracle = np.array([window_oracle(a, n, j) for j in js])
+        bound = (math.ceil(math.log2(n)) + 1) * 2.0**-53
+        assert np.max(np.abs(w[js] - oracle) / oracle) <= bound
+
+    def test_chunks_do_not_change_the_sums(self, monkeypatch):
+        a = np.random.default_rng(3).uniform(0.0, 1.0, 2000)
+        for n in (1, 5, 100, 1024):
+            whole = window_sums(a, n)
+            for chunk in (1, 7, 256):
+                monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
+                assert window_sums(a, n).tobytes() == whole.tobytes()
+            monkeypatch.undo()
+
+    def test_power_total_is_the_sum_of_the_top_path(self):
+        # windows of n reversed taps: sum_i p_m[i] = sum_j eps_j^m w_m[j], against the direct path
+        rng = np.random.default_rng(12)
+        for n, M in [(1, 0), (5, 0), (9, 4), (64, 3000), (3, 200)]:
+            c = rng.uniform(0.05, 1.0, M + 1)
+            eps = rng.standard_normal(n + M)
+            for m in (2, 3, 4):
+                direct = math.fsum(direct_convolution(c**m, eps**m))
+                assert FilterPlan.build(c, n, m).power_total(eps, m) == pytest.approx(direct, rel=1e-12)
+
+    def test_a_plan_serves_only_its_powers(self):
+        plan = FilterPlan.build(np.ones(10), 4, 3)
+        eps = np.ones(13)
+        with pytest.raises(DomainError):
+            plan.apply(eps, 3)
+        with pytest.raises(DomainError):
+            plan.power_total(eps, 2)
+        with pytest.raises(DomainError):
+            FilterPlan.build(np.ones(10), 4).power_total(eps, 1)
+
+
 class TestSimulatePath:
     def test_identity_subordination(self):
         cm = CoefficientModel.build(0.75, SvConstant(1.0), M=0)
@@ -266,9 +351,14 @@ class TestAutocovariance:
         higher = plan.with_order(3)
         assert higher.spectra[0] is plan.spectra[0]
         fresh = FilterPlan.build(c, 64, 3)
-        for m in (1, 2, 3):
+        # order 3 filters c and c**2 and keeps the window sums of c**3 in place of its spectra
+        assert len(fresh.spectra) == 2
+        for m in (1, 2):
             np.testing.assert_array_equal(higher.spectra[m - 1], fresh.spectra[m - 1])
+        np.testing.assert_array_equal(higher.weights, fresh.weights)
+        assert higher.with_order(3).weights is higher.weights
         assert higher.with_order(1).spectra == higher.spectra[:1]
+        assert higher.with_order(1).weights is None
 
     def test_model_tail_correction_consistent(self):
         # enlarging M must not change the tail-corrected value

@@ -8,7 +8,10 @@ attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
 it against the package.  It also keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
-the filter's transforms.
+the filter's transforms, and keeps the replicate kernels off BLAS: numpy
+hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and ``@`` on
+float64 to OpenBLAS, whose own threads would make a one-worker run use
+more than one core.
 """
 
 import ast
@@ -111,3 +114,78 @@ def test_fft_calls_only_in_the_filter_plan(module):
         tree.body = [node for node in tree.body if not (isinstance(node, ast.ClassDef) and node.name == "FilterPlan")]
     outside = fft_uses(tree)
     assert not outside, f"{module} uses scipy.fft outside simulate.FilterPlan at lines {outside}"
+
+
+# the code every replicate runs, as (module, qualified name)
+REPLICATE_KERNELS = [
+    ("simulate.py", "FilterPlan.apply"),
+    ("simulate.py", "FilterPlan.power_total"),
+    ("estats.py", "multilinear_sums"),
+    ("estats.py", "reduction_sup_sorted"),
+    ("estats.py", "ProcessFrame.from_path"),
+    ("estats.py", "decompose_I"),
+]
+BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul"}
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Qualified name -> definition, for the module's functions and the methods of its classes."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{node.name}.{item.name}"] = item
+    return defs
+
+
+def with_local_callees(defs: dict[str, ast.AST], name: str) -> list[str]:
+    """``name`` and every function of the same module it reaches by a bare name or ``self.``/``cls.``."""
+    owner = name.rpartition(".")[0]
+    seen, todo = [], [name]
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.append(current)
+        for node in ast.walk(defs[current]):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in defs:
+                todo.append(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in ("self", "cls") and f"{owner}.{func.attr}" in defs:
+                    todo.append(f"{owner}.{func.attr}")
+    return seen
+
+
+def blas_uses(fn: ast.AST) -> list[int]:
+    """Lines with ``@``, ``@=`` or a call of a BLAS-backed routine (``np.dot``, ``a.dot``, ``dot``, ...)."""
+    lines = set()
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
+            if name in BLAS_ROUTINES:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_scan_finds_each_form():
+    body = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "inner(a, b)", "np.sum(a * b)"]
+    snippet = "def f(a, b):\n" + "".join(f"    {line}\n" for line in body)
+    assert blas_uses(ast.parse(snippet).body[0]) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
+def test_replicate_kernels_call_no_blas(module, kernel):
+    defs = definitions(ast.parse((PACKAGE / module).read_text(), filename=module))
+    assert kernel in defs, f"{module} no longer defines {kernel}; update REPLICATE_KERNELS"
+    found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"{kernel} reaches BLAS-backed calls in {module}: {found}"
