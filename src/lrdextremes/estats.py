@@ -30,14 +30,19 @@ TAIL_GRID_EPS = 1e-8
 class ProcessFrame:
     """Sorted view of one path with its uniform transform precomputed.
 
-    ``u_sorted`` holds the order statistics of U_i = F(X_i); it is only
-    meaningful when the X marginal is analytic (a fitted marginal would
-    feed its own estimation error back into the process).
+    ``F_sorted`` holds F(X_{i:n}) as evaluated, and ``u_sorted`` the same
+    values clamped to [CLAMP_EPS, 1 - CLAMP_EPS]: the order statistics of
+    U_i = F(X_i).  They are only meaningful when the X marginal is analytic
+    (a fitted marginal would feed its own estimation error back into the
+    process).  A replicate evaluates F at the sample points here only: the
+    reduction supremum reads ``F_sorted``.  The frame holds no Y values;
+    ``top_y(k)`` applies Q_Y to the k largest order statistics, so a
+    replicate evaluates Q_Y only where Z_n and the decomposition read it.
     """
 
     x_sorted: np.ndarray = field(repr=False)
+    F_sorted: np.ndarray = field(repr=False)
     u_sorted: np.ndarray = field(repr=False)
-    y_sorted: np.ndarray = field(repr=False)
     n: int
     sigma_n1: float
     mx: MarginalX = field(repr=False)
@@ -47,12 +52,11 @@ class ProcessFrame:
     @classmethod
     def from_path(cls, x, mx: MarginalX, ty: TargetMarginalY, sigma_n1: float) -> "ProcessFrame":
         xs = np.sort(np.asarray(x, dtype=float))
-        u = np.clip(np.asarray(mx.F(xs), dtype=float), CLAMP_EPS, 1.0 - CLAMP_EPS)
-        ys = np.asarray(ty.Q(u), dtype=float)
+        F = np.asarray(mx.F(xs), dtype=float)
         return cls(
             x_sorted=xs,
-            u_sorted=u,
-            y_sorted=ys,
+            F_sorted=F,
+            u_sorted=np.clip(F, CLAMP_EPS, 1.0 - CLAMP_EPS),
             n=len(xs),
             sigma_n1=float(sigma_n1),
             mx=mx,
@@ -65,6 +69,12 @@ class ProcessFrame:
         if not 1 <= k <= self.n:
             raise DomainError(f"order statistic index {k} out of range")
         return float(self.u_sorted[k - 1])
+
+    def top_y(self, k: int) -> np.ndarray:
+        """Y_{n-k+1:n}, ..., Y_{n:n} = Q_Y(U_{n-k+1:n}), ..., Q_Y(U_{n:n}), ascending."""
+        if not 1 <= k <= self.n:
+            raise DomainError(f"k = {k} must lie in [1, n = {self.n}]")
+        return np.asarray(self.ty.Q(self.u_sorted[self.n - k :]), dtype=float)
 
 
 def top_k_sum(sample, k: int) -> float:
@@ -164,10 +174,13 @@ class TailGrid:
         return cls(points=pts, F=np.asarray(mx.F(pts), dtype=float), derivs=derivs)
 
 
-def reduction_sup_sorted(xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
-    """``reduction_sup`` of a sorted sample ``xs`` given Y_{n,1..p} in ``y``.
+def reduction_sup_sorted(xs, F_xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
+    """``reduction_sup`` of a sorted sample ``xs`` given F(xs) and Y_{n,1..p} in ``y``.
 
-    The empirical term is evaluated at the sample points, their left limits
+    ``F_xs`` is F at the sample points as the frame evaluated it
+    (``ProcessFrame.F_sorted``, unclamped), so F is evaluated here at the
+    n - 1 midpoints only, and each F^(r) at the 2n - 1 points once.  The
+    empirical term is evaluated at the sample points, their left limits
     and the midpoints, with counts read off the ranks of the sort: i + 1
     (right) and i (left) at sample point i, i + 1 at midpoint i.  Only the
     tail grid is searched.  Ties need no exact counts: at a value v held by
@@ -178,22 +191,24 @@ def reduction_sup_sorted(xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: float) 
     """
     n = xs.size
     mids = 0.5 * (xs[:-1] + xs[1:])
-    pts = np.concatenate([xs, mids])
-    nF = n * np.asarray(mx.F(pts), dtype=float)
-    nF_t = n * tail.F
-    smooth, smooth_t = np.zeros_like(nF), np.zeros_like(nF_t)
+    nF, nF_m, nF_t = n * F_xs, n * np.asarray(mx.F(mids), dtype=float), n * tail.F
+    smooth, smooth_m, smooth_t = np.zeros(n), np.zeros(n - 1), np.zeros_like(nF_t)
     for r, y_r in enumerate(y, start=1):
-        smooth += (-1.0) ** (r - 1) * np.asarray(mx.F_deriv(r, pts), dtype=float) * y_r
-        smooth_t += (-1.0) ** (r - 1) * tail.derivs[r - 1] * y_r
+        sign = (-1.0) ** (r - 1)
+        smooth += sign * np.asarray(mx.F_deriv(r, xs), dtype=float) * y_r
+        smooth_m += sign * np.asarray(mx.F_deriv(r, mids), dtype=float) * y_r
+        smooth_t += sign * tail.derivs[r - 1] * y_r
     right = np.arange(1.0, n + 1.0)
     parts = (
-        (np.concatenate([right, right[:-1]]) - nF) + smooth,
-        (right - 1.0 - nF[:n]) + smooth[:n],  # a midpoint's left count equals its right count
+        (right - nF) + smooth,
+        (right - 1.0 - nF) + smooth,
+        (right[:-1] - nF_m) + smooth_m,  # a midpoint's left count equals its right count
         (np.searchsorted(xs, tail.points, side="right") - nF_t) + smooth_t,
         (np.searchsorted(xs, tail.points, side="left") - nF_t) + smooth_t,
     )
-    sup = float(np.max([np.max(np.abs(v)) for v in parts]))
-    return ReductionSupResult(value=sup / sigma_n1, grid_size=pts.size + tail.points.size)
+    # max |v| = max(max v, -min v); np.max keeps a NaN
+    sup = float(np.max([m for v in parts if v.size for m in (v.max(), -v.min())]))
+    return ReductionSupResult(value=sup / sigma_n1, grid_size=2 * n - 1 + tail.points.size)
 
 
 def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
@@ -214,7 +229,8 @@ def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> Reductio
         eps = np.asarray(eps, dtype=float)
         c = np.asarray(c, dtype=float)
         y = multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), p), eps, p)
-    return reduction_sup_sorted(np.sort(x), y, TailGrid.build(mx, p), mx, sigma_n1)
+    xs = np.sort(x)
+    return reduction_sup_sorted(xs, np.asarray(mx.F(xs), dtype=float), y, TailGrid.build(mx, p), mx, sigma_n1)
 
 
 def z_statistic(y, bundle: ScalingBundle) -> float:
@@ -230,9 +246,9 @@ def z_statistic(y, bundle: ScalingBundle) -> float:
     return bundle.A_n / bundle.sigma_n1 * (top_k_sum(arr, bundle.k_n) - bundle.mu_n)
 
 
-def _frame_z(frame: ProcessFrame, bundle: ScalingBundle) -> float:
-    """Z_n = A_n sigma_{n,1}^-1 (top k_n sum - mu_n), read off the frame's sorted Y."""
-    return bundle.A_n / bundle.sigma_n1 * (float(np.sum(frame.y_sorted[frame.n - bundle.k_n :])) - bundle.mu_n)
+def _frame_z(y_top: np.ndarray, bundle: ScalingBundle) -> float:
+    """Z_n = A_n sigma_{n,1}^-1 (top k_n sum - mu_n), from the k_n largest Y in ascending order."""
+    return bundle.A_n / bundle.sigma_n1 * (float(np.sum(y_top)) - bundle.mu_n)
 
 
 @dataclass(frozen=True)
@@ -245,24 +261,17 @@ class Decomposition:
     z: float
 
 
-def _stieltjes_y_minus_en(frame: ProcessFrame, lo: float, hi: float, i_lo: int) -> float:
-    """int_(lo,hi] (y - E_n(y)) dQ_Y(y), exactly, given E_n(lo) = i_lo/n.
+def _stieltjes_y_minus_en(ty: TargetMarginalY, pts: np.ndarray, q: np.ndarray, i_lo: int, n: int) -> float:
+    """int_(pts[0], pts[-1]] (y - E_n(y)) dQ_Y(y), exactly, given q = Q_Y(pts) and E_n(pts[0]) = i_lo/n.
 
-    Between consecutive jumps of E_n the integrand is affine in y, so each
-    segment contributes (b - e) Q_Y(b) - (a - e) Q_Y(a) - int_a^b Q_Y.
+    ``pts`` holds the ends and the jumps of E_n between them.  Between
+    consecutive jumps the integrand is affine in y, so each segment
+    contributes (b - e) Q_Y(b) - (a - e) Q_Y(a) - int_a^b Q_Y.
     """
-    ty = frame.ty
-    us = frame.u_sorted
-    n = frame.n
-    i_hi = np.searchsorted(us, hi, side="right")
-    pts = np.concatenate([[lo], us[i_lo:i_hi], [hi]])
     evals = (i_lo + np.arange(len(pts) - 1)) / n
     a, b = pts[:-1], pts[1:]
-    qa = np.asarray(ty.Q(a), dtype=float)
-    qb = np.asarray(ty.Q(b), dtype=float)
-    cq = np.asarray(ty.cum_Q(pts), dtype=float)
-    anti = np.diff(cq)
-    return float(np.sum((b - evals) * qb - (a - evals) * qa - anti))
+    anti = np.diff(np.asarray(ty.cum_Q(pts), dtype=float))
+    return float(np.sum((b - evals) * q[1:] - (a - evals) * q[:-1] - anti))
 
 
 def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
@@ -274,6 +283,13 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     boundary limit (y-1) Q_Y(y) -> 0; I3 is the residual z - I1 - I2, equal
     to A_n sigma_{n,1}^-1 n int_{U_{n-k_n:n}}^{1-k_n/n} (1 - k_n/n - E_n(y)) dQ_Y(y),
     oriented (negative when the order statistic exceeds 1 - k_n/n).
+
+    Q_Y is evaluated once at each point: at 1 - k_n/n and 1 - 1/n, and,
+    through ``frame.top_y``, at the top k_n order statistics and every
+    order statistic above 1 - k_n/n.  I1, I2 and Z_n read their values off
+    that one array.  Only the limit piece of I2 evaluates Q_Y(last) again,
+    in scalar form, which for some targets rounds differently from the
+    array form (numpy's scalar and array ``**`` differ in the last bit).
     """
     if not frame.analytic:
         raise StateError("decomposition requires an analytic X marginal")
@@ -288,16 +304,24 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
 
     lo, hi = 1.0 - k_n / n, 1.0 - 1.0 / n
     i_lo = int(np.searchsorted(us, lo, side="right"))
-    i1 = scale * _stieltjes_y_minus_en(frame, lo, hi, i_lo)
+    i_hi = int(np.searchsorted(us, hi, side="right"))
+    j = min(i_lo, n - k_n)
+    q = frame.top_y(n - j)  # q[i - j] = Q_Y(us[i]) for i >= j
+    q_lo, q_hi = np.asarray(ty.Q(np.array([lo, hi])), dtype=float)
+
+    pts = np.concatenate([[lo], us[i_lo:i_hi], [hi]])
+    qs = np.concatenate([[q_lo], q[i_lo - j : i_hi - j], [q_hi]])
+    i1 = scale * _stieltjes_y_minus_en(ty, pts, qs, i_lo, n)
 
     # (1-1/n, 1]: proper segments up to the largest U, then the limit piece
-    i_hi = int(np.searchsorted(us, hi, side="right"))
-    last = max(hi, float(us[-1]))
-    body = _stieltjes_y_minus_en(frame, hi, last, i_hi)
+    last, q_last = (float(us[-1]), q[-1]) if us[-1] > hi else (hi, q_hi)
+    pts = np.concatenate([[hi], us[i_hi:], [last]])
+    qs = np.concatenate([[q_hi], q[i_hi - j :], [q_last]])
+    body = _stieltjes_y_minus_en(ty, pts, qs, i_hi, n)
     tail = -(last - 1.0) * float(ty.Q(last)) - ty.integral_Q(last, 1.0)
     i2 = scale * (body + tail)
 
-    z = _frame_z(frame, bundle)
+    z = _frame_z(q[n - k_n - j :], bundle)
     return Decomposition(i1=i1, i2=i2, i3=z - i1 - i2, z=z)
 
 

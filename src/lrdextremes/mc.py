@@ -203,11 +203,11 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
         ur = u_ratio(frame, bundle.k_n)
     else:
         nan = float("nan")
-        z = _frame_z(frame, bundle)
+        z = _frame_z(frame.top_y(bundle.k_n), bundle)
         i1, i2, i3, ur = nan, nan, nan, nan
     if plan.tail is not None:
         y = multilinear_sums(plan.filter, eps, bundle.p, x=x)
-        red = reduction_sup_sorted(frame.x_sorted, y, plan.tail, mx, bundle.sigma_n1).value
+        red = reduction_sup_sorted(frame.x_sorted, frame.F_sorted, y, plan.tail, mx, bundle.sigma_n1).value
     else:
         red = float("nan")
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)

@@ -314,6 +314,11 @@ class GaussianMarginal(MarginalX):
     def Q_upper(self, t):
         return -self.s * ndtri(_check_prob_open(t))
 
+    def fQ_upper(self, t):
+        # the density is even, so f(Q(1 - t)) = f(-Q(1 - t)) = f(s ndtri(t))
+        z = ndtri(_check_prob_open(t))
+        return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
+
     def von_mises_integral(self, y):
         """V(y) = int_{1-y}^1 (1-v)/fQ(v) dv, exact via the Mills ratio."""
         y = _check_prob_open(y)

@@ -245,10 +245,15 @@ def _quad_pieces(fn, edges, epsrel: float) -> float:
 
 
 def power_rank_integral(mx: MarginalX, ty: TargetMarginalY, epsrel: float = 1e-8) -> float:
-    """int_0^1 fQ(y)/f_YQ_Y(y) dy; nonzero value certifies power rank 1."""
+    """int_0^1 fQ(y)/f_YQ_Y(y) dy; nonzero value certifies power rank 1.
+
+    The integrand is taken at the upper-tail probability u = 1 - y itself,
+    as in ``check_condition_Dr``: the quadrature refines towards u = 0,
+    where 1 - u keeps only u's leading digits.
+    """
 
     def integrand(u):
-        return mx.fQ(1.0 - u) / ty.fQ(1.0 - u)
+        return mx.fQ_upper(u) / ty.fQ_upper(u)
 
     val = _quad_pieces(integrand, [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0], epsrel)
     if not math.isfinite(val):

@@ -257,7 +257,8 @@ def test_criterion_7_reduction_trend():
             eps = gen_innovations(dist, n + cm.M, derive_seed(MASTER_SEED, r))
             x = plan.apply(eps)
             y = multilinear_sums(plan, eps, 1, x=x)
-            vals.append(reduction_sup_sorted(np.sort(x), y, tail, mx, sig).value)
+            xs = np.sort(x)
+            vals.append(reduction_sup_sorted(xs, mx.F(xs), y, tail, mx, sig).value)
         medians.append(float(np.median(vals)))
     ok = medians[0] >= medians[1] >= medians[2]
     report(7, ok, f"medians = {['%.4f' % m for m in medians]}")

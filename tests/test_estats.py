@@ -224,7 +224,7 @@ def searchsorted_reduction_sup(x, eps, c, p, mx, sigma_n1):
 class TestReductionSupOracle:
     """The rank-based kernel equals the searchsorted reference bit for bit."""
 
-    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
     def test_case4_replicates(self, p):
         n = 2**12
         cm = build_coefficient_model(0.8, tol=1e-3)
@@ -237,10 +237,11 @@ class TestReductionSupOracle:
             expected = searchsorted_reduction_sup(x, eps, cm.c, p, mx, sig)
             # the replicate kernel: one plan and one tail grid for all replicates, x reused
             y = multilinear_sums(plan, eps, p, x=x)
-            assert reduction_sup_sorted(np.sort(x), y, tail, mx, sig).value == expected
+            xs = np.sort(x)
+            assert reduction_sup_sorted(xs, mx.F(xs), y, tail, mx, sig).value == expected
             assert reduction_sup(x, eps, cm.c, p, mx, sig).value == expected
 
-    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
     def test_ties_need_no_exact_counts(self, p):
         # repeated values, and neighbours one ulp apart whose midpoint rounds onto one of them
         mx = GaussianMarginal(1.0)
@@ -314,7 +315,7 @@ class TestZStatistic:
 
     def test_permutation_invariance(self):
         frame, bundle = tiny_case4_setup()
-        y = frame.y_sorted.copy()
+        y = frame.top_y(frame.n)
         rng = np.random.default_rng(3)
         z1 = z_statistic(y, bundle)
         z2 = z_statistic(rng.permutation(y), bundle)
@@ -328,7 +329,7 @@ class TestZStatistic:
     def test_path_from_another_configuration(self):
         frame, bundle = tiny_case4_setup()
         tagged = dataclasses.replace(bundle, spec_hash="model-a")
-        y = frame.y_sorted.copy()
+        y = frame.top_y(frame.n)
         same = PathPair(x=frame.x_sorted, y=y, seed=0, spec_hash="model-a")
         assert z_statistic(same, tagged) == z_statistic(y, bundle)
         other = PathPair(x=frame.x_sorted, y=y, seed=0, spec_hash="model-b")

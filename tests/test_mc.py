@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: KS test, replicates, convergence."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from scipy.special import ndtri
 
 from lrdextremes.config import ExperimentConfig, build_problem
 from lrdextremes.errors import DomainError, InfeasibleConfigError
-from lrdextremes.estats import z_statistic
+from lrdextremes.estats import ProcessFrame, decompose_I, reduction_sup, u_ratio, z_statistic
 from lrdextremes.mc import (
     ReplicatePlan,
+    ReplicateResult,
     _problem_and_bundle,
+    _run_one,
     convergence_study,
     ks_test,
     run_replicates,
@@ -21,6 +25,7 @@ from lrdextremes.mc import (
     write_summary_csv,
     write_z_samples_csv,
 )
+from lrdextremes.model import ExponentialTarget, GaussianMarginal, IdentityTarget, ParetoTarget
 from lrdextremes.scaling import make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
@@ -226,6 +231,97 @@ class TestRunReplicates:
         assert feas["case"] == "CASE1"
         assert "skipped" in feas["condition_Dr"]
         assert feas["reduction_sup"] == "fitted X marginal (no analytic F^(r))"
+
+
+def result_bytes(rep: ReplicateResult) -> bytes:
+    return np.array(dataclasses.astuple(rep)[2:]).tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class CountedGaussian(GaussianMarginal):
+    """Gaussian X marginal that counts the points it evaluates F, F^(r) and Q at."""
+
+    counts: Counter = dataclasses.field(default_factory=Counter, compare=False, repr=False)
+
+    def F(self, x):
+        self.counts["F"] += np.size(x)
+        return super().F(x)
+
+    def F_deriv(self, r, x):
+        self.counts[f"F{r}"] += np.size(x)
+        return super().F_deriv(r, x)
+
+    def Q(self, y):
+        self.counts["Q"] += np.size(y)
+        return super().Q(y)
+
+
+def counted_target(base):
+    """Subclass of the target dataclass ``base`` that counts the points it evaluates Q_Y at."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Counted(base):
+        counts: Counter = dataclasses.field(default_factory=Counter, compare=False, repr=False)
+
+        def Q(self, u):
+            self.counts["Q"] += np.size(u)
+            return super().Q(u)
+
+    return Counted
+
+
+class TestReplicateKernel:
+    # M = 32262 at trunc_tol 1e-3: partitioned at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
+    @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
+    @pytest.mark.parametrize("y_marginal,xi", [("exponential", 0.9), ("pareto:6", 0.97), ("identity", 0.9)])
+    def test_run_one_matches_the_public_route(self, y_marginal, xi, n, segments):
+        cfg = small_config(y_marginal=y_marginal, xi=xi, n=n, trunc_tol=1e-3)
+        problem, bundle = _problem_and_bundle(cfg, n)
+        plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
+        assert len(plan.filter.spectra[0]) == segments
+        coeffs, dist, mx, ty = problem
+        for r in range(4):
+            seed = derive_seed(cfg.master_seed, r)
+            rep = _run_one(r, seed, problem, bundle, plan)
+            # the public functions, each building what it needs on its own
+            eps = gen_innovations(dist, n + coeffs.M, seed)
+            x = moving_average(coeffs.c, eps)
+            frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
+            dec = decompose_I(frame, bundle)
+            red = reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1).value
+            public = ReplicateResult(r, seed, dec.z, dec.i1, dec.i2, dec.i3, u_ratio(frame, bundle.k_n), red)
+            assert result_bytes(rep) == result_bytes(public)
+            assert red == searchsorted_reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1)
+            assert dec.z == z_statistic(ty.Q(frame.u_sorted), bundle)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("target", ["exponential", "pareto", "identity"])
+    def test_one_evaluation_per_point(self, target, p):
+        n = 2**10
+        cfg = small_config(n=n, p_override=p, xi=0.97 if target == "pareto" else 0.9)
+        (coeffs, dist, mx, _), bundle = _problem_and_bundle(cfg, n)
+        counted_x = CountedGaussian(mx.s)
+        counted_y = {
+            "exponential": counted_target(ExponentialTarget)(),
+            "pareto": counted_target(ParetoTarget)(6.0),
+            "identity": IdentityTarget(counted_x),  # Q_Y is the counted X quantile
+        }[target]
+        q_counts = counted_x.counts if target == "identity" else counted_y.counts
+        problem = (coeffs, dist, counted_x, counted_y)
+        plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
+        k_n = bundle.k_n
+        for r in range(3):
+            counted_x.counts.clear()
+            q_counts.clear()
+            seed = derive_seed(cfg.master_seed, r)
+            rep = _run_one(r, seed, problem, bundle, plan)
+            assert math.isfinite(rep.reduction_sup)
+            assert counted_x.counts["F"] == 2 * n - 1
+            assert [counted_x.counts[f"F{m}"] for m in range(1, p + 1)] == [2 * n - 1] * p
+            # the decomposition grids: [lo, U's in (lo, hi], hi] for I1 and [hi, U's above hi, last] for I2
+            us = np.sort(mx.F(moving_average(coeffs.c, gen_innovations(dist, n + coeffs.M, seed))))
+            i_lo = int(np.searchsorted(us, 1.0 - k_n / n, side="right"))
+            assert q_counts["Q"] <= k_n + (n - i_lo + 4)
 
 
 class TestConvergenceStudy:

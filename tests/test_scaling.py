@@ -327,6 +327,16 @@ class TestPowerRank:
         assert val == pytest.approx(ref, rel=1e-6)
 
 
+    def test_nodes_where_one_minus_u_rounds_to_one(self):
+        # int_0^1 fQ(1-u)/f_YQ_Y(1-u) du = int phi(z)^2 / (alpha0 Phi(-z)^(1 + 1/alpha0)) dz by mpmath at
+        # 30 digits.  Near u = 0 the plain forms saw only u's leading digits: they gave 1.4086144398758411
+        # (1.8e-10 off) at Pareto(2) and 0.3631655282842784 (1.4e-12 off) at Pareto(4); the upper-tail
+        # forms are within 6e-13, so 1e-11 tells the two apart.
+        reference = {2.0: 1.40861443962217618006655708735, 4.0: 0.363165528283778960558251997897}
+        for alpha0, ref in reference.items():
+            assert power_rank_integral(GaussianMarginal(1.0), ParetoTarget(alpha0)) == pytest.approx(ref, rel=1e-11)
+
+
 class TestConditionDr:
     def test_gaussian_exponential_two_routes(self):
         mx = GaussianMarginal(1.0)

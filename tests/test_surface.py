@@ -118,12 +118,32 @@ def test_fft_calls_only_in_the_filter_plan(module):
 
 # the code every replicate runs, as (module, qualified name)
 REPLICATE_KERNELS = [
+    ("mc.py", "_run_one"),
+    ("simulate.py", "gen_innovations"),
+    ("model.py", "InnovationDist.sample"),
     ("simulate.py", "FilterPlan.apply"),
     ("simulate.py", "FilterPlan.power_total"),
     ("estats.py", "multilinear_sums"),
     ("estats.py", "reduction_sup_sorted"),
     ("estats.py", "ProcessFrame.from_path"),
+    ("estats.py", "ProcessFrame.top_y"),
+    ("estats.py", "ProcessFrame.u_order"),
     ("estats.py", "decompose_I"),
+    ("estats.py", "_stieltjes_y_minus_en"),
+    ("estats.py", "_frame_z"),
+    ("estats.py", "u_ratio"),
+    # the marginal functions a replicate of the reference workloads evaluates
+    ("model.py", "GaussianMarginal.F"),
+    ("model.py", "GaussianMarginal.F_deriv"),
+    ("model.py", "ExponentialTarget.Q"),
+    ("model.py", "ExponentialTarget.cum_Q"),
+    ("model.py", "ExponentialTarget.integral_Q"),
+    ("model.py", "ParetoTarget.Q"),
+    ("model.py", "ParetoTarget.cum_Q"),
+    ("model.py", "ParetoTarget.integral_Q"),
+    ("model.py", "IdentityTarget.Q"),
+    ("model.py", "IdentityTarget.cum_Q"),
+    ("model.py", "IdentityTarget.integral_Q"),
 ]
 BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul"}
 
