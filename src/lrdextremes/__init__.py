@@ -73,7 +73,6 @@ from .scaling import (
     make_bundle,
     power_rank_integral,
     select_p,
-    sigma_np_asymptotic,
     xi_threshold,
 )
 from .simulate import (
@@ -83,10 +82,8 @@ from .simulate import (
     autocovariances,
     build_coefficient_model,
     derive_seed,
-    dump_path_binary,
     dump_path_csv,
     gen_innovations,
-    load_path_binary,
     moving_average,
     sigma_n1_exact,
     simulate_path,

@@ -112,7 +112,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir: str, threads: int) -> in
 
 def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
     problem, bundle = _problem_and_bundle(config, config.n, check_feasible=False)
-    _, _, mx, ty = problem
+    _, dist, mx, ty = problem
     pr = power_rank_integral(mx, ty)
     print(f"power_rank_integral = {pr!r}")
     print(f"power_rank_ok = {'yes' if pr != 0 else 'no'}")
@@ -122,7 +122,7 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
             print(f"D_{r} = {dr!r}")
         except (LrdExtremesError, NotImplementedError) as exc:
             print(f"D_{r} = unavailable ({exc})")
-    if (refusal := _marginal_refusal(mx)) is not None:
+    if (refusal := _marginal_refusal(mx, dist)) is not None:
         print(f"median_u_ratio = unavailable ({refusal})")
         print(f"median_reduction_sup = unavailable ({refusal})")
         return EXIT_OK

@@ -27,7 +27,7 @@ from .estats import (
     reduction_sup_sorted,
     u_ratio,
 )
-from .model import EmpiricalMarginal, ParetoMarginal
+from .model import EmpiricalMarginal, GaussianMarginal, ParetoMarginal
 from .scaling import (
     ScalingBundle,
     check_condition_Dr,
@@ -126,11 +126,19 @@ def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool =
     return problem, bundle
 
 
-def _marginal_refusal(mx) -> str | None:
-    """Why no replicate can run on this X marginal, or None when replicates can."""
+def _marginal_refusal(mx, dist) -> str | None:
+    """Why no replicate can run on this X marginal under these innovations, or None when replicates can."""
     if isinstance(mx, ParetoMarginal):
         return (
             "declared Pareto X marginal: no linear process of this model has it "
+            "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
+        )
+    if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
+        # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
+        return (
+            f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
+            f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
+            "the Frechet domain and F(X) is not uniform in the tail "
             "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
         )
     return None
@@ -139,7 +147,7 @@ def _marginal_refusal(mx) -> str | None:
 def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     """Run the one-time hypothesis checks beyond xi; raise before any simulation."""
     coeffs, dist, mx, ty = problem
-    if (refusal := _marginal_refusal(mx)) is not None:
+    if (refusal := _marginal_refusal(mx, dist)) is not None:
         raise InfeasibleConfigError(refusal)
     record = {"case": bundle.case.name, "xi_threshold": bundle.feasibility.threshold}
     pr = power_rank_integral(mx, ty)

@@ -1,11 +1,14 @@
 """Declarative model pieces: coefficients, innovations, marginals, MDA cases.
 
-Marginal distributions expose the quartet F, f, Q, fQ together with their
-maximum-domain-of-attraction tag and the slowly varying parts of the tail
-(L1, L2 in the heavy-tailed case, L3 in the light-tailed case).  The
-upper-tail forms ``Q_upper(t) = Q(1 - t)`` and ``fQ_upper`` take the tail
-probability t itself: 1 - t keeps only t's leading digits, and none below
-t = 2^-54, where it rounds to 1.  All types are immutable after
+Marginal distributions expose F, f and Q together with their
+maximum-domain-of-attraction tag and one slowly varying function ``L``, the
+part of the tail that the normalizing constant A_n reads: L2 in
+``f(Q(1-y)) ~ y^(1+1/alpha) L2(1/y)`` for a Frechet tag, L3 in the von
+Mises form ``f(Q(1-y)) ~ y L3(1/y)`` for a Gumbel tag.  The
+density-quantile exists only in upper-tail form, ``fQ_upper(t) =
+f(Q(1 - t))``, beside ``Q_upper(t) = Q(1 - t)``: both take the tail
+probability t itself, since 1 - t keeps only t's leading digits, and none
+below t = 2^-54, where it rounds to 1.  All types are immutable after
 construction and safe to share between processes.
 """
 
@@ -120,11 +123,6 @@ def sv_eval(L: SlowlyVaryingFn, u) -> float | np.ndarray:
     return out if arr.ndim else float(out)
 
 
-def slow_variation_ratio(L: SlowlyVaryingFn, lam: float = 2.0, u: float = 1e6) -> float:
-    """Return L(lam*u)/L(u); close to 1 for genuinely slowly varying L."""
-    return sv_eval(L, lam * u) / sv_eval(L, u)
-
-
 # ---------------------------------------------------------------------------
 # innovations
 # ---------------------------------------------------------------------------
@@ -219,12 +217,14 @@ class MdaCase(enum.Enum):
 
 
 class MarginalX:
-    """Interface: cdf F, density f, quantile Q, density-quantile fQ."""
+    """Interface: cdf F, density f, quantile Q, upper-tail density-quantile fQ_upper.
+
+    ``L`` is the slowly varying part of the tail that A_n reads: L2 for a
+    Frechet tag, L3 for a Gumbel tag, None where the marginal has none.
+    """
 
     mda: MdaTag
-    L1: SlowlyVaryingFn | None
-    L2: SlowlyVaryingFn | None
-    L3: SlowlyVaryingFn | None
+    L: SlowlyVaryingFn | None
 
     def F(self, x):
         raise NotImplementedError
@@ -235,14 +235,12 @@ class MarginalX:
     def Q(self, y):
         raise NotImplementedError
 
-    def fQ(self, y):
-        return self.f(self.Q(y))
-
     def Q_upper(self, t):
         """Q(1 - t) from the upper-tail probability t; the generic form rounds 1 - t."""
         return self.Q(1.0 - np.asarray(t, dtype=float))
 
     def fQ_upper(self, t):
+        """f(Q(1 - t)) from the upper-tail probability t."""
         return self.f(self.Q_upper(t))
 
     def F_deriv(self, r: int, x):
@@ -269,9 +267,9 @@ def _check_prob_open(y):
 class GaussianMarginal(MarginalX):
     """Centered Gaussian marginal with total standard deviation s.
 
-    Belongs to the Gumbel domain of attraction.  The slowly varying tail
-    part L3 is defined through the von Mises integral
-    ``L3(1/y) = (y^-1 * int_{1-y}^1 (1-v)/fQ(v) dv)^-1``, which for the
+    Belongs to the Gumbel domain of attraction.  Its slowly varying tail
+    part L (an L3) is defined through the von Mises integral
+    ``L(1/y) = (y^-1 * int_{1-y}^1 (1-v)/f(Q(v)) dv)^-1``, which for the
     Gaussian has the closed form s*(phi(z) - z*(1-Phi(z))), z = Phi^-1(1-y).
     """
 
@@ -286,16 +284,8 @@ class GaussianMarginal(MarginalX):
         return MdaTag("gumbel")
 
     @property
-    def L1(self):
-        return None
-
-    @property
-    def L2(self):
-        return None
-
-    @property
-    def L3(self) -> SlowlyVaryingFn:
-        return SvNumeric(self._L3, label="gaussian-L3")
+    def L(self) -> SlowlyVaryingFn:
+        return SvNumeric(self._L, label="gaussian-L3")
 
     def F(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.s)
@@ -307,10 +297,6 @@ class GaussianMarginal(MarginalX):
     def Q(self, y):
         return self.s * ndtri(_check_prob_open(y))
 
-    def fQ(self, y):
-        z = ndtri(_check_prob_open(y))
-        return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
-
     def Q_upper(self, t):
         return -self.s * ndtri(_check_prob_open(t))
 
@@ -320,7 +306,7 @@ class GaussianMarginal(MarginalX):
         return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
 
     def von_mises_integral(self, y):
-        """V(y) = int_{1-y}^1 (1-v)/fQ(v) dv, exact via the Mills ratio."""
+        """V(y) = int_{1-y}^1 (1-v)/f(Q(v)) dv, exact via the Mills ratio."""
         y = _check_prob_open(y)
         z = ndtri(1.0 - y)
         phi = np.exp(-0.5 * z * z) / _SQRT2PI
@@ -328,7 +314,7 @@ class GaussianMarginal(MarginalX):
         bracket = 1.0 - z * math.sqrt(math.pi / 2.0) * erfcx(z / math.sqrt(2.0))
         return self.s * phi * bracket
 
-    def _L3(self, u):
+    def _L(self, u):
         u = np.asarray(u, dtype=float)
         return 1.0 / (u * self.von_mises_integral(1.0 / u))
 
@@ -351,8 +337,8 @@ class GaussianMarginal(MarginalX):
 class ParetoMarginal(MarginalX):
     """Exact Pareto marginal, F(x) = 1 - (x/x_m)^-alpha on [x_m, inf).
 
-    Frechet domain of attraction with L1 = x_m and L2 = alpha/x_m constant,
-    so the tail relations hold exactly rather than asymptotically.  Used for
+    Frechet domain of attraction with the constant L = L2 = alpha/x_m, so
+    the tail relations hold exactly rather than asymptotically.  Used for
     the deterministic scaling checks of the heavy-tailed cases.
     """
 
@@ -370,16 +356,8 @@ class ParetoMarginal(MarginalX):
         return MdaTag("frechet", self.alpha)
 
     @property
-    def L1(self) -> SlowlyVaryingFn:
-        return SvConstant(self.x_m)
-
-    @property
-    def L2(self) -> SlowlyVaryingFn:
+    def L(self) -> SlowlyVaryingFn:
         return SvConstant(self.alpha / self.x_m)
-
-    @property
-    def L3(self):
-        return None
 
     def F(self, x):
         x = np.asarray(x, dtype=float)
@@ -395,10 +373,6 @@ class ParetoMarginal(MarginalX):
     def Q(self, y):
         y = _check_prob_open(y)
         return self.x_m * (1.0 - y) ** (-1.0 / self.alpha)
-
-    def fQ(self, y):
-        y = _check_prob_open(y)
-        return (self.alpha / self.x_m) * (1.0 - y) ** (1.0 + 1.0 / self.alpha)
 
     def Q_upper(self, t):
         return self.x_m * _check_prob_open(t) ** (-1.0 / self.alpha)
@@ -427,7 +401,7 @@ class EmpiricalMarginal(MarginalX):
     1 - tail_fraction quantile).  Above x_T the tail is
 
     * ``frechet``: a pure Pareto splice 1 - F(x) = p_T * (x/x_T)^-alpha_hat
-      with alpha_hat the Hill estimate, i.e. a constant-L1 fit; or
+      with alpha_hat the Hill estimate, i.e. a constant-L fit; or
     * ``gumbel``: a moment-fitted Gaussian tail, rescaled to be continuous
       at x_T.
     """
@@ -466,23 +440,11 @@ class EmpiricalMarginal(MarginalX):
         return self._p_T
 
     @property
-    def L1(self):
-        if self._tail_kind != "frechet":
-            return None
-        # Q(1-y) = y^(-1/alpha) * [x_T * p_T^(1/alpha)] exactly in the splice
-        return SvConstant(self._x_T * self._p_T ** (1.0 / self._alpha_hat))
-
-    @property
-    def L2(self):
-        if self._tail_kind != "frechet":
-            return None
-        return SvConstant(self._alpha_hat / (self._x_T * self._p_T ** (1.0 / self._alpha_hat)))
-
-    @property
-    def L3(self):
-        if self._tail_kind != "gumbel":
-            return None
-        return SvNumeric(self._L3, label="empirical-gumbel-L3")
+    def L(self) -> SlowlyVaryingFn:
+        if self._tail_kind == "frechet":
+            # Q(1-y) = y^(-1/alpha) * [x_T * p_T^(1/alpha)] exactly in the splice
+            return SvConstant(self._alpha_hat / (self._x_T * self._p_T ** (1.0 / self._alpha_hat)))
+        return SvNumeric(self._L, label="empirical-gumbel-L3")
 
     def F(self, x):
         x = np.asarray(x, dtype=float)
@@ -521,13 +483,13 @@ class EmpiricalMarginal(MarginalX):
             tail = self._mu - self._sigma * ndtri(arg)
         return np.where(y <= 1.0 - self._p_T, body, tail)
 
-    def _L3(self, u):
+    def _L(self, u):
         # integral definition, split at the body/tail boundary
         u = np.asarray(u, dtype=float)
         return 1.0 / (u * self._von_mises_integral(1.0 / u))
 
     def _von_mises_integral(self, y):
-        """int_{1-y}^1 (1-v)/fQ(v) dv for the gumbel-tail variant."""
+        """int_{1-y}^1 (1-v)/f(Q(v)) dv for the gumbel-tail variant."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         # tail contribution: scaled-normal closed form up to w(y)
         w_y = -ndtri(np.minimum(y, self._p_T) * self._S_T / self._p_T)
@@ -614,23 +576,21 @@ def fit_empirical_marginal(sample, tail_fraction: float, mda: str = "frechet") -
 
 
 class TargetMarginalY:
-    """Quantile-analytic description of the subordination target F_Y."""
+    """Quantile-analytic description of the subordination target F_Y.
+
+    ``L`` is the slowly varying part of the tail that A_n reads, as for
+    ``MarginalX``.
+    """
 
     mda: MdaTag
-    L1s: SlowlyVaryingFn | None
-    L2s: SlowlyVaryingFn | None
-    L3s: SlowlyVaryingFn | None
+    L: SlowlyVaryingFn | None
 
     def Q(self, u):
         raise NotImplementedError
 
-    def fQ(self, u):
-        """Density-quantile function f_Y(Q_Y(u))."""
-        raise NotImplementedError
-
     def fQ_upper(self, t):
-        """f_Y(Q_Y(1 - t)) from the upper-tail probability t; the generic form rounds 1 - t."""
-        return self.fQ(1.0 - np.asarray(t, dtype=float))
+        """Density-quantile f_Y(Q_Y(1 - t)) from the upper-tail probability t."""
+        raise NotImplementedError
 
     def integral_Q(self, lo: float, hi: float) -> float:
         """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
@@ -646,10 +606,6 @@ class TargetMarginalY:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.array([self.integral_Q(0.0, float(v)) for v in arr])
         return out if np.ndim(u) else float(out[0])
-
-    @property
-    def mean(self) -> float:
-        return self.integral_Q(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -667,25 +623,14 @@ class ParetoTarget(TargetMarginalY):
         return MdaTag("frechet", self.alpha0)
 
     @property
-    def L1s(self) -> SlowlyVaryingFn:
-        return SvConstant(1.0)
-
-    @property
-    def L2s(self) -> SlowlyVaryingFn:
+    def L(self) -> SlowlyVaryingFn:
         return SvConstant(self.alpha0)
-
-    @property
-    def L3s(self):
-        return None
 
     def Q(self, u):
         return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / self.alpha0)
 
-    def fQ(self, u):
-        # f_Y Q_Y (1-y) = alpha0 * y^(1 + 1/alpha0) exactly
-        return self.alpha0 * (1.0 - np.asarray(u, dtype=float)) ** (1.0 + 1.0 / self.alpha0)
-
     def fQ_upper(self, t):
+        # f_Y Q_Y (1-t) = alpha0 * t^(1 + 1/alpha0) exactly
         return self.alpha0 * np.asarray(t, dtype=float) ** (1.0 + 1.0 / self.alpha0)
 
     def cum_Q(self, u):
@@ -705,22 +650,11 @@ class ExponentialTarget(TargetMarginalY):
         return MdaTag("gumbel")
 
     @property
-    def L1s(self):
-        return None
-
-    @property
-    def L2s(self):
-        return None
-
-    @property
-    def L3s(self) -> SlowlyVaryingFn:
+    def L(self) -> SlowlyVaryingFn:
         return SvConstant(1.0)
 
     def Q(self, u):
         return -np.log1p(-np.asarray(u, dtype=float))
-
-    def fQ(self, u):
-        return 1.0 - np.asarray(u, dtype=float)
 
     def fQ_upper(self, t):
         return np.asarray(t, dtype=float)
@@ -760,25 +694,14 @@ class LogParetoTarget(TargetMarginalY):
         return MdaTag("gumbel")
 
     @property
-    def L1s(self):
-        return None
-
-    @property
-    def L2s(self):
-        return None
-
-    @property
-    def L3s(self) -> SlowlyVaryingFn:
-        return SvNumeric(self._L3s, label="log-pareto-L3")
-
-    def _L3s(self, u):
-        u = np.asarray(u, dtype=float)
-        a = self.base.mda.alpha
-        return sv_eval(self.base.L1, u) * sv_eval(self.base.L2, u) / a
+    def L(self) -> SlowlyVaryingFn:
+        # L3 = L1 L2 / alpha with Q_X(1-y) = y^(-1/alpha) L1(1/y), and
+        # L2 = alpha / L1 holds exactly for both Frechet bases of the package
+        return SvConstant(1.0)
 
     def _slope0(self) -> float:
         a = self.base.mda.alpha
-        return a / (self.base.fQ(self.u0) * self.base.Q(self.u0))
+        return a / (self.base.fQ_upper(1.0 - self.u0) * self.base.Q(self.u0))
 
     def Q(self, u):
         u = np.asarray(u, dtype=float)
@@ -788,15 +711,6 @@ class LogParetoTarget(TargetMarginalY):
         upper = a * np.log(self.base.Q(np.where(above, u, self.u0)))
         lower = q0 - self._slope0() * (self.u0 - u)
         out = np.where(above, upper, lower)
-        return out if out.ndim else float(out)
-
-    def fQ(self, u):
-        u = np.asarray(u, dtype=float)
-        a = self.base.mda.alpha
-        above = u > self.u0
-        uu = np.where(above, u, self.u0)
-        upper = self.base.fQ(uu) * self.base.Q(uu) / a
-        out = np.where(above, upper, 1.0 / self._slope0())
         return out if out.ndim else float(out)
 
     def fQ_upper(self, t):
@@ -846,22 +760,11 @@ class IdentityTarget(TargetMarginalY):
         return self.mx.mda
 
     @property
-    def L1s(self):
-        return self.mx.L1
-
-    @property
-    def L2s(self):
-        return self.mx.L2
-
-    @property
-    def L3s(self):
-        return self.mx.L3
+    def L(self):
+        return self.mx.L
 
     def Q(self, u):
         return self.mx.Q(u)
-
-    def fQ(self, u):
-        return self.mx.fQ(u)
 
     def fQ_upper(self, t):
         return self.mx.fQ_upper(t)

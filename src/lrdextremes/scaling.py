@@ -52,28 +52,6 @@ def select_p(beta: float) -> int:
     return p
 
 
-def sigma_np_asymptotic(n: int, p: int, beta: float, L0: SlowlyVaryingFn) -> float:
-    """Asymptotic scale (n^(2 - p(2*beta-1)) L0(n)^(2p))^(1/2); needs p < 1/(2*beta-1)."""
-    if not 0.5 < beta < 1.0:
-        raise DomainError("beta must lie in (1/2, 1)")
-    if not p * (2.0 * beta - 1.0) < 1.0:
-        raise DomainError(f"p = {p} violates p < (2*beta - 1)^-1 = {1.0 / (2 * beta - 1):.4g}")
-    return math.sqrt(n ** (2.0 - p * (2.0 * beta - 1.0)) * sv_eval(L0, float(n)) ** (2 * p))
-
-
-def sigma_ratio_asymptotic(n: int, p: int, beta: float, L0: SlowlyVaryingFn) -> float:
-    """Asymptotic ratio sigma_{n,p}/sigma_{n,1} = n^(-(beta-1/2)(p-1)) L0(n)^(p-1).
-
-    This is the relation the reduction argument uses to renormalize between
-    orders; unlike ``sigma_np_asymptotic`` it is stated for every p >= 1.
-    """
-    if not 0.5 < beta < 1.0:
-        raise DomainError("beta must lie in (1/2, 1)")
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    return n ** (-(beta - 0.5) * (p - 1)) * sv_eval(L0, float(n)) ** (p - 1)
-
-
 def d_np(n: int, p: int, beta: float, L0: SlowlyVaryingFn) -> float:
     """Uniform reduction-principle rate d_{n,p}.
 
@@ -158,11 +136,10 @@ def xi_feasibility(x_mda: MdaTag, y_mda: MdaTag, beta: float, xi: float) -> Feas
 
 
 def big_A(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
-    """A_n = (n/k_n)^e * e * L_Y(n/k_n) / L_X(n/k_n), e = case_exponent, L = L2 if Frechet else L3."""
+    """A_n = (n/k_n)^e * e * L_Y(n/k_n) / L_X(n/k_n), e = case_exponent, L the marginal's ``L``."""
     if not 1 <= k_n < n:
         raise DomainError("need 1 <= k_n < n")
-    L_X = mx.L2 if mx.mda.kind == "frechet" else mx.L3
-    L_Y = ty.L2s if ty.mda.kind == "frechet" else ty.L3s
+    L_X, L_Y = mx.L, ty.L
     if L_X is None or L_Y is None:
         raise ConfigError(f"missing slowly varying components for {MdaCase.classify(mx.mda, ty.mda).name}")
     e = case_exponent(mx.mda, ty.mda)
@@ -171,16 +148,17 @@ def big_A(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
 
 
 def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: float = QUAD_EPSREL) -> float:
-    """K_n = int_{1-k_n/n}^{1-1/n} fQ(y)/f_YQ_Y(y) dy by adaptive quadrature.
+    """K_n = int_{1-k_n/n}^{1-1/n} f(Q(y))/f_Y(Q_Y(y)) dy by adaptive quadrature.
 
-    Evaluated after the substitution u = 1 - y; endpoint singularities are
-    integrable for every supported marginal pair.
+    Evaluated after the substitution u = 1 - y, on the upper-tail forms at
+    u itself; endpoint singularities are integrable for every supported
+    marginal pair.
     """
     if not 1 <= k_n < n:
         raise DomainError("need 1 <= k_n < n")
 
     def integrand(u):
-        return mx.fQ(1.0 - u) / ty.fQ(1.0 - u)
+        return mx.fQ_upper(u) / ty.fQ_upper(u)
 
     lo, hi = 1.0 / n, k_n / n
     points = None
@@ -245,7 +223,7 @@ def _quad_pieces(fn, edges, epsrel: float) -> float:
 
 
 def power_rank_integral(mx: MarginalX, ty: TargetMarginalY, epsrel: float = 1e-8) -> float:
-    """int_0^1 fQ(y)/f_YQ_Y(y) dy; nonzero value certifies power rank 1.
+    """int_0^1 f(Q(y))/f_Y(Q_Y(y)) dy; nonzero value certifies power rank 1.
 
     The integrand is taken at the upper-tail probability u = 1 - y itself,
     as in ``check_condition_Dr``: the quadrature refines towards u = 0,

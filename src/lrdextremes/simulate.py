@@ -526,23 +526,3 @@ def dump_path_csv(pp: PathPair, path) -> None:
         for i in range(pp.n):
             fh.write(f"{i + 1},{float(pp.x[i])!r},{float(pp.y[i])!r}\n")
 
-
-def dump_path_binary(pp: PathPair, path) -> None:
-    """Write the path in the documented binary layout.
-
-    Layout: uint64 little-endian n, then n float64 little-endian x values,
-    then n float64 little-endian y values.
-    """
-    with open(path, "wb") as fh:
-        fh.write(np.array(pp.n, dtype="<u8").tobytes())
-        fh.write(pp.x.astype("<f8").tobytes())
-        fh.write(pp.y.astype("<f8").tobytes())
-
-
-def load_path_binary(path, seed: int = -1, spec_hash: str = "") -> PathPair:
-    """Read a path written by ``dump_path_binary``."""
-    with open(path, "rb") as fh:
-        n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        x = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        y = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-    return PathPair(x=x, y=y, seed=seed, spec_hash=spec_hash)

@@ -43,6 +43,13 @@ R = 4
 master_seed = 99
 """
 
+# declared X marginals that mc and convergence refuse under student_t:6,1 innovations:
+# xi = 0.95 clears the Case 2 threshold, so only the Pareto marginal itself is refused,
+# and a t_6 linear process lies in the Frechet domain, not in the Gaussian's
+PARETO_X = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95")
+GAUSSIAN_X = MINIMAL_CASE4.replace("n = 32768", "n = 10000")
+GAUSSIAN_UNDER_T = "Gaussian X marginal under student_t innovations"
+
 
 class TestParseConfig:
     def test_minimal_case4(self):
@@ -184,16 +191,30 @@ class TestCli:
         assert errors[0] == "code,message"
         assert any("(*)" in ln and "CASE1" in ln for ln in errors[1:])
 
-    @pytest.mark.parametrize("command,size", [("mc", "n = 512"), ("convergence", "n_grid = 256,512")])
-    def test_declared_pareto_marginal_refused(self, tmp_path, capsys, command, size):
-        # xi = 0.95 clears the Case 2 threshold, so only the marginal itself is refused
-        text = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95").replace("n = 10000", size)
-        cfg = write_config(tmp_path, text + "innovation = student_t:6,1\n")
+    @pytest.mark.parametrize(
+        "command,size,text,refusal",
+        [
+            pytest.param("mc", "n = 512", PARETO_X, "declared Pareto X marginal", id="mc-n = 512"),
+            pytest.param(
+                "convergence", "n_grid = 256,512", PARETO_X, "declared Pareto X marginal", id="convergence-n_grid = 256,512"
+            ),
+            pytest.param("mc", "n = 512", GAUSSIAN_X, GAUSSIAN_UNDER_T, id="gaussian_x_student_t-mc-n = 512"),
+            pytest.param(
+                "convergence",
+                "n_grid = 256,512",
+                GAUSSIAN_X,
+                GAUSSIAN_UNDER_T,
+                id="gaussian_x_student_t-convergence-n_grid = 256,512",
+            ),
+        ],
+    )
+    def test_declared_pareto_marginal_refused(self, tmp_path, capsys, command, size, text, refusal):
+        cfg = write_config(tmp_path, text.replace("n = 10000", size) + "innovation = student_t:6,1\n")
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         errors = (tmp_path / "errors.csv").read_text().splitlines()
         assert errors[0] == "code,message"
-        assert any(ln.startswith("2,declared Pareto X marginal") for ln in errors[1:])
+        assert any(ln.startswith(f"2,{refusal}") for ln in errors[1:])
         assert not (tmp_path / "z_samples.csv").exists()
 
     def test_fit_failure_exit_2_and_errors_csv(self, tmp_path, capsys):
@@ -243,6 +264,20 @@ class TestCli:
         assert "power_rank_integral" in out and "D_1" in out
         for name in ("median_u_ratio", "median_reduction_sup"):
             assert out[name].startswith("unavailable (declared Pareto X marginal")
+
+    def test_diag_runs_no_replicate_on_a_gaussian_marginal_under_student_t(self, tmp_path, capsys, monkeypatch):
+        text = MINIMAL_CASE4.replace("n = 32768", "n = 4096")
+        cfg = write_config(tmp_path, text + "innovation = student_t:6,1\n")
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("diag ran replicates on a Gaussian X marginal under Student-t innovations")
+
+        monkeypatch.setattr(cli, "_run_replicate_loop", no_replicates)
+        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+        assert "power_rank_integral" in out and "D_1" in out
+        for name in ("median_u_ratio", "median_reduction_sup"):
+            assert out[name].startswith("unavailable (Gaussian X marginal under student_t innovations")
 
     def test_diag_identity_power_rank(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity").replace(

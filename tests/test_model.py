@@ -25,7 +25,6 @@ from lrdextremes.model import (
     clamp_events,
     fit_empirical_marginal,
     reset_clamp_events,
-    slow_variation_ratio,
     subordinate,
     sv_eval,
 )
@@ -58,17 +57,17 @@ class TestSlowlyVarying:
             SvLogPower(3.0, -1.0),
             SvLogPower(0.25, 1.0),
             SvLogPower(0.5, 0.25),
-            GaussianMarginal(1.0).L3,
+            GaussianMarginal(1.0).L,
         ],
     )
     def test_slow_variation_and_positivity(self, L):
         # a log-power part with |b| <= 1 deviates by at most b*log(2)/log(1e6)
-        assert abs(slow_variation_ratio(L, lam=2.0, u=1e6) - 1.0) < 0.06
+        assert abs(sv_eval(L, 2e6) / sv_eval(L, 1e6) - 1.0) < 0.06
         u = np.geomspace(1.0 + 1e-9, 1e9, 50)
         assert np.all(sv_eval(L, u) > 0)
 
     def test_numeric_variant_pickles(self):
-        L = GaussianMarginal(2.0).L3
+        L = GaussianMarginal(2.0).L
         L2 = pickle.loads(pickle.dumps(L))
         assert sv_eval(L2, 50.0) == sv_eval(L, 50.0)
 
@@ -98,7 +97,7 @@ class TestGaussianMarginal:
         m = GaussianMarginal(1.0)
         assert m.Q(0.5) == pytest.approx(0.0, abs=1e-12)
         assert m.Q(0.975) == pytest.approx(Q_975, abs=1e-8)
-        assert m.fQ(0.5) == pytest.approx(FQ_HALF, abs=1e-10)
+        assert m.fQ_upper(0.5) == pytest.approx(FQ_HALF, abs=1e-10)
 
     def test_domain_errors(self):
         m = GaussianMarginal(1.0)
@@ -128,7 +127,7 @@ class TestGaussianMarginal:
         m = GaussianMarginal(s)
         y = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(m.F(m.Q(y)) - y)) < 1e-8
-        np.testing.assert_allclose(m.fQ(y), m.f(m.Q(y)), rtol=1e-12)
+        np.testing.assert_allclose(m.fQ_upper(1.0 - y), m.f(m.Q(y)), rtol=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         m = GaussianMarginal(1.7)
@@ -139,10 +138,10 @@ class TestGaussianMarginal:
             np.testing.assert_allclose(m.F_deriv(r, xs), approx, rtol=1e-7, atol=1e-9)
 
     def test_von_mises_ratio_tends_to_one(self):
-        # Gumbel membership: fQ(1-y) / (y * L3(1/y)) -> 1 as y -> 0
+        # Gumbel membership: fQ_upper(y) / (y * L(1/y)) -> 1 as y -> 0
         m = GaussianMarginal(1.0)
         ys = np.array([1e-2, 1e-4, 1e-6, 1e-8])
-        ratios = m.fQ(1.0 - ys) / (ys * sv_eval(m.L3, 1.0 / ys))
+        ratios = m.fQ_upper(ys) / (ys * sv_eval(m.L, 1.0 / ys))
         devs = np.abs(ratios - 1.0)
         # convergence is as slow as 1/Phi^-1(1-y)^2, about 0.03 at y = 1e-8
         assert devs[-1] < 0.05
@@ -153,9 +152,9 @@ class TestParetoMarginal:
     def test_tail_relations_exact(self):
         m = ParetoMarginal(4.0)
         y = np.linspace(0.01, 0.99, 99)
-        # Q(1-y) = y^(-1/alpha) and fQ(1-y) = alpha * y^(1+1/alpha) exactly
+        # Q(1-y) = y^(-1/alpha) and fQ_upper(y) = alpha * y^(1+1/alpha) exactly
         np.testing.assert_allclose(m.Q(1.0 - y), y ** (-0.25), rtol=1e-13)
-        np.testing.assert_allclose(m.fQ(1.0 - y), 4.0 * y**1.25, rtol=1e-13)
+        np.testing.assert_allclose(m.fQ_upper(y), 4.0 * y**1.25, rtol=1e-13)
         assert np.max(np.abs(m.F(m.Q(y)) - y)) < 1e-12
 
     def test_derivatives_match_finite_differences(self):
@@ -171,11 +170,11 @@ class TestTargets:
     def test_pareto_relation_exact(self):
         ty = ParetoTarget(2.0)
         u = np.linspace(1e-6, 1 - 1e-6, 101)
-        # f_Y Q_Y (1-y) = alpha0 * y^(1+1/alpha0) with L1* = 1, L2* = alpha0
-        np.testing.assert_allclose(ty.fQ(u), 2.0 * (1.0 - u) ** 1.5, rtol=1e-13)
+        # f_Y Q_Y (1-y) = alpha0 * y^(1+1/alpha0), so L = L2 = alpha0
+        np.testing.assert_allclose(ty.fQ_upper(1.0 - u), 2.0 * (1.0 - u) ** 1.5, rtol=1e-13)
         y = np.linspace(0.01, 0.99, 99)
-        np.testing.assert_allclose(ty.fQ(1.0 - y), 2.0 * y**1.5, rtol=1e-9)
-        assert sv_eval(ty.L2s, 100.0) == 2.0 * sv_eval(ty.L1s, 100.0) ** -1.0
+        np.testing.assert_allclose(ty.fQ_upper(y), 2.0 * y**1.5, rtol=1e-9)
+        assert sv_eval(ty.L, 100.0) == 2.0
 
     def test_pareto_needs_finite_mean(self):
         with pytest.raises(DomainError):
@@ -184,10 +183,10 @@ class TestTargets:
     def test_exponential_relation_exact(self):
         ty = ExponentialTarget()
         u = np.linspace(1e-6, 1 - 1e-6, 101)
-        np.testing.assert_allclose(ty.fQ(u), 1.0 - u, rtol=1e-13)
+        np.testing.assert_allclose(ty.fQ_upper(1.0 - u), 1.0 - u, rtol=1e-13)
         y = np.linspace(0.01, 0.99, 99)
-        np.testing.assert_allclose(ty.fQ(1.0 - y), y, rtol=1e-9)
-        assert ty.mean == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(ty.fQ_upper(y), y, rtol=1e-9)
+        assert ty.integral_Q(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_cum_q_matches_quadrature(self):
         from scipy.integrate import quad
@@ -202,7 +201,7 @@ class TestTargets:
         ty = LogParetoTarget(ParetoMarginal(4.0), u0=0.5)
         u = np.linspace(0.51, 1 - 1e-9, 50)
         np.testing.assert_allclose(ty.Q(u), -np.log1p(-u), rtol=1e-12)
-        np.testing.assert_allclose(sv_eval(ty.L3s, np.array([10.0, 1e4])), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(sv_eval(ty.L, np.array([10.0, 1e4])), 1.0, rtol=1e-12)
 
     def test_log_pareto_requires_positive_quantile(self):
         with pytest.raises(DomainError):
@@ -302,9 +301,9 @@ class TestEmpiricalMarginal:
         rng = np.random.default_rng(7)
         m = fit_empirical_marginal(rng.standard_normal(100_000), 0.05, mda="gumbel")
         assert m.mda.kind == "gumbel"
-        # fitted L3 increases, tracking the normal's sqrt(2 log u) growth
+        # the fitted L (an L3) increases, tracking the normal's sqrt(2 log u) growth
         us = np.array([25.0, 1e2, 1e3, 1e4, 1e6])
-        vals = sv_eval(m.L3, us)
+        vals = sv_eval(m.L, us)
         assert np.all(np.diff(vals) > 0)
 
     def test_cdf_quantile_consistency(self):

@@ -24,7 +24,6 @@ from lrdextremes.model import (
 from lrdextremes.scaling import (
     big_A,
     case_exponent,
-    sigma_ratio_asymptotic,
     centering,
     check_condition_Dr,
     d_np,
@@ -35,7 +34,6 @@ from lrdextremes.scaling import (
     make_bundle,
     power_rank_integral,
     select_p,
-    sigma_np_asymptotic,
     xi_threshold,
 )
 from lrdextremes.simulate import build_coefficient_model, sigma_n1_exact
@@ -44,7 +42,6 @@ CONST1 = SvConstant(1.0)
 
 # mpmath oracle values (30 digits, frozen)
 D_NP_REF = 74.2167404951329  # n=1e4, p=1, beta=0.8, constant L0
-SIGMA_NP_REF = 630.957344480193  # sqrt((1e4)^1.4)
 K_N_CASE2_REF = 0.0100872885125388  # 3.2*(0.01^1.25 - 0.0001^1.25)
 A_N_CASE2_REF = 98.8211768802619  # 100^1.25 * 0.3125
 # A_n at (n, k_n) = (1e4, 1e2), one marginal pair per case; pinned exactly,
@@ -74,23 +71,6 @@ class TestSelectP:
     def test_domain(self):
         with pytest.raises(DomainError):
             select_p(0.5)
-
-
-class TestSigmaNp:
-    def test_reference_value(self):
-        assert sigma_np_asymptotic(10**4, 1, 0.8, CONST1) == pytest.approx(SIGMA_NP_REF, rel=1e-12)
-
-    def test_violating_p_rejected(self):
-        with pytest.raises(DomainError):
-            sigma_np_asymptotic(10**4, 5, 0.8, CONST1)
-
-    def test_ratio_across_orders(self):
-        # sigma_{n,2}/sigma_{n,1} = n^(-(beta-1/2)) for constant L0; the
-        # order-2 scale itself is outside Eq-(2) range at beta = 0.8, so the
-        # ratio comes from its own relation
-        r = sigma_ratio_asymptotic(10**4, 2, 0.8, CONST1)
-        assert r == pytest.approx(10 ** (4 * -0.3), rel=1e-10)
-        assert sigma_ratio_asymptotic(10**4, 1, 0.8, CONST1) == 1.0
 
 
 class TestDnp:
@@ -126,11 +106,10 @@ GUMBEL = MdaTag("gumbel")
 
 @dataclass(frozen=True)
 class TagOnlyMarginal(MarginalX):
-    """An X marginal with only the tag and slowly varying parts that big_A reads."""
+    """An X marginal with only the tag and the slowly varying part that big_A reads."""
 
     mda: MdaTag
-    L2: SlowlyVaryingFn | None = None
-    L3: SlowlyVaryingFn | None = None
+    L: SlowlyVaryingFn | None = None
 
 
 @pytest.mark.parametrize(
@@ -196,15 +175,15 @@ class TestBigA:
             assert all(b > a for a, b in zip(vals, vals[1:])), MdaCase.classify(mx.mda, ty.mda)
 
     def test_missing_components(self):
-        # a Gumbel X without its L3 has no normalizing constant
+        # a Gumbel X without its L has no normalizing constant
         with pytest.raises(ConfigError, match="CASE4"):
             big_A(TagOnlyMarginal(GUMBEL), ExponentialTarget(), 1000, 10)
 
     def test_log_slope_equals_case_exponent_for_constant_L(self):
         # with constant slowly varying parts the constant cancels from the
         # two-point log slope, leaving the case exponent exactly; no Gumbel
-        # X of the package has a constant L3, so that side is tag-only
-        gumbel_x = TagOnlyMarginal(GUMBEL, L3=SvConstant(0.3125))
+        # X of the package has a constant L, so that side is tag-only
+        gumbel_x = TagOnlyMarginal(GUMBEL, L=SvConstant(0.3125))
         pairs = [
             (ParetoMarginal(4.0), ParetoTarget(6.0)),
             (ParetoMarginal(4.0), ExponentialTarget()),
@@ -374,12 +353,21 @@ class TestConditionDr:
         # 1 - t is exact at these t, so both routes see the same point
         for mx in (GaussianMarginal(1.3), ParetoMarginal(3.0, 2.0)):
             assert mx.Q_upper(t) == pytest.approx(mx.Q(1.0 - t), rel=1e-13)
-            assert mx.fQ_upper(t) == pytest.approx(mx.fQ(1.0 - t), rel=1e-13)
-        for ty in (ParetoTarget(2.0), ExponentialTarget(), IdentityTarget(GaussianMarginal(1.3))):
-            assert ty.fQ_upper(t) == pytest.approx(ty.fQ(1.0 - t), rel=1e-13)
+            assert mx.fQ_upper(t) == pytest.approx(mx.f(mx.Q(1.0 - t)), rel=1e-13)
+        # closed forms: alpha0 t^(1 + 1/alpha0), t, and the Gaussian density at Phi^-1(t)
+        gauss = math.exp(-0.5 * ndtri(t) ** 2) / (1.3 * math.sqrt(2.0 * math.pi))
+        closed_forms = [
+            (ParetoTarget(2.0), 2.0 * t**1.5),
+            (ExponentialTarget(), t),
+            (IdentityTarget(GaussianMarginal(1.3)), gauss),
+        ]
+        for ty, closed in closed_forms:
+            assert ty.fQ_upper(t) == pytest.approx(closed, rel=1e-13)
+        # alpha log Q_X of a Pareto(3) X is unit exponential above u0 = 1/2, so f_Y Q_Y(1 - t) = t;
+        # the linear body below u0 keeps the value 1/2 it has at the splice point
         log_target = LogParetoTarget(ParetoMarginal(3.0))
-        assert log_target.fQ_upper(t) == pytest.approx(log_target.fQ(1.0 - t), rel=1e-13)
-        assert log_target.fQ_upper(0.75) == log_target.fQ(0.25)  # the spliced body
+        assert log_target.fQ_upper(t) == pytest.approx(t, rel=1e-13)
+        assert log_target.fQ_upper(0.75) == pytest.approx(0.5, rel=1e-13)
 
 
 class TestMakeBundle:

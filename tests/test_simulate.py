@@ -28,10 +28,8 @@ from lrdextremes.simulate import (
     autocovariances,
     build_coefficient_model,
     derive_seed,
-    dump_path_binary,
     dump_path_csv,
     gen_innovations,
-    load_path_binary,
     moving_average,
     sigma_n1_exact,
     simulate_path,
@@ -459,13 +457,3 @@ class TestPathDump:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == pp.x[0]
-
-    def test_binary_roundtrip(self, tmp_path):
-        cm = CoefficientModel.build(0.75, SvConstant(1.0), M=0)
-        mx = GaussianMarginal(1.0)
-        pp = simulate_path(cm, InnovationDist.gaussian(1.0), mx, IdentityTarget(mx), 64, 5)
-        bin_path = tmp_path / "path.bin"
-        dump_path_binary(pp, bin_path)
-        back = load_path_binary(bin_path)
-        np.testing.assert_array_equal(back.x, pp.x)
-        np.testing.assert_array_equal(back.y, pp.y)

@@ -209,3 +209,61 @@ def test_replicate_kernels_call_no_blas(module, kernel):
     found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"{kernel} reaches BLAS-backed calls in {module}: {found}"
+
+
+# re-exported names that no program path calls, each kept for a named reason
+EXPORTS_WITHOUT_CALLER = {
+    "trimmed_sum": "acceptance criterion 9 checks it against top_k_sum",
+    "z_statistic": "the independent route to Z_n that the decomposition tests compare with",
+    "trend_nonincreasing": "the acceptance criteria judge their trends with it",
+    "karamata_product": "the acceptance criteria check A_n K_n -> 1 with it",
+    "autocovariance": "the scalar reference that FilterPlan.autocovariances is tested against",
+    "autocovariance_model": "the theoretical autocovariance, kept for the LRD-at-experiment-size check",
+    "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
+    "reset_clamp_events": "resets the clamp counter, kept with it",
+    "serialize_config": "the inverse of parse_config, which pins the config text format by round trip",
+}
+
+
+def package_exports() -> dict[str, str]:
+    """Name -> defining module file, for every ``from .module import name`` of the package's ``__init__``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(), filename="__init__.py")
+    return {
+        alias.asname or alias.name: f"{node.module}.py"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def referenced_names(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Ids of ``Name`` nodes and attrs of ``Attribute`` nodes, outside the function or class named ``skip``."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_export_has_a_caller():
+    # a name the package exports must be used by the package itself or by the benchmark scripts;
+    # docstrings do not count, and neither does the name's own definition
+    bench = set()
+    for script in PERFBENCH.glob("*.py"):
+        bench |= referenced_names(ast.parse(script.read_text(), filename=script.name))
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    uncalled = [
+        name
+        for name, home in sorted(package_exports().items())
+        if name not in EXPORTS_WITHOUT_CALLER
+        and name not in bench
+        and not any(name in referenced_names(tree, skip=name if module == home else None) for module, tree in trees.items())
+    ]
+    assert not uncalled, f"exported names with no caller in the package or perfbench/: {uncalled}"
+    stale = sorted(set(EXPORTS_WITHOUT_CALLER) - set(package_exports()))
+    assert not stale, f"EXPORTS_WITHOUT_CALLER names that the package no longer exports: {stale}"
