@@ -11,7 +11,9 @@ every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
 the filter's transforms, and keeps the replicate kernels off BLAS: numpy
 hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and ``@`` on
 float64 to OpenBLAS, whose own threads would make a one-worker run use
-more than one core.
+more than one core.  Last, every name the package re-exports must have a
+caller in the package or in ``perfbench/``, unless an allowlist names the
+reason it stays.
 """
 
 import ast
