@@ -15,6 +15,7 @@ construction and safe to share between processes.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +27,11 @@ from scipy.special import erfcx, ndtr, ndtri
 from .errors import ClampWarning, DomainError, FitError, StateError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# points per chunk of the cap-sized set-up arrays (coefficients here, window
+# sums in ``simulate``) and per block of ``simulate``'s top-power sum, 512 KB,
+# so the working arrays stay in cache
+_CHUNK_POINTS = 2**16
 
 # probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before applying
 # quantile functions, so float saturation of F never produces infinities
@@ -421,6 +427,15 @@ class EmpiricalMarginal(MarginalX):
         # piecewise-constant body density from the interpolation slopes
         self._slopes = np.diff(self._Fs) / np.diff(self._xs)
 
+    def __repr__(self) -> str:
+        # the same in every process: ``simulate.config_hash`` hashes it
+        nodes = hashlib.sha256(self._xs.tobytes() + self._Fs.tobytes()).hexdigest()
+        return (
+            f"EmpiricalMarginal(tail_kind={self._tail_kind!r}, tail_fraction={self._p_T!r}, "
+            f"x_T={self._x_T!r}, alpha_hat={self._alpha_hat!r}, mu={self._mu!r}, sigma={self._sigma!r}, "
+            f"nodes_sha256={nodes!r})"
+        )
+
     @property
     def mda(self) -> MdaTag:
         if self._tail_kind == "frechet":
@@ -815,13 +830,22 @@ class CoefficientModel:
 
     @classmethod
     def build(cls, beta: float, L0: SlowlyVaryingFn | None = None, M: int | None = None) -> "CoefficientModel":
+        """c_1..c_M written chunk by chunk into the one array that is kept.
+
+        Each chunk of ``_CHUNK_POINTS`` coefficients evaluates k^-beta and
+        L0(k) elementwise, exactly as one pass over 1..M would, so no other
+        array as long as c is built.
+        """
         if L0 is None:
             L0 = SvConstant(1.0)
         if M is None:
             raise DomainError("M is required; use simulate.build_coefficient_model to derive it from a tolerance")
-        k = np.arange(1, M + 1, dtype=float)
-        # L0 applied on [1, inf); the log-power variant is constant below e
-        c = np.concatenate([[1.0], k**-beta * L0._eval(k)])
+        c = np.empty(M + 1)
+        c[0] = 1.0
+        for lo in range(1, M + 1, _CHUNK_POINTS):
+            k = np.arange(lo, min(lo + _CHUNK_POINTS, M + 1), dtype=float)
+            # L0 applied on [1, inf); the log-power variant is constant below e
+            np.multiply(k**-beta, L0._eval(k), out=c[lo : lo + k.size])
         return cls(beta, L0, M, c)
 
     @property

@@ -51,6 +51,18 @@ exact autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them,
 come from the same plan: a one-segment plan reads them off its spectrum,
 and a partitioned one filters the reversed taps in one pass,
 O((n + M) log n).
+
+At the cap (M = 2^22, reached for p >= 2) an array as long as the filter
+takes 33.5 MB, so the set-up writes each one it keeps once, in place, from
+chunk- or block-sized pieces: the coefficients (``CoefficientModel.build``,
+chunks of ``_CHUNK_POINTS``), each power's segment spectra
+(``FilterPlan._spectrum``, blocks of about ``_BLOCK_POINTS`` taps) and the
+window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS``).  These
+builders make no other array as long as the filter.  Each piece goes
+through the elementwise operations, transform length and summation tree
+of one pass over the whole array, so the results are the same bytes.  A
+partitioned plan's autocovariances still filter one zero-extended copy of
+the reversed taps, n + M floats.
 """
 
 from __future__ import annotations
@@ -68,6 +80,7 @@ from scipy.special import beta as beta_fn, betainc, zeta
 
 from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
+    _CHUNK_POINTS,
     CoefficientModel,
     GaussianMarginal,
     InnovationDist,
@@ -88,13 +101,10 @@ DEFAULT_TRUNC_TOL = 1e-3
 _PARTITION_MIN_PATHS = 32
 _SEGMENT_PATHS = 4
 
-# innovations per batched segment transform, about 2 MB: the block depends
-# only on the FFT length, so results do not depend on the worker count
+# innovations (or taps, when a plan transforms its segments) per batched
+# segment transform, about 2 MB: the block depends only on the FFT length,
+# so results do not depend on the worker count
 _BLOCK_POINTS = 2**18
-
-# points per chunk of the window sums and per block of the top-power sum,
-# 512 KB, so the working arrays stay in cache
-_CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +206,23 @@ def gen_innovations(dist: InnovationDist, count: int, seed: int) -> np.ndarray:
     return dist.sample(count, rng)
 
 
-def window_sums(a: np.ndarray, n: int) -> np.ndarray:
-    """s[j] = a[j-n+1] + ... + a[j] for j = 0..len(a)+n-2, entries outside ``a`` counting as 0.
+def _power(x: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write x ** m into ``out``, with np.square for m = 2 as ``x ** 2`` runs, and x itself for m = 1.
+
+    The power must be taken on ``x`` as laid out: the elementwise result can
+    depend on the strides (a reversed view raised to the power 3 differs in
+    the last bit from the reversal of the contiguous power).
+    """
+    if m == 1:
+        out[...] = x
+    elif m == 2:
+        np.square(x, out=out)
+    else:
+        np.power(x, m, out=out)
+
+
+def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
+    """s[j] = a[j-n+1]**m + ... + a[j]**m for j = 0..len(a)+n-2, entries outside ``a`` counting as 0.
 
     Pairwise doubling: level h holds the sums of h consecutive entries, and
     level 2h adds two neighbours of level h.  A window takes the levels of
@@ -206,19 +231,28 @@ def window_sums(a: np.ndarray, n: int) -> np.ndarray:
     (ceil(log2 n) + 1) * 2^-53 of exact.  The output is cut into chunks of
     about ``_CHUNK_POINTS`` so each level stays in cache; every sum has the
     same tree whatever the chunk, so the result does not depend on it.
+
+    Level 0 of a chunk is raised to the power m straight from ``a`` as
+    given (a view such as the reversed taps, with the power taken on that
+    layout), with zeros where the windows run past either end of ``a``.
+    Apart from the output, the only arrays built are two chunk buffers of
+    T + n - 1 points, T = max(_CHUNK_POINTS, n).
     """
     a = np.asarray(a, dtype=float)
     if n < 1:
         raise DomainError("window length n must be >= 1")
     size = a.size + n - 1
-    padded = np.zeros(size + n - 1)
-    padded[n - 1 : n - 1 + a.size] = a
     out = np.empty(size)
     T = max(_CHUNK_POINTS, n)
     spare, other = np.empty(T + n - 1), np.empty(T + n - 1)
     for lo in range(0, size, T):
         t = min(T, size - lo)
-        level, acc = padded[lo : lo + t + n - 1], out[lo : lo + t]
+        # level 0 holds a[lo-n+1 .. lo+t-1] ** m; level[i] is a[lo+i-n+1]
+        level, acc = other[: t + n - 1], out[lo : lo + t]
+        first, last = max(n - 1 - lo, 0), min(a.size + n - 1 - lo, t + n - 1)
+        level[:first] = 0.0
+        _power(a[lo + first - n + 1 : lo + last - n + 1], m, level[first:last])
+        level[last:] = 0.0
         h, start = 1, 0
         while True:
             if n & h:
@@ -259,6 +293,15 @@ class FilterPlan:
     transform at next_fast_len(n + M).  A length-one filter (M = 0) is a
     pointwise product and needs no FFT, so its ``spectra`` hold the scalars
     c_0**m.
+
+    ``_spectrum(m)`` builds a power's spectra a block of rows at a time: it
+    raises the block's segments (rows reversed, the pad zeros in front of
+    the last) to the power m into one reused ``(rows, L)`` buffer whose
+    last L - B columns stay zero, with rows = max(1, _BLOCK_POINTS // L),
+    and writes the block's rfft into the preallocated ``(S, L//2+1)``
+    array.  ``with_order`` builds the window sums of the reversed taps
+    raised to ``order`` with ``window_sums``, which takes the power chunk
+    by chunk.  Neither makes another array as long as the filter.
     """
 
     n: int
@@ -291,15 +334,30 @@ class FilterPlan:
             weights = self.weights
         else:
             # eps[j] meets the taps M-j .. M-j+n-1: windows of n reversed taps
-            weights = window_sums(self.taps[::-1] ** order, self.n) if order >= 2 else None
+            weights = window_sums(self.taps[::-1], self.n, order) if order >= 2 else None
         return replace(self, spectra=spectra, order=order, weights=weights)
 
     def _spectrum(self, m: int):
         if self.M == 0:
             return float(self.taps[0]) ** m
-        S = -(-(self.M + 1) // self.B)
-        pad = np.zeros(S * self.B - (self.M + 1))
-        return sfft.rfft(np.concatenate([pad, self.taps**m]).reshape(S, self.B)[::-1], self.L, axis=-1)
+        B, L, taps = self.B, self.L, self.taps
+        S = -(-(self.M + 1) // B)
+        pad = S * B - (self.M + 1)
+        out = np.empty((S, L // 2 + 1), dtype=complex)
+        rows = max(1, _BLOCK_POINTS // L)
+        # row r holds taps (S-1-r) B - pad .. (S-r) B - pad - 1 raised to the power m,
+        # then L - B zeros that no block overwrites
+        buf = np.zeros((min(rows, S), L))
+        for lo in range(0, S, rows):
+            block = buf[: min(rows, S - lo)]
+            whole = min(len(block), S - 1 - lo)  # every row but the padded last one
+            end = (S - lo) * B - pad  # one past the last tap of row lo
+            _power(taps[end - whole * B : end].reshape(whole, B)[::-1], m, block[:whole, :B])
+            if whole < len(block):  # the last row: the pad zeros, then taps 0..B-pad-1
+                block[-1, :pad] = 0.0
+                _power(taps[: B - pad], m, block[-1, pad:B])
+            out[lo : lo + len(block)] = sfft.rfft(block, axis=-1)
+        return out
 
     def _check_length(self, eps: np.ndarray) -> None:
         if len(eps) != self.n + self.M:

@@ -1,14 +1,21 @@
 """Tests for config parsing, serialization, and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lrdextremes
 from lrdextremes import cli
 from lrdextremes.cli import main
-from lrdextremes.config import ExperimentConfig, parse_config, serialize_config
+from lrdextremes.config import ExperimentConfig, build_problem, parse_config, serialize_config
 from lrdextremes.errors import ConfigError
 from lrdextremes.mc import run_replicates
 from lrdextremes.scaling import select_p
+from lrdextremes.simulate import config_hash
 
 MINIMAL_CASE4 = """
 # Case 4 reference: Gaussian X, exponential Y
@@ -49,6 +56,33 @@ master_seed = 99
 PARETO_X = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95")
 GAUSSIAN_X = MINIMAL_CASE4.replace("n = 32768", "n = 10000")
 GAUSSIAN_UNDER_T = "Gaussian X marginal under student_t innovations"
+
+
+# prints config_hash of the problem that the config on standard input builds
+HASH_SCRIPT = """
+import sys
+from lrdextremes.config import build_problem, parse_config
+from lrdextremes.simulate import config_hash
+cfg = parse_config(sys.stdin.read())
+coeffs, dist, mx, ty = build_problem(cfg)
+print(config_hash(coeffs, dist, mx, ty, cfg.n))
+"""
+
+
+def test_fitted_config_hash_is_the_same_in_every_interpreter():
+    # the fitted marginal's repr enters the hash; it must not carry an object address
+    src = str(Path(lrdextremes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    hashes = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SCRIPT], input=FITTED_CASE1, env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        for _ in range(2)
+    ]
+    cfg = parse_config(FITTED_CASE1)
+    coeffs, dist, mx, ty = build_problem(cfg)
+    assert "0x" not in repr(mx)
+    assert hashes == [config_hash(coeffs, dist, mx, ty, cfg.n)] * 2
 
 
 class TestParseConfig:

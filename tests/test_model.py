@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrdextremes import model
 from lrdextremes.errors import ClampWarning, DomainError, FitError, StateError
 from lrdextremes.model import (
     CoefficientModel,
@@ -260,6 +261,9 @@ class TestSubordinate:
         assert clamp_events() == before + 1
 
 
+CHUNK = model._CHUNK_POINTS
+
+
 class TestCoefficientModel:
     def test_convention_and_positivity(self):
         cm = CoefficientModel.build(0.75, SvConstant(1.0), M=100)
@@ -276,6 +280,22 @@ class TestCoefficientModel:
     def test_identity_filter_allowed(self):
         cm = CoefficientModel.build(0.75, SvConstant(1.0), M=0)
         assert list(cm.c) == [1.0]
+
+    @pytest.mark.parametrize("L0", [SvConstant(1.0), SvConstant(2.5), SvLogPower(1.3, 0.7), SvLogPower(2.0, -1.5)])
+    @pytest.mark.parametrize("M", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_chunks_match_the_one_pass_formula(self, L0, M):
+        # the one-pass formula over k = 1..M, byte for byte, across chunk boundaries
+        k = np.arange(1, M + 1, dtype=float)
+        oracle = np.concatenate([[1.0], k**-0.7 * L0._eval(k)])
+        assert CoefficientModel.build(0.7, L0, M).c.tobytes() == oracle.tobytes()
+
+    def test_small_chunks_match_the_one_pass_formula(self, monkeypatch):
+        L0, M = SvLogPower(1.3, 0.7), 1000
+        k = np.arange(1, M + 1, dtype=float)
+        oracle = np.concatenate([[1.0], k**-0.6 * L0._eval(k)])
+        for chunk in (1, 3, 7, 999, 1000, 1001):
+            monkeypatch.setattr(model, "_CHUNK_POINTS", chunk)
+            assert CoefficientModel.build(0.6, L0, M).c.tobytes() == oracle.tobytes()
 
 
 class TestEmpiricalMarginal:

@@ -1,6 +1,7 @@
 """Tests for path generation, truncation, and second-moment bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,9 +235,11 @@ class TestWindowSums:
         a = np.random.default_rng(3).uniform(0.0, 1.0, 2000)
         for n in (1, 5, 100, 1024):
             whole = window_sums(a, n)
+            cubes = window_sums(a[::-1], n, 3)
             for chunk in (1, 7, 256):
                 monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
                 assert window_sums(a, n).tobytes() == whole.tobytes()
+                assert window_sums(a[::-1], n, 3).tobytes() == cubes.tobytes()
             monkeypatch.undo()
 
     def test_power_total_is_the_sum_of_the_top_path(self):
@@ -258,6 +261,113 @@ class TestWindowSums:
             plan.power_total(eps, 2)
         with pytest.raises(DomainError):
             FilterPlan.build(np.ones(10), 4).power_total(eps, 1)
+
+
+def one_transform_spectrum(plan, m):
+    """The segment spectra as one batched rfft of the padded segments, rows reversed."""
+    S = -(-(plan.M + 1) // plan.B)
+    pad = np.zeros(S * plan.B - (plan.M + 1))
+    return sfft.rfft(np.concatenate([pad, plan.taps**m]).reshape(S, plan.B)[::-1], plan.L, axis=-1)
+
+
+def padded_window_sums(a, n):
+    """Window sums by pairwise doubling over one zero-padded copy of ``a``, in chunks."""
+    size = a.size + n - 1
+    padded = np.zeros(size + n - 1)
+    padded[n - 1 : n - 1 + a.size] = a
+    out = np.empty(size)
+    T = max(simulate._CHUNK_POINTS, n)
+    spare, other = np.empty(T + n - 1), np.empty(T + n - 1)
+    for lo in range(0, size, T):
+        t = min(T, size - lo)
+        level, acc = padded[lo : lo + t + n - 1], out[lo : lo + t]
+        h, start = 1, 0
+        while True:
+            if n & h:
+                if start:
+                    np.add(acc, level[start : start + t], out=acc)
+                else:
+                    acc[:] = level[:t]
+                start += h
+            if 2 * h > n:
+                break
+            up = spare[: level.size - h]
+            np.add(level[:-h], level[h:], out=up)
+            level, h = up, 2 * h
+            spare, other = other, spare
+    return out
+
+
+def peak_over_result(build):
+    """(bytes traced at the peak of ``build()`` above the start, its result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = build()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceBuilders:
+    """The set-up arrays are written in place, byte for byte equal to the one-pass formulas."""
+
+    # (n, M): one segment; partitioned with 55 zero taps in front; with none; S = 4097 > 3276 rows a block
+    GEOMETRIES = [(64, 1000), (16, 5000), (16, 64 * 80 - 1), (16, 2**18)]
+
+    @pytest.mark.parametrize("n,M", GEOMETRIES)
+    def test_spectra_match_one_transform(self, n, M):
+        c = np.random.default_rng(M).uniform(0.05, 1.0, M + 1)
+        plan = FilterPlan.build(c, n, 4)
+        assert len(plan.spectra) == 3
+        for m, spectrum in enumerate(plan.spectra, start=1):
+            oracle = one_transform_spectrum(plan, m)
+            assert spectrum.shape == oracle.shape and spectrum.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 100])
+    def test_spectra_do_not_depend_on_the_row_block(self, rows, monkeypatch):
+        # S = 79 segments: blocks that end on the padded row alone, with it, and one block for all
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5001)
+        plan = FilterPlan.build(c, 16)
+        assert len(plan.spectra[0]) == 79 and plan.L == 80
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
+        for m in (1, 2, 3):
+            assert plan._spectrum(m).tobytes() == one_transform_spectrum(plan, m).tobytes()
+
+    @pytest.mark.parametrize("n,M", [(1, 0), (1, 300), (5, 0), *GEOMETRIES])
+    def test_weights_match_the_reversed_power(self, n, M):
+        c = np.random.default_rng(n + M).lognormal(0.0, 2.0, M + 1)
+        plan = FilterPlan.build(c, n)
+        for order in (2, 3, 4):
+            oracle = padded_window_sums(c[::-1] ** order, n)
+            assert plan.with_order(order).weights.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("size,n", [(700, 1), (50, 100), (1, 7), (3000, 2**16 + 5), (200, 2**16 + 5)])
+    def test_window_sums_match_the_padded_copy(self, size, n):
+        # n = 1, a shorter than its window, and n above _CHUNK_POINTS (one chunk of n points)
+        a = np.random.default_rng(size + n).lognormal(0.0, 3.0, size)
+        assert window_sums(a, n).tobytes() == padded_window_sums(a, n).tobytes()
+        for m in (2, 3, 4):
+            # the power is taken on the reversed view, as the taps are: that differs
+            # from reversing the contiguous power in the last bit
+            assert window_sums(a[::-1], n, m).tobytes() == padded_window_sums(a[::-1] ** m, n).tobytes()
+
+    def test_no_builder_makes_a_second_cap_sized_array(self):
+        # a partitioned p = 2 plan; each builder may trace the arrays it returns
+        # plus less than half of one (n + M)-float array.  M = 2^21, because a row
+        # block of the spectrum build (a real buffer and its transform) takes about
+        # 2 * _BLOCK_POINTS floats, 4.2 MB, whatever M is
+        n, M = 2**8, 2**21
+        slack = (n + M) * 8 // 2
+        peak, cm = peak_over_result(lambda: CoefficientModel.build(0.7, SvConstant(1.0), M))
+        assert peak < cm.c.nbytes + slack
+        peak, plan = peak_over_result(lambda: FilterPlan.build(cm.c, n))
+        assert len(plan.spectra[0]) > 1
+        assert peak < plan.spectra[0].nbytes + slack
+        peak, top = peak_over_result(lambda: plan.with_order(2))
+        assert top.spectra[0] is plan.spectra[0]
+        assert peak < top.weights.nbytes + slack
 
 
 class TestSimulatePath:
