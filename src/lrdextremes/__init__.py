@@ -5,7 +5,7 @@ Monte Carlo harness verifying the asymptotic normality of normalized
 extreme sums at desk scale.
 """
 
-from .config import ExperimentConfig, build_problem, parse_config, serialize_config
+from .config import ExperimentConfig, build_problem, parse_config
 from .errors import (
     ClampWarning,
     ConfigError,

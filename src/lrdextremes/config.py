@@ -262,30 +262,6 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
     )
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical flat text; parse_config(serialize_config(c)) == c."""
-    lines = [
-        f"beta = {config.beta!r}",
-        f"L0 = {config.l0}",
-        f"innovation = {config.innovation}",
-        f"x_marginal = {config.x_marginal}",
-        f"y_marginal = {config.y_marginal}",
-        f"xi = {config.xi!r}",
-    ]
-    if config.n is not None:
-        lines.append(f"n = {config.n}")
-    if config.n_grid:
-        lines.append("n_grid = " + ",".join(str(v) for v in config.n_grid))
-    lines.append(f"R = {config.replicates}")
-    if config.p_override is not None:
-        lines.append(f"p_override = {config.p_override}")
-    lines.append(f"master_seed = {config.master_seed}")
-    lines.append(f"trunc_tol = {config.trunc_tol!r}")
-    if config.out_dir is not None:
-        lines.append(f"out_dir = {config.out_dir}")
-    return "\n".join(lines) + "\n"
-
-
 @lru_cache(maxsize=8)
 def build_problem(config: ExperimentConfig):
     """Realize the configuration as (coeffs, innovation, mx, ty) objects.

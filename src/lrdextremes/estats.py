@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericError, StateError
 from .model import CLAMP_EPS, EmpiricalMarginal, MarginalX, TargetMarginalY
 from .scaling import ScalingBundle
-from .simulate import FilterPlan, PathPair
+from .simulate import FilterPlan, PathPair, PowerSums, array_source
 
 # highest order of the multilinear forms, and so of the reduction supremum (a cost guard)
 MAX_REDUCTION_ORDER = 4
@@ -115,8 +115,8 @@ def trimmed_sum(sample, m: int, k: int) -> float:
     return direct
 
 
-def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
-    """Y_{n,1..p} of one innovation vector, from a filter plan of order p.
+def multilinear_sums(sums: PowerSums, p: int) -> list[float]:
+    """Y_{n,1..p} of one innovation vector, from the pass of a filter plan of order p over it.
 
     Y_{n,r} = sum_{i=1}^n e_r(c_0 eps_i, c_1 eps_{i-1}, ..., c_M eps_{i-M}),
     with e_r the elementary symmetric polynomial (a sum over strictly
@@ -124,18 +124,19 @@ def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
 
     Newton's identities e_m = (1/m) sum_{j=1}^m (-1)^(j-1) e_{m-j} p_j
     assemble the elementary symmetric polynomials from the power-sum paths
-    p_j[i] = sum_k (c_k eps_{i-k})^j.  The paths p_j, j < p, cost one rfft
-    and one irfft each (``x``, when given, is p_1 = ``plan.apply(eps)``, the
-    path already computed).  The top power enters Y_{n,p} only through its
-    total, so it is ``plan.power_total(eps, p)``, one weighted sum of
-    eps**p, not a path:
+    p_j[i] = sum_k (c_k eps_{i-k})^j.  ``FilterPlan.stream`` gives the paths
+    p_j, j < p, as ``sums.paths`` (the first is the path x itself), and the
+    top power only through its total ``sums.top_total``, one weighted sum of
+    eps**p taken in the same pass, not a path:
 
         Y_{n,p} = (1/p) [sum_{j<p} (-1)^(j-1) sum_i e_{p-j}[i] p_j[i] + (-1)^(p-1) sum_i p_p[i]].
     """
     if p == 0:
         return []
-    x = plan.apply(eps) if x is None else x
-    power_sums = [x] + [plan.apply(eps, m) for m in range(2, p)]
+    if p >= 2 and (sums.top_total is None or len(sums.paths) != p - 1):
+        order = len(sums.paths) + 1 if sums.top_total is not None else 1
+        raise DomainError(f"the pass of a plan of order {order} gives Y_(n,1..{order}), not Y_(n,{p})")
+    x, power_sums = sums.paths[0], sums.paths
     e = [None, x]  # e_0 = 1 enters as the plain power sum
     for m in range(2, p + 1):
         acc = np.zeros_like(x)
@@ -146,7 +147,7 @@ def multilinear_sums(plan: FilterPlan, eps, p: int, x=None) -> list[float]:
             e.append(acc / m)
     y = [float(np.sum(v)) for v in e[1:]]
     if p >= 2:
-        y.append((float(np.sum(acc)) + (-1.0) ** (p - 1) * plan.power_total(eps, p)) / p)
+        y.append((float(np.sum(acc)) + (-1.0) ** (p - 1) * sums.top_total) / p)
     return y
 
 
@@ -228,7 +229,8 @@ def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> Reductio
     if p > 0:
         eps = np.asarray(eps, dtype=float)
         c = np.asarray(c, dtype=float)
-        y = multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), p), eps, p)
+        plan = FilterPlan.build(c, len(eps) - (len(c) - 1), p)
+        y = multilinear_sums(plan.stream(array_source(eps)), p)
     xs = np.sort(x)
     return reduction_sup_sorted(xs, np.asarray(mx.F(xs), dtype=float), y, TailGrid.build(mx, p), mx, sigma_n1)
 

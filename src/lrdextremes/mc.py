@@ -36,7 +36,7 @@ from .scaling import (
     make_bundle,
     power_rank_integral,
 )
-from .simulate import FilterPlan, config_hash, derive_seed, gen_innovations
+from .simulate import FilterPlan, config_hash, derive_seed, innovation_source
 
 QQ_PROBS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
@@ -180,8 +180,11 @@ class ReplicatePlan:
     ``filter`` is the filter plan of order p when the reduction supremum
     is computed (order 1 otherwise): the spectra of c**m for m < p, and the
     window sums of c**p that give the top power's total as one weighted sum
-    per replicate.  The spectra of c come from the bundle's plan, so a run
-    transforms the taps once per filtered power and never transforms c**p.
+    per replicate.  A replicate streams its seeded innovations through the
+    plan's one pass, which returns the path, the power sums below p and that
+    total, so no replicate builds its n + M innovations as one array.  The
+    spectra of c come from the bundle's plan, so a run transforms the taps
+    once per filtered power and never transforms c**p.
     ``tail`` is its tail grid, or None when ``_reduction_skip_reason``
     gives a reason not to compute it.
     """
@@ -200,8 +203,8 @@ class ReplicatePlan:
 
 def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
     _, dist, mx, ty = problem
-    eps = gen_innovations(dist, plan.filter.n + plan.filter.M, seed)
-    x = plan.filter.apply(eps)
+    sums = plan.filter.stream(innovation_source(dist, seed))
+    x = sums.paths[0]
     frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
     if frame.analytic:
         # the uniform transform is exact, so the decomposition and the
@@ -214,20 +217,21 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
         z = _frame_z(frame.top_y(bundle.k_n), bundle)
         i1, i2, i3, ur = nan, nan, nan, nan
     if plan.tail is not None:
-        y = multilinear_sums(plan.filter, eps, bundle.p, x=x)
+        y = multilinear_sums(sums, bundle.p)
         red = reduction_sup_sorted(frame.x_sorted, frame.F_sorted, y, plan.tail, mx, bundle.sigma_n1).value
     else:
         red = float("nan")
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
 
 
-# A replicate allocates a few dozen arrays of about n + M floats.  glibc's
+# A replicate allocates a few dozen arrays of about n + M floats (one-segment
+# filters) or of a row block of the filter pass (partitioned ones).  glibc's
 # malloc maps blocks above its mmap threshold to fresh pages and returns
 # free heap above its trim threshold (both 128 KiB at start), so each such
 # array faults its pages in anew.  Freeing a mapped block raises the mmap
 # threshold to the block's size and the trim threshold to twice that
-# (mallopt(3)): 8 MiB keeps the arrays of n + M <= 2^20 on reused heap
-# pages.  Other allocators ignore it.
+# (mallopt(3)): 8 MiB keeps the arrays of n + M <= 2^20, and every row
+# block, on reused heap pages.  Other allocators ignore it.
 _HEAP_BLOCK_FLOATS = 2**20
 
 

@@ -169,14 +169,22 @@ class InnovationDist:
         return self.sigma_eps**2
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # scaled in place, so a draw of count floats allocates one array, not two
+        out = np.empty(count)
+        self.fill(out, rng)
+        return out
+
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        """Write the next ``out.size`` draws of ``rng`` into ``out``.
+
+        Each draw takes the generator's next values in turn, so filling
+        consecutive pieces gives the bytes of one draw of their total length.
+        """
         if self.kind == "gaussian":
-            out = rng.standard_normal(count)
+            rng.standard_normal(out=out)
             out *= self.sigma_eps
         else:
-            out = rng.standard_t(self.nu, size=count)
-            out *= self.sigma_eps * math.sqrt((self.nu - 2.0) / self.nu)
-        return out
+            scale = self.sigma_eps * math.sqrt((self.nu - 2.0) / self.nu)
+            np.multiply(rng.standard_t(self.nu, size=out.size), scale, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +858,22 @@ class CoefficientModel:
 
     @property
     def total_square_sum(self) -> float:
-        return float(np.sum(self.c * self.c))
+        return float(_square_sum(self.c))
+
+
+def _square_sum(s: np.ndarray) -> np.float64:
+    """np.sum(s * s) without the squared copy of s.
+
+    numpy sums a contiguous array pairwise: it halves a length m above 128
+    at m // 2 rounded down to a multiple of 8.  Splitting the same way down
+    to leaves of at most ``_CHUNK_POINTS`` and squaring one leaf at a time
+    keeps that tree, so the sum has the same bytes.
+    """
+    if s.size <= _CHUNK_POINTS:
+        return np.sum(s * s)
+    half = s.size // 2
+    half -= half % 8
+    return _square_sum(s[:half]) + _square_sum(s[half:])
 
 
 # ---------------------------------------------------------------------------

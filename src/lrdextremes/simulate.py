@@ -49,8 +49,20 @@ raises it to order p in its replicate plan, so the taps are transformed
 once per filtered power and run, and c**p is not transformed at all.  The
 exact autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them,
 come from the same plan: a one-segment plan reads them off its spectrum,
-and a partitioned one filters the reversed taps in one pass,
+and a partitioned one streams the reversed taps through its power-1 pass,
 O((n + M) log n).
+
+Every filtering goes through one pass, ``FilterPlan.stream``, which reads
+its n + M inputs from a source (a seeded draw, an array, or the reversed
+taps followed by zeros) one row block at a time.  The padded last row
+arrives with the last block and its product starts each power's sum, so
+the pass holds the row-block sums until then: S / rows spectra of L/2 + 1
+complex numbers per filtered power, about 7 MB at the cap (n = 2^13).
+Apart from those and the paths it returns, it keeps one row block: its
+buffer, the padded copy rfft makes and the transform, about
+3 * _BLOCK_POINTS floats whatever M is, so no replicate builds its n + M
+innovations as one array.  A one-segment plan reads its whole window of
+n + M inputs as one block, as its one transform needs.
 
 At the cap (M = 2^22, reached for p >= 2) an array as long as the filter
 takes 33.5 MB, so the set-up writes each one it keeps once, in place, from
@@ -60,9 +72,8 @@ chunks of ``_CHUNK_POINTS``), each power's segment spectra
 window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS``).  These
 builders make no other array as long as the filter.  Each piece goes
 through the elementwise operations, transform length and summation tree
-of one pass over the whole array, so the results are the same bytes.  A
-partitioned plan's autocovariances still filter one zero-extended copy of
-the reversed taps, n + M floats.
+of one pass over the whole array, so the results are the same bytes; the
+same holds for the row blocks of ``FilterPlan.stream``.
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -206,6 +218,31 @@ def gen_innovations(dist: InnovationDist, count: int, seed: int) -> np.ndarray:
     return dist.sample(count, rng)
 
 
+def innovation_source(dist: InnovationDist, seed: int):
+    """``gen_innovations(dist, count, seed)`` as a source for ``FilterPlan.stream``, drawn piece by piece.
+
+    The pass reads its inputs once, in order, and ``dist.fill`` continues
+    one generator, so the pieces hold the bytes of the whole draw.
+    """
+    rng = np.random.default_rng(seed)
+
+    def read(out: np.ndarray, start: int) -> None:
+        dist.fill(out, rng)
+
+    return read
+
+
+def array_source(a: np.ndarray):
+    """The entries of ``a``, then zeros, as a source for ``FilterPlan.stream``."""
+
+    def read(out: np.ndarray, start: int) -> None:
+        got = a[start : start + out.size]
+        out[: got.size] = got
+        out[got.size :] = 0.0
+
+    return read
+
+
 def _power(x: np.ndarray, m: int, out: np.ndarray) -> None:
     """Write x ** m into ``out``, with np.square for m = 2 as ``x ** 2`` runs, and x itself for m = 1.
 
@@ -270,15 +307,25 @@ def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
     return out
 
 
+class PowerSums(NamedTuple):
+    """One pass of a filter plan of order p: the paths p_1..p_max(p-1,1), and sum_i p_p[i] for p >= 2 (else None)."""
+
+    paths: tuple
+    top_total: float | None
+
+
 @dataclass(frozen=True, eq=False)
 class FilterPlan:
     """The power sums p_m[i] = sum_k c_k^m eps_{i-k}^m, m = 1..order, at one path length n.
 
-    ``apply(eps, m)`` returns p_m[1..n] for the filtered powers
-    m = 1..max(order-1, 1): the path itself for m = 1.  For order >= 2,
-    ``power_total(eps, order)`` returns sum_i p_order[i] from the window
-    sums ``weights`` of c**order, with no filter pass (module docstring).
-    ``eps`` carries the M pre-sample innovations first.
+    ``stream(source)`` is the one filter pass: it reads the n + M inputs
+    (the M pre-sample innovations first) from a source a row block at a
+    time and returns p_m[1..n] for the filtered powers m = 1..max(order-1, 1),
+    the path itself for m = 1, and for order >= 2 the total sum_i p_order[i]
+    from the window sums ``weights`` of c**order, with no filter pass for
+    that power (module docstring).  A source is a seeded draw
+    (``innovation_source``) or an array, with zeros past its end
+    (``array_source``); ``apply(eps, m)`` is the pass on an array.
     ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from
     the power-1 spectra, so the taps are transformed here only, once per
     filtered power.
@@ -363,58 +410,101 @@ class FilterPlan:
         if len(eps) != self.n + self.M:
             raise DomainError(f"innovation vector has length {len(eps)}, expected n + M = {self.n + self.M}")
 
+    def stream(self, source) -> PowerSums:
+        """The filtered paths p_1..p_f, f = max(order-1, 1), and for order >= 2 the total of p_order, in one pass.
+
+        ``source(out, start)`` writes the inputs start .. start+len(out)-1
+        (the M pre-sample innovations first, n + M in all) into ``out``; the
+        pass asks for each input once, in order.  It advances a row block at
+        a time: rows = max(1, _BLOCK_POINTS // L) segment windows, that is
+        rows * B new inputs after the n - 1 the block shares with the one
+        before, in one reused buffer.  For each filtered power m it raises
+        the block to the power m, transforms the windows of its full rows
+        in one batched rfft, multiplies them by their spectra and holds the
+        sum of the rows.  The padded last row comes with the last block: its
+        product starts the sum, the held block sums follow in order, and one
+        irfft gives the path.  For order >= 2 the same inputs, raised to the
+        power order and weighted by ``weights``, are summed in chunks of
+        ``_CHUNK_POINTS`` counted from input 0, and the chunk sums pairwise.
+        These are the transform shapes, rows and summation order of one
+        pass over the whole input array, so the results have its bytes.
+        """
+        n, M, B, L = self.n, self.M, self.B, self.L
+        size, S = n + M, -(-(M + 1) // B)
+        rows = max(1, _BLOCK_POINTS // L)
+        top = self.order if self.order >= 2 else 0
+        buf = np.empty(min(rows * B + n - 1, size))
+        powered = np.empty_like(buf) if len(self.spectra) >= 2 else None
+        held = [[] for _ in self.spectra]
+        paths = [None] * len(self.spectra)
+        if top:
+            parts, prod = np.empty(-(-size // _CHUNK_POINTS)), np.empty(min(_CHUNK_POINTS, size))
+        done = filled = 0  # inputs read so far, the last ``filled`` of them in buf
+        for lo in range(0, S, rows):
+            hi, base = min(lo + rows, S), lo * B
+            end = min(hi * B + n - 1, size)
+            shared = done - base  # the n - 1 inputs shared with the block before (none at the first)
+            buf[:shared] = buf[filled - shared : filled]
+            block = buf[: end - base]
+            filled = block.size
+            source(block[shared:], done)
+            full = min(hi, S - 1) - lo  # rows before the padded last one
+            for i, C in enumerate(self.spectra):
+                e = block
+                if i:
+                    e = powered[: block.size]
+                    _power(block, i + 1, e)
+                if full:
+                    spec = sfft.rfft(sliding_window_view(e[: full * B + n - 1], n + B - 1)[::B], L, axis=-1)
+                    spec *= C[lo : lo + full]
+                    held[i].append(spec.sum(axis=0))
+                    del spec  # freed before the next block's transform is allocated
+                if hi < S:
+                    continue
+                # the last row: inputs (S-1) B .. n+M-1, zero-padded by rfft
+                last = e[(S - 1 - lo) * B :]
+                if M == 0:
+                    paths[i] = C * last
+                    continue
+                spec = sfft.rfft(last, L)
+                spec *= C[S - 1]
+                for part in held[i]:
+                    spec += part
+                # a copy, so the result does not pin the length-L buffer
+                paths[i] = sfft.irfft(spec, L)[B - 1 : B - 1 + n].copy()
+            if top:
+                # the block's new inputs done .. end-1, cut where the chunks of the top total end
+                for first in range(done - done % _CHUNK_POINTS, end, _CHUNK_POINTS):
+                    a, b = max(first, done), min(first + _CHUNK_POINTS, end)
+                    piece = prod[a - first : b - first]
+                    np.power(buf[a - base : b - base], top, out=piece)
+                    piece *= self.weights[a:b]
+                    if b == min(first + _CHUNK_POINTS, size):  # the chunk is complete
+                        parts[first // _CHUNK_POINTS] = np.sum(prod[: b - first])
+            done = end
+        return PowerSums(tuple(paths), float(np.sum(parts)) if top else None)
+
     def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
+        """p_m[1..n] of the innovation array ``eps``: the pass on ``array_source(eps)``."""
         self._check_length(eps)
         if not 1 <= m <= len(self.spectra):
             raise DomainError(f"a plan of order {self.order} filters the powers 1..{len(self.spectra)}, not {m}")
-        e = eps if m == 1 else eps**m
-        if self.M == 0:
-            return self.spectra[m - 1] * e
-        n, B, L, C = self.n, self.B, self.L, self.spectra[m - 1]
-        last = len(C) - 1
-        spec = sfft.rfft(e[last * B :], L)
-        spec *= C[last]
-        windows, C = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
-        rows = max(1, _BLOCK_POINTS // L)
-        for lo in range(0, last, rows):
-            block = sfft.rfft(windows[lo : lo + rows], L, axis=-1)
-            block *= C[lo : lo + rows]
-            spec += block.sum(axis=0)
-        # a copy, so the result does not pin the length-L buffer
-        return sfft.irfft(spec, L)[B - 1 : B - 1 + n].copy()
-
-    def power_total(self, eps: np.ndarray, m: int) -> float:
-        """sum_{i=1}^n p_m[i] = sum_j eps_j^m w_m[j] for the plan's top power m = order >= 2.
-
-        Block by block, a multiply and ``np.sum`` (pairwise); the block
-        sums are then summed pairwise too.  No BLAS call (module docstring).
-        """
-        self._check_length(eps)
-        if self.weights is None or m != self.order:
-            raise DomainError(f"a plan of order {self.order} holds the window sums of no power {m}")
-        parts = np.empty(-(-len(eps) // _CHUNK_POINTS))
-        buf = np.empty(min(_CHUNK_POINTS, len(eps)))
-        for b, lo in enumerate(range(0, len(eps), _CHUNK_POINTS)):
-            e = eps[lo : lo + _CHUNK_POINTS]
-            prod = buf[: e.size]
-            np.power(e, m, out=prod)
-            prod *= self.weights[lo : lo + _CHUNK_POINTS]
-            parts[b] = np.sum(prod)
-        return float(np.sum(parts))
+        return self.stream(array_source(eps)).paths[m - 1]
 
     def autocovariances(self, sigma_eps2: float) -> np.ndarray:
         """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M).
 
         One segment reads them off its own spectrum as irfft(|C|^2, L): a
         circular autocorrelation of length L >= n + M does not wrap on lags
-        below n.  Several segments filter the reversed taps
-        [c_M, ..., c_0, 0, ...], whose output i is sum_{k>=i} c_k c_{k-i}.
+        below n.  Several segments stream the reversed taps followed by
+        n - 1 zeros, [c_M, ..., c_0, 0, ...], through the power-1 pass;
+        its output i is sum_{k>=i} c_k c_{k-i}.
         """
         C = self.spectra[0]
         if self.M > 0 and len(C) == 1:
             acorr = sfft.irfft(C[0].real**2 + C[0].imag**2, self.L)
         else:
-            acorr = self.apply(np.concatenate([self.taps[::-1], np.zeros(self.n - 1)]))
+            acorr = self.with_order(1).stream(array_source(self.taps[::-1])).paths[0]
         return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
 
 
@@ -463,8 +553,7 @@ def simulate_path(
                 f"marginal std {mx.s!r} inconsistent with model value {s_expected!r} "
                 "(sigma_eps^2 * sum c_k^2)"
             )
-    eps = gen_innovations(dist, n + coeffs.M, seed)
-    x = moving_average(coeffs.c, eps)
+    x = FilterPlan.build(coeffs.c, n).stream(innovation_source(dist, seed)).paths[0]
     y = subordinate(mx, ty, x)
     return PathPair(x=x, y=np.atleast_1d(y), seed=seed, spec_hash=config_hash(coeffs, dist, mx, ty, n))
 

@@ -26,6 +26,7 @@ from lrdextremes.model import (
 from lrdextremes.scaling import iid_contrast, iid_scale, karamata_product
 from lrdextremes.simulate import (
     FilterPlan,
+    array_source,
     autocovariance_model,
     build_coefficient_model,
     derive_seed,
@@ -255,8 +256,9 @@ def test_criterion_7_reduction_trend():
         vals = []
         for r in range(50):
             eps = gen_innovations(dist, n + cm.M, derive_seed(MASTER_SEED, r))
-            x = plan.apply(eps)
-            y = multilinear_sums(plan, eps, 1, x=x)
+            sums = plan.stream(array_source(eps))
+            x = sums.paths[0]
+            y = multilinear_sums(sums, 1)
             xs = np.sort(x)
             vals.append(reduction_sup_sorted(xs, mx.F(xs), y, tail, mx, sig).value)
         medians.append(float(np.median(vals)))
@@ -294,7 +296,7 @@ def test_criterion_9_oracle_equivalences():
                 for j in combo:
                     prod *= c[j] * eps[(i - j) + M - 1]
                 brute += prod
-        val = multilinear_sums(FilterPlan.build(c, n, r), eps, r)[r - 1]
+        val = multilinear_sums(FilterPlan.build(c, n, r).stream(array_source(eps)), r)[r - 1]
         ok &= abs(val - brute) <= 1e-10 * max(1.0, abs(brute))
 
     # FFT vs direct convolution at 1e-10

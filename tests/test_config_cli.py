@@ -11,7 +11,7 @@ import pytest
 import lrdextremes
 from lrdextremes import cli
 from lrdextremes.cli import main
-from lrdextremes.config import ExperimentConfig, build_problem, parse_config, serialize_config
+from lrdextremes.config import build_problem, parse_config
 from lrdextremes.errors import ConfigError
 from lrdextremes.mc import run_replicates
 from lrdextremes.scaling import select_p
@@ -145,32 +145,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert "Frechet" in str(err.value)
-
-
-class TestRoundtrip:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            ExperimentConfig(beta=0.8, y_marginal="exponential", xi=0.9, master_seed=7, n=1024),
-            ExperimentConfig(
-                beta=0.75,
-                y_marginal="pareto:6",
-                xi=0.97,
-                master_seed=12,
-                n=2048,
-                n_grid=(1024, 2048),
-                replicates=50,
-                p_override=2,
-                out_dir="out",
-                x_marginal="pareto:4,1.0",
-                innovation="student_t:6,1",
-                l0="logpower:1,0.5",
-                trunc_tol=0.01,
-            ),
-        ],
-    )
-    def test_parse_serialize_identity(self, cfg):
-        assert parse_config(serialize_config(cfg), require_feasible=False) == cfg
 
 
 def write_config(tmp_path, text):

@@ -37,6 +37,8 @@ from lrdextremes.scaling import ScalingBundle, make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
     PathPair,
+    PowerSums,
+    array_source,
     build_coefficient_model,
     derive_seed,
     gen_innovations,
@@ -119,7 +121,8 @@ def kernel_Y(eps, c, r, p=None):
     """
     eps, c = np.asarray(eps, dtype=float), np.asarray(c, dtype=float)
     p = r if p is None else p
-    return multilinear_sums(FilterPlan.build(c, len(eps) - (len(c) - 1), p), eps, p)[r - 1]
+    plan = FilterPlan.build(c, len(eps) - (len(c) - 1), p)
+    return multilinear_sums(plan.stream(array_source(eps)), p)[r - 1]
 
 
 class TestMultilinear:
@@ -153,7 +156,8 @@ class TestMultilinear:
         reference = SingleFftFilter(cm.c, n)
         for r in range(3):
             eps = gen_innovations(InnovationDist.gaussian(1.0), n + cm.M, derive_seed(2026004, r))
-            got, expected = multilinear_sums(plan, eps, p), multilinear_sums(reference, eps, p)
+            got = multilinear_sums(plan.stream(array_source(eps)), p)
+            expected = multilinear_sums(reference.sums(eps, p), p)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -168,9 +172,10 @@ class SingleFftFilter:
         spec = sfft.rfft(eps**m, self.L) * sfft.rfft(self.c**m, self.L)
         return sfft.irfft(spec, self.L)[self.M : self.M + self.n].copy()
 
-    def power_total(self, eps, m):
-        # the whole path of the top power, then its sum
-        return float(np.sum(self.apply(eps, m)))
+    def sums(self, eps, p):
+        # the paths below the top power, and the whole path of the top power summed
+        paths = tuple(self.apply(eps, m) for m in range(1, max(p - 1, 1) + 1))
+        return PowerSums(paths, float(np.sum(self.apply(eps, p))) if p >= 2 else None)
 
 
 class TestReductionSup:
@@ -233,10 +238,11 @@ class TestReductionSupOracle:
         plan, tail = FilterPlan.build(cm.c, n, max(p, 1)), TailGrid.build(mx, p)
         for r in range(20):
             eps = gen_innovations(InnovationDist.gaussian(1.0), n + cm.M, derive_seed(2026004, r))
-            x = plan.apply(eps)
+            sums = plan.stream(array_source(eps))
+            x = sums.paths[0]
             expected = searchsorted_reduction_sup(x, eps, cm.c, p, mx, sig)
-            # the replicate kernel: one plan and one tail grid for all replicates, x reused
-            y = multilinear_sums(plan, eps, p, x=x)
+            # the replicate kernel: one plan and one tail grid for all replicates, one pass for x and Y
+            y = multilinear_sums(sums, p)
             xs = np.sort(x)
             assert reduction_sup_sorted(xs, mx.F(xs), y, tail, mx, sig).value == expected
             assert reduction_sup(x, eps, cm.c, p, mx, sig).value == expected

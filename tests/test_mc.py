@@ -25,7 +25,15 @@ from lrdextremes.mc import (
     write_summary_csv,
     write_z_samples_csv,
 )
-from lrdextremes.model import ExponentialTarget, GaussianMarginal, IdentityTarget, ParetoTarget
+from lrdextremes.model import (
+    CoefficientModel,
+    ExponentialTarget,
+    GaussianMarginal,
+    IdentityTarget,
+    InnovationDist,
+    ParetoTarget,
+    SvConstant,
+)
 from lrdextremes.scaling import make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
@@ -37,6 +45,7 @@ from lrdextremes.simulate import (
     simulate_path,
 )
 from test_estats import searchsorted_reduction_sup
+from test_simulate import peak_over_result
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -293,6 +302,21 @@ class TestReplicateKernel:
             assert result_bytes(rep) == result_bytes(public)
             assert red == searchsorted_reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1)
             assert dec.z == z_statistic(ty.Q(frame.u_sorted), bundle)
+
+    def test_a_replicate_holds_no_innovation_array(self):
+        # a partitioned p = 2 plan: the pass holds one row block (its buffer, the padded copy rfft
+        # makes and the transform, about 3 * _BLOCK_POINTS floats whatever M is), never the n + M
+        # innovations, so the replicate peaks below half of one (n + M)-float array above its result
+        n, M = 2**8, 2**21
+        cm = CoefficientModel.build(0.7, SvConstant(1.0), M)
+        mx, ty = GaussianMarginal(math.sqrt(cm.total_square_sum)), ExponentialTarget()
+        bundle = make_bundle(mx, ty, cm.c, 1.0, 0.7, cm.L0, n, 0.9, p=2)
+        problem = (cm, InnovationDist.gaussian(1.0), mx, ty)
+        plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
+        assert plan.filter.order == 2 and len(plan.filter.spectra[0]) > 1
+        peak, rep = peak_over_result(lambda: _run_one(0, derive_seed(5, 0), problem, bundle, plan))
+        assert math.isfinite(rep.reduction_sup)
+        assert peak < 8 * (n + M) // 2
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("target", ["exponential", "pareto", "identity"])

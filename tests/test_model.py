@@ -277,6 +277,20 @@ class TestCoefficientModel:
         cm = CoefficientModel.build(0.6, SvConstant(1.0), M=10_000)
         assert np.isfinite(cm.total_square_sum)
 
+    @pytest.mark.parametrize("size", [4_194_305, 1_000_003, 131_073, 65_537, 32_263])
+    def test_total_square_sum_has_the_bytes_of_the_squared_copy(self, size):
+        # numpy's pairwise tree, split down to chunk-sized leaves: the cap, odd and chunk-straddling lengths
+        cm = CoefficientModel.build(0.7, SvConstant(1.0), size - 1)
+        assert np.float64(cm.total_square_sum).tobytes() == np.sum(cm.c * cm.c).tobytes()
+
+    @pytest.mark.parametrize("leaf", [128, 1000])
+    def test_total_square_sum_leaves_keep_the_tree(self, leaf, monkeypatch):
+        # any leaf of at least numpy's 128-point pairwise block keeps the sum's tree
+        c = np.random.default_rng(leaf).lognormal(0.0, 2.0, 100_003)
+        monkeypatch.setattr(model, "_CHUNK_POINTS", leaf)
+        cm = CoefficientModel(0.7, SvConstant(1.0), c.size - 1, c)
+        assert np.float64(cm.total_square_sum).tobytes() == np.sum(c * c).tobytes()
+
     def test_identity_filter_allowed(self):
         cm = CoefficientModel.build(0.75, SvConstant(1.0), M=0)
         assert list(cm.c) == [1.0]

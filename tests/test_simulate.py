@@ -21,9 +21,11 @@ from lrdextremes.model import (
     SvConstant,
     SvLogPower,
 )
+from lrdextremes.estats import multilinear_sums
 from lrdextremes.simulate import (
     M_CAP,
     FilterPlan,
+    array_source,
     autocovariance,
     autocovariance_model,
     autocovariances,
@@ -31,6 +33,7 @@ from lrdextremes.simulate import (
     derive_seed,
     dump_path_csv,
     gen_innovations,
+    innovation_source,
     moving_average,
     sigma_n1_exact,
     simulate_path,
@@ -183,6 +186,8 @@ class TestMovingAverage:
 def product_apply(plan, eps, m=1):
     """``FilterPlan.apply`` with a fresh array for every spectrum product: the plain formula the in-place one matches."""
     e = eps if m == 1 else eps**m
+    if plan.M == 0:
+        return plan.spectra[m - 1] * e
     n, B, L, C = plan.n, plan.B, plan.L, plan.spectra[m - 1]
     last = len(C) - 1
     spec = sfft.rfft(e[last * B :], L) * C[last]
@@ -212,6 +217,67 @@ class TestInPlaceKernels:
         plan = FilterPlan.build(c, n, 3)
         for m in (1, 2):
             assert plan.apply(eps, m).tobytes() == product_apply(plan, eps, m).tobytes()
+
+
+def whole_array_top_total(plan, eps, m):
+    """sum_j eps_j^m w_m[j] over the whole array: chunks of _CHUNK_POINTS from index 0, each summed, then the sums."""
+    chunk = simulate._CHUNK_POINTS
+    parts = [np.sum(eps[lo : lo + chunk] ** m * plan.weights[lo : lo + chunk]) for lo in range(0, eps.size, chunk)]
+    return float(np.sum(parts))
+
+
+class TestStream:
+    """The pass reads its input a row block at a time and gives the bytes of the whole-array formulas."""
+
+    @pytest.mark.parametrize("dist", [InnovationDist.gaussian(1.7), InnovationDist.student_t(6.0, 0.8)])
+    def test_draw_in_pieces_is_the_whole_draw(self, dist):
+        pieces = np.empty(5000)
+        read = innovation_source(dist, 99)
+        for lo, hi in [(0, 1), (1, 1000), (1000, 1001), (1001, 3333), (3333, 5000)]:
+            read(pieces[lo:hi], lo)
+        assert pieces.tobytes() == gen_innovations(dist, 5000, 99).tobytes()
+
+    # one segment (M = 0 a pointwise product); partitioned with S = 1025 segments > 819 rows a block;
+    # S = 79 (55 pad taps) in blocks of 1, 2, 3 and 100 rows, where the padded row comes alone, with
+    # others, or in the only block; S = 80 with no pad taps
+    GEOMETRIES = [
+        (64, 1000, None),
+        (200, 50, None),
+        (5, 0, None),
+        (64, 2**18 + 5, None),
+        (16, 5000, 1),
+        (16, 5000, 2),
+        (16, 5000, 3),
+        (16, 5000, 100),
+        (16, 64 * 80 - 1, 3),
+    ]
+
+    @pytest.mark.parametrize("n,M,rows", GEOMETRIES)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_stream_matches_the_whole_array_formulas(self, n, M, rows, p, monkeypatch):
+        plan = FilterPlan.build(np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1), n, p)
+        if rows is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
+        dist = InnovationDist.gaussian(1.3)
+        eps = gen_innovations(dist, n + M, 7)
+        sums = plan.stream(innovation_source(dist, 7))
+        assert len(sums.paths) == max(p - 1, 1)
+        for m, path in enumerate(sums.paths, start=1):
+            assert path.tobytes() == product_apply(plan, eps, m).tobytes()
+            assert plan.apply(eps, m).tobytes() == path.tobytes()
+        if p == 1:
+            assert sums.top_total is None
+        else:
+            assert np.float64(sums.top_total).tobytes() == np.float64(whole_array_top_total(plan, eps, p)).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_autocovariances_stream_the_zero_extended_taps(self, rows, monkeypatch):
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5001)
+        plan = FilterPlan.build(c, 16)
+        if rows is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
+        expected = 0.7 * product_apply(plan, np.concatenate([c[::-1], np.zeros(15)]))
+        assert plan.autocovariances(0.7).tobytes() == expected.tobytes()
 
 
 def window_oracle(a, n, j):
@@ -250,7 +316,8 @@ class TestWindowSums:
             eps = rng.standard_normal(n + M)
             for m in (2, 3, 4):
                 direct = math.fsum(direct_convolution(c**m, eps**m))
-                assert FilterPlan.build(c, n, m).power_total(eps, m) == pytest.approx(direct, rel=1e-12)
+                total = FilterPlan.build(c, n, m).stream(array_source(eps)).top_total
+                assert total == pytest.approx(direct, rel=1e-12)
 
     def test_a_plan_serves_only_its_powers(self):
         plan = FilterPlan.build(np.ones(10), 4, 3)
@@ -258,9 +325,10 @@ class TestWindowSums:
         with pytest.raises(DomainError):
             plan.apply(eps, 3)
         with pytest.raises(DomainError):
-            plan.power_total(eps, 2)
+            multilinear_sums(plan.stream(array_source(eps)), 2)
         with pytest.raises(DomainError):
-            FilterPlan.build(np.ones(10), 4).power_total(eps, 1)
+            multilinear_sums(FilterPlan.build(np.ones(10), 4).stream(array_source(eps)), 2)
+        assert FilterPlan.build(np.ones(10), 4).stream(array_source(eps)).top_total is None
 
 
 def one_transform_spectrum(plan, m):

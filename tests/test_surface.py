@@ -118,13 +118,16 @@ def test_fft_calls_only_in_the_filter_plan(module):
     assert not outside, f"{module} uses scipy.fft outside simulate.FilterPlan at lines {outside}"
 
 
-# the code every replicate runs, as (module, qualified name)
+# the code every replicate runs, as (module, qualified name); the whole-array
+# entries (gen_innovations, sample, apply) are the calls of perfbench's traced replicate
 REPLICATE_KERNELS = [
     ("mc.py", "_run_one"),
+    ("simulate.py", "innovation_source"),
+    ("model.py", "InnovationDist.fill"),
+    ("simulate.py", "FilterPlan.stream"),
     ("simulate.py", "gen_innovations"),
     ("model.py", "InnovationDist.sample"),
     ("simulate.py", "FilterPlan.apply"),
-    ("simulate.py", "FilterPlan.power_total"),
     ("estats.py", "multilinear_sums"),
     ("estats.py", "reduction_sup_sorted"),
     ("estats.py", "ProcessFrame.from_path"),
@@ -223,7 +226,6 @@ EXPORTS_WITHOUT_CALLER = {
     "autocovariance_model": "the theoretical autocovariance, kept for the LRD-at-experiment-size check",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
-    "serialize_config": "the inverse of parse_config, which pins the config text format by round trip",
 }
 
 
