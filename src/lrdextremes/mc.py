@@ -224,20 +224,8 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
     return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
 
 
-# A replicate allocates a few dozen arrays of about n + M floats (one-segment
-# filters) or of a row block of the filter pass (partitioned ones).  glibc's
-# malloc maps blocks above its mmap threshold to fresh pages and returns
-# free heap above its trim threshold (both 128 KiB at start), so each such
-# array faults its pages in anew.  Freeing a mapped block raises the mmap
-# threshold to the block's size and the trim threshold to twice that
-# (mallopt(3)): 8 MiB keeps the arrays of n + M <= 2^20, and every row
-# block, on reused heap pages.  Other allocators ignore it.
-_HEAP_BLOCK_FLOATS = 2**20
-
-
-def _raise_mmap_threshold() -> None:
-    np.empty(_HEAP_BLOCK_FLOATS)  # allocated and freed at once
-
+# The heap set-up that keeps a replicate's arrays on reused pages is done
+# once, when ``simulate`` is imported (see ``simulate._raise_mmap_threshold``).
 
 # (problem, bundle, plan) of the run, set once in each pool worker
 _worker_run = None
@@ -245,7 +233,6 @@ _worker_run = None
 
 def _init_worker(problem, bundle: ScalingBundle, plan: ReplicatePlan) -> None:
     global _worker_run
-    _raise_mmap_threshold()
     _worker_run = (problem, bundle, plan)
 
 
@@ -260,7 +247,6 @@ def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int
     The plan is built here, once; pool workers receive it with the problem
     and the bundle when they start, so a task is only (r, seed).
     """
-    _raise_mmap_threshold()
     plan = ReplicatePlan.build(problem, bundle, with_reduction)
     tasks = [(r, derive_seed(master_seed, r)) for r in range(R)]
     workers = os.cpu_count() if threads == 0 else threads

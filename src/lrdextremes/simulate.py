@@ -40,9 +40,12 @@ a spectrum, and a replicate pays one blocked multiply-and-sum over eps for
 it, not a filter pass.  The window sums are built by pairwise doubling in
 cache-sized chunks (``window_sums``), which keeps each within a relative
 (ceil(log2 n) + 1) * 2^-53 of exact; differences of a running cumsum lose
-digits on the small windows of the tail.  No replicate kernel calls a
-BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @): those run
-OpenBLAS's own threads, so a run with one worker would not be one core.
+digits on the small windows of the tail.  Neither a replicate kernel nor
+the set-up (coefficients, plans, window sums, autocovariances, sigma_{n,1})
+calls a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @):
+those run OpenBLAS's own threads, so a run with one worker would not be
+one core, and OpenBLAS splits a sum by its thread count, so the sum's bits
+would depend on that count.
 
 A replicate study builds the power-1 plan once, in its scaling bundle, and
 raises it to order p in its replicate plan, so the taps are transformed
@@ -74,6 +77,11 @@ builders make no other array as long as the filter.  Each piece goes
 through the elementwise operations, transform length and summation tree
 of one pass over the whole array, so the results are the same bytes; the
 same holds for the row blocks of ``FilterPlan.stream``.
+
+Importing this module raises glibc's mmap and trim thresholds once, before
+the package allocates (``_raise_mmap_threshold``), so those pieces and a
+replicate's arrays reuse heap pages at every entry point: a study's set-up
+and replicates, ``sigma_n1_exact``, ``simulate_path`` and the CLI.
 """
 
 from __future__ import annotations
@@ -117,6 +125,27 @@ _SEGMENT_PATHS = 4
 # segment transform, about 2 MB: the block depends only on the FFT length,
 # so results do not depend on the worker count
 _BLOCK_POINTS = 2**18
+
+# A replicate allocates a few dozen arrays of about n + M floats (one-segment
+# filters) or of a row block of the filter pass (partitioned ones), and the
+# set-up at the cap builds its coefficients, spectra and window sums from
+# chunks and row blocks of the same sizes.  glibc's malloc maps blocks above
+# its mmap threshold to fresh pages and returns free heap above its trim
+# threshold (both 128 KiB at start), so each such array faults its pages in
+# anew.  Freeing a mapped block raises the mmap threshold to the block's size
+# and the trim threshold to twice that (mallopt(3)): 8 MiB keeps the arrays
+# of n + M <= 2^20, every row block and every chunk on reused heap pages.
+# It is done once, when this module is imported, before the package
+# allocates anything: forked pool workers inherit it, and spawned ones
+# import the module again.  Other allocators ignore it.
+_HEAP_BLOCK_FLOATS = 2**20
+
+
+def _raise_mmap_threshold() -> None:
+    np.empty(_HEAP_BLOCK_FLOATS)  # allocated and freed at once
+
+
+_raise_mmap_threshold()
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,7 +669,7 @@ def sigma_n1_from_autocovariances(rho: np.ndarray, n):
     prev = 0
     for j, K in enumerate(ks):
         acc1 += float(np.sum(rho[prev + 1 : K + 1]))
-        acc2 += float(np.dot(k[prev + 1 : K + 1], rho[prev + 1 : K + 1]))
+        acc2 += float(np.sum(k[prev + 1 : K + 1] * rho[prev + 1 : K + 1]))
         s1[j], s2[j] = acc1, acc2
         prev = K
     out = np.sqrt(ns * rho[0] + 2.0 * (ns * s1[where] - s2[where]))

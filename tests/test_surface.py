@@ -8,16 +8,19 @@ attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
 it against the package.  It also keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
-the filter's transforms, and keeps the replicate kernels off BLAS: numpy
-hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and ``@`` on
-float64 to OpenBLAS, whose own threads would make a one-worker run use
-more than one core.  Last, every name the package re-exports must have a
-caller in the package or in ``perfbench/``, unless an allowlist names the
-reason it stays.
+the filter's transforms, and keeps the replicate and set-up kernels off
+BLAS: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and
+``@`` on float64 to OpenBLAS, whose own threads would make a one-worker run
+use more than one core, and whose partial sums depend on its thread count.
+Last, every name the package re-exports must have a caller in the package
+or in ``perfbench/``, unless an allowlist names the reason it stays.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,13 +210,70 @@ def test_blas_scan_finds_each_form():
     assert blas_uses(ast.parse(snippet).body[0]) == [2, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
-def test_replicate_kernels_call_no_blas(module, kernel):
+def assert_no_blas(module: str, kernel: str, listed_in: str) -> None:
     defs = definitions(ast.parse((PACKAGE / module).read_text(), filename=module))
-    assert kernel in defs, f"{module} no longer defines {kernel}; update REPLICATE_KERNELS"
+    assert kernel in defs, f"{module} no longer defines {kernel}; update {listed_in}"
     found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"{kernel} reaches BLAS-backed calls in {module}: {found}"
+
+
+@pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
+def test_replicate_kernels_call_no_blas(module, kernel):
+    assert_no_blas(module, kernel, "REPLICATE_KERNELS")
+
+
+# the set-up of a study, which runs in the same process before its replicates
+SETUP_KERNELS = [
+    ("scaling.py", "make_bundle"),
+    ("simulate.py", "sigma_n1_from_autocovariances"),
+    ("simulate.py", "FilterPlan.build"),
+    ("simulate.py", "FilterPlan.with_order"),
+    ("simulate.py", "FilterPlan._spectrum"),
+    ("simulate.py", "FilterPlan.autocovariances"),
+    ("simulate.py", "window_sums"),
+    ("model.py", "CoefficientModel.build"),
+    ("model.py", "_square_sum"),
+    ("mc.py", "ReplicatePlan.build"),
+    ("estats.py", "TailGrid.build"),
+]
+
+
+@pytest.mark.parametrize("module,kernel", SETUP_KERNELS)
+def test_setup_kernels_call_no_blas(module, kernel):
+    assert_no_blas(module, kernel, "SETUP_KERNELS")
+
+
+# sigma_{n,1} of a fixed rho of 32 262 lags, the Case 4 truncation length.  With
+# the sum of k * rho_k taken by np.dot, OpenBLAS split it by thread count, and
+# this rho gave 0x1.64d2d68bf45c9p+14 under one thread and ...c8p+14 under two
+SIGMA_BITS_SCRIPT = """
+import numpy as np
+from lrdextremes.simulate import sigma_n1_from_autocovariances
+rho = np.random.default_rng(0).uniform(0.0, 1.0, 32262)
+print(sigma_n1_from_autocovariances(rho, rho.size).hex())
+"""
+
+
+def usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="one core: OpenBLAS would not split the sum between threads")
+def test_sigma_n1_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    bits = [
+        subprocess.run(
+            [sys.executable, "-c", SIGMA_BITS_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for threads in ("1", "2")
+    ]
+    assert bits[0] == bits[1], f"sigma_n1 under 1 and 2 OpenBLAS threads: {bits}"
 
 
 # re-exported names that no program path calls, each kept for a named reason
