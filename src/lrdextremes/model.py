@@ -840,9 +840,11 @@ class CoefficientModel:
     def build(cls, beta: float, L0: SlowlyVaryingFn | None = None, M: int | None = None) -> "CoefficientModel":
         """c_1..c_M written chunk by chunk into the one array that is kept.
 
-        Each chunk of ``_CHUNK_POINTS`` coefficients evaluates k^-beta and
-        L0(k) elementwise, exactly as one pass over 1..M would, so no other
-        array as long as c is built.
+        Each chunk of ``_CHUNK_POINTS`` coefficients writes k^-beta straight
+        into c and multiplies it by L0(k) in place (by the scalar for a
+        constant L0), exactly as one pass over 1..M would.  The chunk's k is
+        one float arange plus its offset, exact below 2^53, so the only other
+        arrays are that arange and k, one chunk each.
         """
         if L0 is None:
             L0 = SvConstant(1.0)
@@ -850,10 +852,18 @@ class CoefficientModel:
             raise DomainError("M is required; use simulate.build_coefficient_model to derive it from a tolerance")
         c = np.empty(M + 1)
         c[0] = 1.0
+        steps = np.arange(min(_CHUNK_POINTS, M), dtype=float)
+        k = np.empty_like(steps)
         for lo in range(1, M + 1, _CHUNK_POINTS):
-            k = np.arange(lo, min(lo + _CHUNK_POINTS, M + 1), dtype=float)
-            # L0 applied on [1, inf); the log-power variant is constant below e
-            np.multiply(k**-beta, L0._eval(k), out=c[lo : lo + k.size])
+            size = min(_CHUNK_POINTS, M + 1 - lo)
+            ks, out = k[:size], c[lo : lo + size]
+            np.add(steps[:size], lo, out=ks)
+            np.power(ks, -beta, out=out)
+            if isinstance(L0, SvConstant):
+                out *= L0.c
+            else:
+                # L0 applied on [1, inf); the log-power variant is constant below e
+                out *= L0._eval(ks)
         return cls(beta, L0, M, c)
 
     @property

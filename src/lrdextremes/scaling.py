@@ -26,7 +26,7 @@ from .model import (
     TargetMarginalY,
     sv_eval,
 )
-from .simulate import FilterPlan, sigma_n1_from_autocovariances
+from .simulate import FilterPlan
 
 # quadrature defaults: absolute/relative tolerances and the endpoint split
 QUAD_EPSABS = 1e-8
@@ -325,7 +325,7 @@ def make_bundle(
         k_n=k_n,
         xi=xi,
         p=pp,
-        sigma_n1=sigma_n1_from_autocovariances(plan.autocovariances(sigma_eps2), n),
+        sigma_n1=plan.sigma_n1(sigma_eps2),
         A_n=big_A(mx, ty, n, k_n),
         d_np=d_np(n, pp, beta, L0),
         mu_n=centering(ty, n, k_n),

@@ -50,10 +50,15 @@ would depend on that count.
 A replicate study builds the power-1 plan once, in its scaling bundle, and
 raises it to order p in its replicate plan, so the taps are transformed
 once per filtered power and run, and c**p is not transformed at all.  The
-exact autocovariances at lags 0..min(n-1, M), and sigma_{n,1} from them,
-come from the same plan: a one-segment plan reads them off its spectrum,
-and a partitioned one streams the reversed taps through its power-1 pass,
-O((n + M) log n).
+bundle's sigma_{n,1} comes from the same spectra (``FilterPlan.sigma_n1``):
+sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
+sigma_{n,1}^2 = sigma_eps^2 ||w||^2; Parseval gives the part of ||w||^2 that
+each segment makes alone from its spectrum, and sums over the n - 1 taps on
+either side of each segment boundary give the overlaps, so no filter pass
+follows the spectra.  The exact autocovariances at lags 0..min(n-1, M), for
+what needs rho_k, come from a plan too: a one-segment plan reads them off
+its spectrum, and a partitioned one streams the reversed taps through its
+power-1 pass, O((n + M) log n).
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or the reversed
@@ -355,8 +360,10 @@ class FilterPlan:
     that power (module docstring).  A source is a seeded draw
     (``innovation_source``) or an array, with zeros past its end
     (``array_source``); ``apply(eps, m)`` is the pass on an array.
-    ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from
-    the power-1 spectra, so the taps are transformed here only, once per
+    ``sigma_n1`` takes sigma_{n,1} from the power-1 spectra and the taps
+    around the segment boundaries, with no further transform of the taps;
+    ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from the
+    power-1 spectra, so the taps are transformed here only, once per
     filtered power.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
@@ -536,6 +543,62 @@ class FilterPlan:
             acorr = self.with_order(1).stream(array_source(self.taps[::-1])).paths[0]
         return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
 
+    def sigma_n1(self, sigma_eps2: float) -> float:
+        """sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) = sqrt(sigma_eps^2 ||w||^2), w = c (*) 1_n, from the power-1 spectra.
+
+        w is the window sums of n taps, so it is the sum of the pieces
+        a_s (*) 1_n of the plan's segments a_s, B apart.  Consecutive pieces
+        overlap on n - 1 entries and no others meet (n - 1 < B), so
+
+            ||w||^2 = sum_s ||a_s (*) 1_n||^2 + 2 sum_s <suf_s, pre_{s+1}>,
+
+        where suf_s[t] sums the last n-1-t taps of a_s and pre_{s+1}[t] the
+        first t+1 of a_{s+1}.  Since B + n - 1 <= L, Parseval gives the first
+        term from the spectra: (1/L) sum_f g_f |D_f|^2 sum_s |A_s(f)|^2, with
+        D = rfft(1_n, L) and g_f = 1 for a bin without a conjugate twin (DC,
+        and Nyquist at even L), 2 for the others.  The spectra are read in
+        row blocks of rows = max(1, _BLOCK_POINTS // L) segments, and the
+        strips of 2 (n - 1) taps around the boundaries as many at a time, so
+        no array as long as the filter is made.  One segment has no boundary.
+        """
+        n, M, B, L, taps = self.n, self.M, self.B, self.L, self.taps
+        C = self.spectra[0]
+        if M == 0:
+            return math.sqrt(sigma_eps2 * (n * C**2))
+        S = len(C)
+        D = sfft.rfft(np.ones(n), L)
+        weight = np.square(D.real) + np.square(D.imag)
+        weight[1 : (L + 1) // 2] *= 2.0
+        rows = max(1, _BLOCK_POINTS // L)
+        parts = []
+        for lo in range(0, S, rows):
+            power = np.square(C[lo : lo + rows].real)
+            power += np.square(C[lo : lo + rows].imag)
+            power *= weight
+            parts.append(np.sum(power) / L)
+        k = n - 1
+        if S > 1 and k:
+            pad = S * B - (M + 1)
+            # the strip of taps k before to k after the first boundary, zero where it
+            # reaches into the pad; those of the other S - 2 boundaries lie within the taps
+            first = B - pad - k
+            lead = np.zeros((1, 2 * k))
+            lead[0, max(-first, 0) :] = taps[max(first, 0) : B - pad + k]
+            parts.append(2.0 * _strip_cross(lead, k))
+            if S > 2:
+                # the other strips, a row block of them at a time (2 k < L taps a strip)
+                strips = sliding_window_view(taps[first + B :], 2 * k)[::B]
+                parts.extend(2.0 * _strip_cross(strips[lo : lo + rows], k) for lo in range(0, S - 2, rows))
+        return math.sqrt(sigma_eps2 * math.fsum(parts))
+
+
+def _strip_cross(strips: np.ndarray, k: int) -> float:
+    """sum over rows of <suffix sums of the first k entries, prefix sums of the last k>, the overlap of two pieces."""
+    suffix = np.cumsum(strips[:, k - 1 :: -1], axis=1)[:, ::-1]
+    prefix = np.cumsum(strips[:, k:], axis=1)
+    prefix *= suffix
+    return float(np.sum(prefix))
+
 
 def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """X_i = sum_{k=0}^M c_k eps_{i-k} for i = 1..n via FFT convolution.
@@ -649,41 +712,13 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
     return sigma_eps2 * (partial + float(tail))
 
 
-def sigma_n1_from_autocovariances(rho: np.ndarray, n):
-    """sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) from the autocovariances rho_0, rho_1, ...
-
-    Evaluates n*rho_0 + 2*(n*S1 - S2), where S1 and S2 are the sums of
-    rho_k and k*rho_k over 1 <= k <= n-1; lags past the end of ``rho``
-    count as 0, so it must hold every nonzero lag below the largest n.
-    ``n`` may be a sequence of sizes: all of them then come from one pass
-    of cumulative sums, and the result is an array.
-    """
-    ns = np.atleast_1d(np.asarray(n))
-    kmax = np.minimum(ns - 1, rho.size - 1)
-    k = np.arange(rho.size, dtype=float)
-    # S1, S2 at each distinct kmax, accumulated over the gaps between them
-    # (pairwise sums within a gap, so no long running sum loses digits)
-    ks, where = np.unique(kmax, return_inverse=True)
-    s1, s2 = np.empty(ks.size), np.empty(ks.size)
-    acc1 = acc2 = 0.0
-    prev = 0
-    for j, K in enumerate(ks):
-        acc1 += float(np.sum(rho[prev + 1 : K + 1]))
-        acc2 += float(np.sum(k[prev + 1 : K + 1] * rho[prev + 1 : K + 1]))
-        s1[j], s2[j] = acc1, acc2
-        prev = K
-    out = np.sqrt(ns * rho[0] + 2.0 * (ns * s1[where] - s2[where]))
-    return float(out[0]) if np.ndim(n) == 0 else out
-
-
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
 
-    ``sigma_n1_from_autocovariances`` on the lags 0..min(max n - 1, M) of
-    ``FilterPlan.autocovariances`` at n = min(max n - 1, M) + 1, the
-    shortest plan that holds every lag the sizes need.  ``n`` may be a
-    sequence of sizes: all of them then come from that one plan, and the
-    result is an array.
+    ``FilterPlan.sigma_n1`` on the power-1 plan at each distinct size, so
+    the result is the one a study's bundle holds.  ``n`` may be a sequence
+    of sizes: the result is then an array, with one plan built per
+    distinct size.
     """
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
@@ -691,8 +726,9 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     if np.any(ns < 1):
         raise DomainError("n must be >= 1")
     c = np.asarray(c, dtype=float)
-    plan = FilterPlan.build(c, min(int(ns.max()) - 1, len(c) - 1) + 1)
-    return sigma_n1_from_autocovariances(plan.autocovariances(sigma_eps2), n)
+    sizes, where = np.unique(ns, return_inverse=True)
+    out = np.array([FilterPlan.build(c, int(size)).sigma_n1(sigma_eps2) for size in sizes])[where]
+    return float(out[0]) if np.ndim(n) == 0 else out
 
 
 def dump_path_csv(pp: PathPair, path) -> None:

@@ -442,6 +442,8 @@ class TestInPlaceBuilders:
         peak, top = peak_over_result(lambda: plan.with_order(2))
         assert top.spectra[0] is plan.spectra[0]
         assert peak < top.weights.nbytes + slack
+        peak, _ = peak_over_result(lambda: plan.sigma_n1(1.0))
+        assert peak < slack
 
 
 # a fresh interpreter that only imports the package, then counts the minor page
@@ -460,7 +462,7 @@ f0 = faults()
 cm = CoefficientModel.build(0.7, SvConstant(1.0), 2**21)
 f1 = faults()
 plan = FilterPlan.build(cm.c, 1024)
-plan.autocovariances(1.0)
+plan.sigma_n1(1.0)
 plan = plan.with_order(2)
 f2 = faults()
 plan.stream(innovation_source(InnovationDist.gaussian(1.0), 7))
@@ -478,7 +480,8 @@ def test_importing_the_package_keeps_cap_sized_work_on_reused_heap():
     # allocates, so the coefficient chunks and the pass's row blocks reuse heap
     # pages.  With the thresholds at their start value of 128 KiB, the build took
     # about 7 900 faults and the pass about 10 000 on a 2-core x86 box; raised,
-    # about 840 and 135.
+    # about 700 and 550-610, the pass's own row blocks (no pass of the same
+    # shapes runs in the set-up).
     src = str(Path(simulate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True)
@@ -620,6 +623,28 @@ class TestSigmaN1:
             w = cc[hi + 1] - cc[lo]
             oracle = math.sqrt(2.3 * float(np.sum(w * w)))
             assert sigma_n1_exact(c, 2.3, n) == pytest.approx(oracle, rel=1e-10)
+
+    # (n, M): one segment; partitioned with 55 zero taps in front, past the n - 1 = 15 taps
+    # before the first boundary (B = 64); with none; 4095 boundaries, more than the 3276 of
+    # one row block; n = 1 (no overlap), M = 0 and n > M + 1 (one segment each)
+    PLAN_GEOMETRIES = [(64, 1000), (16, 5000), (16, 64 * 80 - 1), (16, 2**18), (1, 300), (1, 0), (7, 0), (50, 10)]
+
+    @pytest.mark.parametrize("n,M", PLAN_GEOMETRIES)
+    def test_plan_sigma_matches_the_window_sums(self, n, M):
+        # sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps
+        c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
+        oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
+        assert FilterPlan.build(c, n).sigma_n1(1.3) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 77, 78, 100])
+    def test_plan_sigma_does_not_depend_on_the_row_block(self, rows, monkeypatch):
+        # S = 79 segments and 78 boundaries: blocks that end before, on and past the last boundary
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5001)
+        plan = FilterPlan.build(c, 16)
+        assert len(plan.spectra[0]) == 79 and plan.L == 80
+        oracle = math.sqrt(0.7 * math.fsum(window_sums(c, 16) ** 2))
+        monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
+        assert plan.sigma_n1(0.7) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     def test_mc_variance_band(self):
         cm = build_coefficient_model(0.8, tol=1e-3)

@@ -226,7 +226,7 @@ def test_replicate_kernels_call_no_blas(module, kernel):
 # the set-up of a study, which runs in the same process before its replicates
 SETUP_KERNELS = [
     ("scaling.py", "make_bundle"),
-    ("simulate.py", "sigma_n1_from_autocovariances"),
+    ("simulate.py", "FilterPlan.sigma_n1"),
     ("simulate.py", "FilterPlan.build"),
     ("simulate.py", "FilterPlan.with_order"),
     ("simulate.py", "FilterPlan._spectrum"),
@@ -244,14 +244,15 @@ def test_setup_kernels_call_no_blas(module, kernel):
     assert_no_blas(module, kernel, "SETUP_KERNELS")
 
 
-# sigma_{n,1} of a fixed rho of 32 262 lags, the Case 4 truncation length.  With
-# the sum of k * rho_k taken by np.dot, OpenBLAS split it by thread count, and
-# this rho gave 0x1.64d2d68bf45c9p+14 under one thread and ...c8p+14 under two
+# sigma_{n,1} of a fixed random filter of 32 262 taps, about the Case 4 truncation
+# length, from a partitioned plan (n = 2^8: 32 segments) and a one-segment one
+# (n = 2^15).  A sum taken by np.dot would be split by OpenBLAS's thread count,
+# and its last bits with it
 SIGMA_BITS_SCRIPT = """
 import numpy as np
-from lrdextremes.simulate import sigma_n1_from_autocovariances
-rho = np.random.default_rng(0).uniform(0.0, 1.0, 32262)
-print(sigma_n1_from_autocovariances(rho, rho.size).hex())
+from lrdextremes.simulate import FilterPlan
+c = np.random.default_rng(0).uniform(0.0, 1.0, 32262)
+print(*(FilterPlan.build(c, n).sigma_n1(1.0).hex() for n in (2**8, 2**15)))
 """
 
 
@@ -283,6 +284,7 @@ EXPORTS_WITHOUT_CALLER = {
     "trend_nonincreasing": "the acceptance criteria judge their trends with it",
     "karamata_product": "the acceptance criteria check A_n K_n -> 1 with it",
     "autocovariance": "the scalar reference that FilterPlan.autocovariances is tested against",
+    "autocovariances": "the exact lags rho_k; tests check sigma_n1 and the spectra against them, and ROADMAP item 2 builds on them",
     "autocovariance_model": "the theoretical autocovariance, kept for the LRD-at-experiment-size check",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
