@@ -841,10 +841,10 @@ class CoefficientModel:
         """c_1..c_M written chunk by chunk into the one array that is kept.
 
         Each chunk of ``_CHUNK_POINTS`` coefficients writes k^-beta straight
-        into c and multiplies it by L0(k) in place (by the scalar for a
-        constant L0), exactly as one pass over 1..M would.  The chunk's k is
-        one float arange plus its offset, exact below 2^53, so the only other
-        arrays are that arange and k, one chunk each.
+        into c and multiplies it by L0(k) in place, exactly as one pass over
+        1..M would.  The chunk's k is one float arange plus its offset, exact
+        below 2^53, so the only other arrays are that arange, k and L0(k),
+        one chunk each.
         """
         if L0 is None:
             L0 = SvConstant(1.0)
@@ -859,11 +859,8 @@ class CoefficientModel:
             ks, out = k[:size], c[lo : lo + size]
             np.add(steps[:size], lo, out=ks)
             np.power(ks, -beta, out=out)
-            if isinstance(L0, SvConstant):
-                out *= L0.c
-            else:
-                # L0 applied on [1, inf); the log-power variant is constant below e
-                out *= L0._eval(ks)
+            # L0 applied on [1, inf); the log-power variant is constant below e
+            out *= L0._eval(ks)
         return cls(beta, L0, M, c)
 
     @property

@@ -41,8 +41,8 @@ it, not a filter pass.  The window sums are built by pairwise doubling in
 cache-sized chunks (``window_sums``), which keeps each within a relative
 (ceil(log2 n) + 1) * 2^-53 of exact; differences of a running cumsum lose
 digits on the small windows of the tail.  Neither a replicate kernel nor
-the set-up (coefficients, plans, window sums, autocovariances, sigma_{n,1})
-calls a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @):
+the set-up (coefficients, plans, window sums, sigma_{n,1}) nor the exact
+lags calls a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @):
 those run OpenBLAS's own threads, so a run with one worker would not be
 one core, and OpenBLAS splits a sum by its thread count, so the sum's bits
 would depend on that count.
@@ -55,17 +55,20 @@ sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
 sigma_{n,1}^2 = sigma_eps^2 ||w||^2; Parseval gives the part of ||w||^2 that
 each segment makes alone from its spectrum, and sums over the n - 1 taps on
 either side of each segment boundary give the overlaps, so no filter pass
-follows the spectra.  The exact autocovariances at lags 0..min(n-1, M), for
-what needs rho_k, come from a plan too: a one-segment plan reads them off
-its spectrum, and a partitioned one streams the reversed taps through its
+follows the spectra.  The exact autocovariances at lags 0..min(n-1, M) are
+not part of a study's set-up: they are the reference that tests check
+sigma_{n,1} and the spectra against, and what the partial-sum variance
+checks of the roadmap build on.  A one-segment plan reads them off its
+spectrum, and a partitioned one streams the reversed taps through its
 power-1 pass, O((n + M) log n).
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
-its n + M inputs from a source (a seeded draw, an array, or the reversed
-taps followed by zeros) one row block at a time.  The padded last row
-arrives with the last block and its product starts each power's sum, so
-the pass holds the row-block sums until then: S / rows spectra of L/2 + 1
-complex numbers per filtered power, about 7 MB at the cap (n = 2^13).
+its n + M inputs from a source (a seeded draw, an array, or, for the exact
+lags, the reversed taps followed by zeros) one row block at a time.  The
+padded last row arrives with the last block and its product starts each
+power's sum, so the pass holds the row-block sums until then: S / rows
+spectra of L/2 + 1 complex numbers per filtered power, about 7 MB at the
+cap (n = 2^13).
 Apart from those and the paths it returns, it keeps one row block: its
 buffer, the padded copy rfft makes and the transform, about
 3 * _BLOCK_POINTS floats whatever M is, so no replicate builds its n + M
@@ -361,10 +364,10 @@ class FilterPlan:
     (``innovation_source``) or an array, with zeros past its end
     (``array_source``); ``apply(eps, m)`` is the pass on an array.
     ``sigma_n1`` takes sigma_{n,1} from the power-1 spectra and the taps
-    around the segment boundaries, with no further transform of the taps;
-    ``autocovariances`` takes the lags 0..min(n-1, M) of the filter from the
-    power-1 spectra, so the taps are transformed here only, once per
-    filtered power.
+    around the segment boundaries, with no further transform of the taps,
+    so the taps are transformed here only, once per filtered power.
+    ``autocovariances`` gives the exact lags 0..min(n-1, M) from the same
+    spectra, as a reference for tests; no study's set-up calls it.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
     module docstring (B = 4 n when M + 1 >= 32 n, else B = M + 1), after
@@ -715,10 +718,12 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
 
-    ``FilterPlan.sigma_n1`` on the power-1 plan at each distinct size, so
-    the result is the one a study's bundle holds.  ``n`` may be a sequence
-    of sizes: the result is then an array, with one plan built per
-    distinct size.
+    ``FilterPlan.sigma_n1`` on the power-1 plan at each distinct
+    min(n, M + 1), so for n <= M + 1 the result is the one a study's bundle
+    holds.  Past M + 1 the window sums w of n taps are those of M + 1 taps
+    with n - M - 1 more entries equal to sum c, so the plan at M + 1 serves
+    every larger n, adding (n - M - 1) sigma_eps^2 (sum c)^2.  ``n`` may be
+    a sequence of sizes: the result is then an array.
     """
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
@@ -726,8 +731,11 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     if np.any(ns < 1):
         raise DomainError("n must be >= 1")
     c = np.asarray(c, dtype=float)
-    sizes, where = np.unique(ns, return_inverse=True)
+    capped = np.minimum(ns, len(c))
+    sizes, where = np.unique(capped, return_inverse=True)
     out = np.array([FilterPlan.build(c, int(size)).sigma_n1(sigma_eps2) for size in sizes])[where]
+    # the plateau entries past M + 1; hypot leaves a capped size's value as the plan gave it
+    out = np.hypot(out, np.sqrt((ns - capped) * sigma_eps2) * abs(math.fsum(c)))
     return float(out[0]) if np.ndim(n) == 0 else out
 
 

@@ -299,7 +299,7 @@ class TestCoefficientModel:
     @pytest.mark.parametrize("M", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 3 * CHUNK + 17])
     def test_chunks_match_the_one_pass_formula(self, L0, M):
         # the one-pass formula over k = 1..M, byte for byte, across chunk boundaries and
-        # with a short last chunk (2 * CHUNK + 3 leaves 3 points); constant L0 takes the scalar product
+        # with a short last chunk (2 * CHUNK + 3 leaves 3 points)
         k = np.arange(1, M + 1, dtype=float)
         oracle = np.concatenate([[1.0], k**-0.7 * L0._eval(k)])
         assert CoefficientModel.build(0.7, L0, M).c.tobytes() == oracle.tobytes()

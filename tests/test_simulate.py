@@ -448,7 +448,8 @@ class TestInPlaceBuilders:
 
 # a fresh interpreter that only imports the package, then counts the minor page
 # faults of a coefficient build at M = 2^21 and of one streamed pass of a p = 2
-# plan (n = 2^10: 513 segments, row blocks of 51 windows) after its set-up
+# plan (n = 2^10: 513 segments, row blocks of 51 windows) after its set-up and
+# one untimed pass of the same shapes
 FAULTS_SCRIPT = """
 import json, resource
 import lrdextremes
@@ -464,6 +465,7 @@ f1 = faults()
 plan = FilterPlan.build(cm.c, 1024)
 plan.sigma_n1(1.0)
 plan = plan.with_order(2)
+plan.stream(innovation_source(InnovationDist.gaussian(1.0), 6))
 f2 = faults()
 plan.stream(innovation_source(InnovationDist.gaussian(1.0), 7))
 f3 = faults()
@@ -479,9 +481,8 @@ def test_importing_the_package_keeps_cap_sized_work_on_reused_heap():
     # Importing simulate raises glibc's mmap and trim thresholds before any set-up
     # allocates, so the coefficient chunks and the pass's row blocks reuse heap
     # pages.  With the thresholds at their start value of 128 KiB, the build took
-    # about 7 900 faults and the pass about 10 000 on a 2-core x86 box; raised,
-    # about 700 and 550-610, the pass's own row blocks (no pass of the same
-    # shapes runs in the set-up).
+    # about 960 faults and the timed pass about 9 900 on a 2-core x86 box, the
+    # untimed pass before it notwithstanding; raised, about 780 and under 10.
     src = str(Path(simulate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True)
@@ -645,6 +646,23 @@ class TestSigmaN1:
         oracle = math.sqrt(0.7 * math.fsum(window_sums(c, 16) ** 2))
         monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
         assert plan.sigma_n1(0.7) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n,M", [(2**20, 3), (2**16 + 5, 300), (2, 0)])
+    def test_exact_past_the_filter_length_matches_the_window_sums(self, n, M):
+        # n > M + 1: the plan at M + 1 plus the n - M - 1 plateau entries, each sum c
+        c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
+        oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
+        assert sigma_n1_exact(c, 1.3, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    def test_exact_at_a_size_no_plan_could_hold(self):
+        # w = [1, 1.5 (2^40 - 1 times), 0.5]; a plan at n = 2^40 would need 2^40 floats
+        n = 2**40
+        assert sigma_n1_exact(np.array([1.0, 0.5]), 1.0, n) == pytest.approx(
+            math.sqrt(1.25 + (n - 1) * 2.25), rel=1e-15
+        )
+        assert sigma_n1_exact(np.array([1.0, 0.5]), 1.0, [n, 2]) == pytest.approx(
+            [math.sqrt(1.25 + (n - 1) * 2.25), math.sqrt(1.25 + 2.25)], rel=1e-15
+        )
 
     def test_mc_variance_band(self):
         cm = build_coefficient_model(0.8, tol=1e-3)

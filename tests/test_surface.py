@@ -223,7 +223,9 @@ def test_replicate_kernels_call_no_blas(module, kernel):
     assert_no_blas(module, kernel, "REPLICATE_KERNELS")
 
 
-# the set-up of a study, which runs in the same process before its replicates
+# the set-up of a study, which runs in the same process before its replicates, and
+# the exact lags (FilterPlan.autocovariances): no study calls them, but they are the
+# reference sigma_{n,1} is tested against, so they are held to the same rule
 SETUP_KERNELS = [
     ("scaling.py", "make_bundle"),
     ("simulate.py", "FilterPlan.sigma_n1"),
