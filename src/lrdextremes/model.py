@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import ClampWarning, DomainError, FitError, StateError
@@ -59,6 +58,108 @@ def _record_clamps(count: int) -> None:
             ClampWarning,
             stacklevel=3,
         )
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al. 1983): the 21 Kronrod nodes
+# from 0 outwards with their weights, and the weights of the 10-point Gauss
+# rule, whose nodes are every second Kronrod node
+_QK21_X = np.array([
+    0.0, 0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452, 0.995657163025808080735527280689003,
+])
+_QK21_WK = np.array([
+    0.149445554002916905664936468389821, 0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717, 0.134709217311473325928054001771707,
+    0.123491976262065851077500010025785, 0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366, 0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580, 0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192,
+])
+_QK21_WG = np.array([
+    0.0, 0.295524224714752870173892994651338, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.066671344308688137593568809893332, 0.0,
+])
+# the same, mirrored onto the 21 nodes in ascending order
+_QK21_NODES = np.concatenate((-_QK21_X[:0:-1], _QK21_X))
+_QK21_KRONROD = np.concatenate((_QK21_WK[:0:-1], _QK21_WK))
+_QK21_GAUSS = np.concatenate((_QK21_WG[:0:-1], _QK21_WG))
+
+# a refining round cuts an interval into this many equal parts, unless it is
+# narrower than _GK_MIN_WIDTH of its magnitude: the outermost node of a part
+# lies 2.7e-4 of the interval's width inside it, so 2^-38 keeps it 4 ulps
+# from the part's ends, and never on a or b
+_GK_PARTS = 8
+_GK_STEPS = np.arange(_GK_PARTS + 1) / _GK_PARTS
+_GK_MIN_WIDTH = 2.0**-38
+
+
+def _qk21(fn, lo, hi):
+    """QUADPACK's qk21 value and error estimate on each interval [lo[i], hi[i]], with one call of fn."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _QK21_NODES
+    f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    resk = np.sum(f * _QK21_KRONROD, axis=1)
+    resg = np.sum(f * _QK21_GAUSS, axis=1)
+    resabs = half * np.sum(np.abs(f) * _QK21_KRONROD, axis=1)
+    resasc = half * np.sum(np.abs(f - 0.5 * resk[:, None]) * _QK21_KRONROD, axis=1)
+    err = half * np.abs(resk - resg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc != 0.0, scaled, err)
+    return half * resk, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def _gauss_kronrod(fn, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, points=None):
+    """int_a^b fn(x) dx, a <= b, by adaptive Gauss-Kronrod quadrature: (value, error estimate).
+
+    Called and answering like SciPy's QUADPACK ``quad``, with QUADPACK's
+    qk21 rule and error estimate on each interval.  ``fn`` takes a 1-d
+    array of nodes and returns its values there; the nodes are interior to
+    each interval, so fn never sees a, b or one of the breakpoints
+    ``points``, which split the first partition.  Each round cuts every
+    interval whose error exceeds an equal share of the tolerance (the
+    tolerance over the number of intervals) into _GK_PARTS equal parts, the
+    largest errors first while the partition stays within ``limit``
+    intervals, and evaluates all new nodes in one call.  A share in
+    proportion to width would not do: next to an endpoint singularity the
+    rounding floor of a narrow interval's error exceeds it, and every such
+    interval would be cut until the limit.  It ends when the summed error
+    is at most max(epsabs, epsrel |value|), when the value is not finite,
+    or when no interval can be cut; the error it returns then exceeds the
+    tolerance.
+    """
+    edges = np.array([a, *(points or ()), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _qk21(fn, lo, hi)
+    while True:
+        value, error = float(np.sum(val)), float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(value))
+        if not error > tol:  # a non-finite value ends here too
+            return value, error
+        width = hi - lo
+        over = (err * lo.size > tol) & (width > _GK_MIN_WIDTH * np.maximum(np.abs(lo), np.abs(hi)))
+        cut = np.flatnonzero(over)
+        room = max(0, (limit - lo.size) // (_GK_PARTS - 1))
+        if cut.size > room:
+            cut = cut[np.argsort(err[cut])[cut.size - room :]]
+        if not cut.size:
+            return value, error
+        grid = lo[cut, None] + width[cut, None] * _GK_STEPS
+        grid[:, -1] = hi[cut]
+        new_lo, new_hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        new_val, new_err = _qk21(fn, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[cut] = False
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +367,8 @@ _PROB_OPEN_REFUSAL = "quantile-side argument must lie in the open interval (0, 1
 
 
 def _check_prob_open(y):
-    # quad passes Python floats: compare them as they are, no array round trip
+    # scalar callers pass Python floats: compare them as they are, no array
+    # round trip (the quadrature's nodes come as one array and take the other path)
     if isinstance(y, float):
         if y <= 0.0 or y >= 1.0:
             raise DomainError(_PROB_OPEN_REFUSAL)
@@ -617,7 +719,7 @@ class TargetMarginalY:
 
     def integral_Q(self, lo: float, hi: float) -> float:
         """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
-        val, err = quad(lambda u: self.Q(u), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
+        val, err = _gauss_kronrod(lambda u: self.Q(u), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
         return float(val)
 
     def cum_Q(self, u):

@@ -103,12 +103,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
-from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc, zeta
 
 from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
     _CHUNK_POINTS,
+    _gauss_kronrod,
     CoefficientModel,
     GaussianMarginal,
     InnovationDist,
@@ -711,7 +711,7 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
             x = a / t
             return a / t**2 * x**-beta * L0._eval(x) * (x + k) ** -beta * L0._eval(x + k)
 
-        tail, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
+        tail, _ = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
     return sigma_eps2 * (partial + float(tail))
 
 

@@ -1,4 +1,4 @@
-"""Tests for slowly varying functions, marginals, targets, and subordination."""
+"""Tests for slowly varying functions, marginals, targets, subordination and the quadrature."""
 
 import math
 import pickle
@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from lrdextremes import model
 from lrdextremes.errors import ClampWarning, DomainError, FitError, StateError
@@ -23,13 +25,14 @@ from lrdextremes.model import (
     ParetoTarget,
     SvConstant,
     SvLogPower,
+    TargetMarginalY,
     clamp_events,
     fit_empirical_marginal,
     reset_clamp_events,
     subordinate,
     sv_eval,
 )
-from lrdextremes.model import _check_prob_open
+from lrdextremes.model import _QK21_GAUSS, _QK21_KRONROD, _QK21_NODES, _check_prob_open, _gauss_kronrod
 
 # high-precision values computed with an independent mpmath oracle
 # (root-solve of ncdf(x) = 0.975, and 1/sqrt(2*pi))
@@ -108,7 +111,7 @@ class TestGaussianMarginal:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
     def test_scalar_and_array_refusals_agree(self, bad):
-        # quad's Python floats take the scalar path; both refuse alike
+        # Python floats take the scalar path, the quadrature's node arrays the other; both refuse alike
         messages = set()
         for arg in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad])):
             with pytest.raises(DomainError) as exc:
@@ -190,8 +193,6 @@ class TestTargets:
         assert ty.integral_Q(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_cum_q_matches_quadrature(self):
-        from scipy.integrate import quad
-
         for ty in (ParetoTarget(2.0), ExponentialTarget(), LogParetoTarget(ParetoMarginal(4.0))):
             for lo, hi in [(0.0, 0.5), (0.3, 0.9), (0.9, 0.999)]:
                 ref, _ = quad(lambda u: ty.Q(u), lo, hi, limit=200)
@@ -208,9 +209,20 @@ class TestTargets:
         with pytest.raises(DomainError):
             LogParetoTarget(GaussianMarginal(1.0))  # gumbel base rejected
 
-    def test_identity_target_gaussian_cum_q(self):
-        from scipy.integrate import quad
+    def test_generic_integral_q_takes_the_quadrature(self):
+        # no closed antiderivative: int_lo^hi Phi^-1(u) du = phi(Phi^-1(lo)) - phi(Phi^-1(hi)).
+        # Q raises at u = 1, which the quadrature never evaluates
+        class QuantileOnly(TargetMarginalY):
+            def Q(self, u):
+                return GaussianMarginal(1.0).Q(u)
 
+        ty = QuantileOnly()
+        phi_q = lambda u: math.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
+        assert ty.integral_Q(0.2, 0.8) == pytest.approx(0.0, abs=1e-12)
+        assert ty.integral_Q(0.9, 1.0) == pytest.approx(phi_q(0.9), rel=1e-12)
+        np.testing.assert_allclose(ty.cum_Q(np.array([0.1, 0.5])), [-phi_q(0.1), -phi_q(0.5)], rtol=1e-12)
+
+    def test_identity_target_gaussian_cum_q(self):
         ty = IdentityTarget(GaussianMarginal(2.0))
         ref, _ = quad(lambda u: ty.Q(u), 0.2, 0.8, limit=200)
         assert ty.integral_Q(0.2, 0.8) == pytest.approx(ref, rel=1e-9)
@@ -359,3 +371,106 @@ class TestEmpiricalMarginal:
         m = fit_empirical_marginal(rng.standard_normal(20_000), 0.05, mda="gumbel")
         with pytest.raises(StateError):
             m.F_deriv(1, 0.0)
+
+
+def counted(fn, sizes):
+    """fn, recording the number of nodes of each call in ``sizes``."""
+
+    def wrapper(x):
+        sizes.append(x.size)
+        return fn(x)
+
+    return wrapper
+
+
+class TestGaussKronrod:
+    """The package's adaptive quadrature, against scipy.integrate.quad and closed forms."""
+
+    def test_rule_is_qk21(self):
+        # every second node carries the 10-point Gauss-Legendre rule
+        x, w = np.polynomial.legendre.leggauss(10)
+        gauss = _QK21_GAUSS != 0.0
+        np.testing.assert_allclose(_QK21_NODES[gauss], x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_QK21_GAUSS[gauss], w, rtol=0.0, atol=1e-15)
+        # and the 21-point Kronrod rule integrates every polynomial of degree <= 31 exactly
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(_QK21_KRONROD * _QK21_NODES**k) == pytest.approx(exact, abs=1e-15)
+
+    def test_smooth_integrand(self):
+        f = lambda x: 1.0 / (1.0 + 25.0 * x * x)
+        val, err = _gauss_kronrod(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+        ref, _ = quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert val == pytest.approx(0.4 * math.atan(5.0), rel=1e-14)
+        assert val == pytest.approx(ref, rel=1e-14)
+        assert err <= 1e-12 * val
+
+    def test_endpoint_singular_power_rank_integrand(self):
+        # f(Q(1 - u)) / f_Y(Q_Y(1 - u)) grows like u^-0.8 at u = 0 for a Gaussian X and a Pareto(1.25) Y.
+        # Each piece of power_rank_integral's partition meets its tolerance and its error estimate
+        # covers the distance to a tight quad; the sum matches the independent route in z = Q(y)
+        mx, ty = GaussianMarginal(1.0), ParetoTarget(1.25)
+        f = lambda u: mx.fQ_upper(u) / ty.fQ_upper(u)
+        total = 0.0
+        for a, b in [(0.0, 1e-6), (1e-6, 0.5), (0.5, 1.0 - 1e-6), (1.0 - 1e-6, 1.0)]:
+            val, err = _gauss_kronrod(f, a, b, epsabs=1e-12, epsrel=1e-8, limit=1000)
+            ref, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=5000)
+            assert err <= max(1e-12, 1e-8 * abs(val))
+            assert abs(val - ref) <= err
+            total += val
+        phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        ref, _ = quad(lambda z: phi(z) ** 2 / (1.25 * ndtr(-z) ** 1.8), -10.0, 25.0, limit=400)
+        assert total == pytest.approx(ref, rel=1e-8)
+
+    def test_breakpoint(self):
+        # a jump at 0.3; as a breakpoint it splits the first partition, where both sides are polynomials
+        f = lambda x: np.where(x < 0.3, x, 2.0 * x)
+        exact = 0.045 + 2.0 * (0.5 - 0.045)
+        sizes = []
+        val, err = _gauss_kronrod(counted(f, sizes), 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=50, points=[0.3])
+        ref, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=50, points=[0.3])
+        assert sizes == [42]
+        assert val == pytest.approx(exact, rel=1e-15)
+        assert val == pytest.approx(ref, rel=1e-15)
+        # without it, refinement finds the jump
+        val, err = _gauss_kronrod(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=500)
+        assert abs(val - exact) <= err <= 1e-12 * val
+
+    def test_nan_integrand_gives_a_non_finite_value(self):
+        sizes = []
+        f = counted(lambda x: np.where(x > 0.7, np.nan, x), sizes)
+        val, err = _gauss_kronrod(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=100)
+        assert not math.isfinite(val)
+        assert len(sizes) == 1  # no refinement of a value that is already lost
+
+    def test_limit_exhaustion_reports_an_error_above_the_tolerance(self):
+        f = lambda x: np.abs(np.sin(300.0 * x))
+        sizes = []
+        val, err = _gauss_kronrod(counted(f, sizes), 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=50)
+        _, quad_err = quad(f, 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=50)
+        assert err > 1e-10 * abs(val)
+        assert quad_err > 1e-10 * abs(val)
+        # every cut interval became 8 parts, and the partition stayed within the limit
+        evaluated = sum(sizes) // 21
+        assert 1 + 7 * (evaluated - 1) // 8 <= 50
+
+    def test_endpoints_are_never_evaluated(self):
+        def guarded(f, a, b):
+            def fn(x):
+                assert np.all((x > a) & (x < b)), "an endpoint was evaluated"
+                return f(x)
+
+            return fn
+
+        # singular at both ends; the rule cannot refine to the end at 1, where the floats are
+        # 2^-53 apart, so it reports an error above the tolerance that still covers the true error
+        val, err = _gauss_kronrod(
+            guarded(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0), 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=1000
+        )
+        assert abs(val - math.pi) <= err
+        # a Gaussian quantile raises at 0 and 1; the breakpoint at 0.5 is not evaluated either
+        mx = GaussianMarginal(1.0)
+        val, err = _gauss_kronrod(
+            guarded(lambda u: mx.Q(u) ** 2, 0.0, 1.0), 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=1000, points=[0.5]
+        )
+        assert val == pytest.approx(1.0, rel=1e-8)

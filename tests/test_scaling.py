@@ -3,11 +3,12 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from lrdextremes.errors import ConfigError, DomainError, InfeasibleConfigError
+from lrdextremes.errors import ConfigError, DomainError, InfeasibleConfigError, NumericError
 from lrdextremes.model import (
     ExponentialTarget,
     GaussianMarginal,
@@ -110,6 +111,23 @@ class TagOnlyMarginal(MarginalX):
 
     mda: MdaTag
     L: SlowlyVaryingFn | None = None
+
+
+@dataclass(frozen=True)
+class JaggedMarginal(GaussianMarginal):
+    """A Gaussian whose density-quantile is scaled by a square wave that jumps every 1/2000 in t."""
+
+    def fQ_upper(self, t):
+        return super().fQ_upper(t) * (1.5 + 0.5 * np.sign(np.sin(2000.0 * np.pi * np.asarray(t))))
+
+
+@dataclass(frozen=True)
+class NanTailMarginal(GaussianMarginal):
+    """A Gaussian whose density-quantile is NaN below t = 1e-3."""
+
+    def fQ_upper(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1e-3, np.nan, super().fQ_upper(t))
 
 
 @pytest.mark.parametrize(
@@ -216,6 +234,15 @@ class TestKaramata:
         with pytest.raises(DomainError):
             karamata_K(ParetoMarginal(4.0), ExponentialTarget(), 100, 100)
 
+    def test_refuses_when_the_interval_limit_binds(self):
+        # about 1000 jumps in [1/n, k_n/n]: 500 intervals cannot resolve them, and the error estimate says so
+        with pytest.raises(NumericError, match="did not converge"):
+            karamata_K(JaggedMarginal(1.0), ExponentialTarget(), 10**4, 5000)
+
+    def test_nan_integrand_is_refused(self):
+        with pytest.raises(NumericError, match="did not converge"):
+            karamata_K(NanTailMarginal(1.0), ExponentialTarget(), 10**4, 10**2)
+
     def test_case3_product_closed_form(self):
         """A_n K_n for Gaussian X, Pareto(6) Y at n = 2^15 without package code.
 
@@ -305,6 +332,9 @@ class TestPowerRank:
         assert val > 0
         assert val == pytest.approx(ref, rel=1e-6)
 
+    def test_nan_integrand_is_refused(self):
+        with pytest.raises(NumericError, match="diverges"):
+            power_rank_integral(NanTailMarginal(1.0), ExponentialTarget())
 
     def test_nodes_where_one_minus_u_rounds_to_one(self):
         # int_0^1 fQ(1-u)/f_YQ_Y(1-u) du = int phi(z)^2 / (alpha0 Phi(-z)^(1 + 1/alpha0)) dz by mpmath at

@@ -590,10 +590,12 @@ class TestAutocovariance:
         assert higher.with_order(1).weights is None
 
     def test_model_tail_correction_consistent(self):
-        # enlarging M must not change the tail-corrected value
-        a = autocovariance_model(0.75, SvConstant(1.0), 2 * 10**4, 10)
-        b = autocovariance_model(0.75, SvConstant(1.0), 2 * 10**6, 10)
-        assert a == pytest.approx(b, rel=1e-6)
+        # enlarging M must not change the tail-corrected value; a constant L0 takes the
+        # closed incomplete-beta tail, a log-power one the quadrature
+        for L0 in (SvConstant(1.0), SvLogPower(1.0, 0.5)):
+            a = autocovariance_model(0.75, L0, 2 * 10**4, 10)
+            b = autocovariance_model(0.75, L0, 2 * 10**6, 10)
+            assert a == pytest.approx(b, rel=1e-6)
 
     def test_model_vs_truncated_direction(self):
         # the truncated sum omits positive mass, so the model value is larger

@@ -12,7 +12,8 @@ the filter's transforms, and keeps the replicate and set-up kernels off
 BLAS: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and
 ``@`` on float64 to OpenBLAS, whose own threads would make a one-worker run
 use more than one core, and whose partial sums depend on its thread count.
-Last, every name the package re-exports must have a caller in the package
+A study in a fresh interpreter loads no ``scipy.integrate``, nor the
+subpackages it would bring.  Last, every name the package re-exports must have a caller in the package
 or in ``perfbench/``, unless an allowlist names the reason it stays.
 """
 
@@ -238,6 +239,7 @@ SETUP_KERNELS = [
     ("model.py", "_square_sum"),
     ("mc.py", "ReplicatePlan.build"),
     ("estats.py", "TailGrid.build"),
+    ("model.py", "_gauss_kronrod"),
 ]
 
 
@@ -277,6 +279,35 @@ def test_sigma_n1_bits_do_not_depend_on_the_blas_thread_count():
         for threads in ("1", "2")
     ]
     assert bits[0] == bits[1], f"sigma_n1 under 1 and 2 OpenBLAS threads: {bits}"
+
+
+# a study's set-up (feasibility quadratures, bundle) and one replicate, and K_n, in a
+# fresh interpreter.  The package integrates with its own Gauss-Kronrod rule, so none
+# of these is loaded: scipy.integrate alone brings the other three, 25 MB of RSS and
+# 0.2-0.4 s of import in every process
+UNLOADED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+UNLOADED_SCRIPT = f"""
+import sys
+from lrdextremes import ExperimentConfig, build_problem, karamata_K, run_replicates
+cfg = ExperimentConfig(beta=0.8, y_marginal="pareto:6", xi=0.97, master_seed=1, n=2**10, replicates=1)
+run_replicates(cfg, threads=1)
+_, _, mx, ty = build_problem(cfg)
+karamata_K(mx, ty, 2**10, 2**9)
+print(*(name for name in {UNLOADED_SCIPY!r} if name in sys.modules))
+"""
+
+
+def test_a_study_loads_no_scipy_integrate():
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", UNLOADED_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert not loaded, f"a study loaded {loaded}"
 
 
 # re-exported names that no program path calls, each kept for a named reason
