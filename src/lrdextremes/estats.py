@@ -8,13 +8,14 @@ asymptotically negligible remainders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, StateError
-from .model import CLAMP_EPS, EmpiricalMarginal, MarginalX, TargetMarginalY
+from .model import CLAMP_EPS, EmpiricalMarginal, MarginalX, TargetMarginalY, TurningGaps
 from .scaling import ScalingBundle
 from .simulate import FilterPlan, PathPair, PowerSums, array_source
 
@@ -152,6 +153,12 @@ def multilinear_sums(sums: PowerSums, p: int) -> list[float]:
 
 
 class ReductionSupResult(NamedTuple):
+    """The normalized supremum, and the size of the grid the statistic is defined on.
+
+    ``grid_size`` is 2n - 1 + 512 (sample points, midpoints, tail grid)
+    however few of the midpoints the supremum had to evaluate.
+    """
+
     value: float
     grid_size: int
 
@@ -175,41 +182,108 @@ class TailGrid:
         return cls(points=pts, F=np.asarray(mx.F(pts), dtype=float), derivs=derivs)
 
 
+def _smooth_part(mx: MarginalX, t: np.ndarray, y) -> np.ndarray | None:
+    """sum_r (-1)^(r-1) F^(r)(t) Y_{n,r}, summed in r order, or None when p = 0.
+
+    Each term is rounded once, (sign F^(r)) * Y_{n,r}, and added as it comes.
+    The first term stands for 0 + term: the two differ only at -0.0, which
+    no caller can tell apart, since it adds the sum to count - n F(t) and
+    that is never -0.0.
+    """
+    smooth = None
+    for r, (term, y_r) in enumerate(zip(mx.F_derivs(len(y), t), y), start=1):
+        if r % 2 == 0:
+            np.negative(term, out=term)
+        term *= y_r
+        if smooth is None:
+            smooth = term
+        else:
+            smooth += term
+    return smooth
+
+
+def _extremes(v: np.ndarray) -> tuple:
+    return (v.max(), -v.min()) if v.size else ()
+
+
 def reduction_sup_sorted(xs, F_xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:
     """``reduction_sup`` of a sorted sample ``xs`` given F(xs) and Y_{n,1..p} in ``y``.
 
     ``F_xs`` is F at the sample points as the frame evaluated it
-    (``ProcessFrame.F_sorted``, unclamped), so F is evaluated here at the
-    n - 1 midpoints only, and each F^(r) at the 2n - 1 points once.  The
-    empirical term is evaluated at the sample points, their left limits
-    and the midpoints, with counts read off the ranks of the sort: i + 1
-    (right) and i (left) at sample point i, i + 1 at midpoint i.  Only the
-    tail grid is searched.  Ties need no exact counts: at a value v held by
-    xs[a..b-1] the ranks give counts between a and b, the first copy's left
-    count is a and the last copy's right count is b, and the remainder is
-    monotone in the count, so the supremum is the one exact counts give (a
-    midpoint that rounds onto a neighbour is covered the same way).
+    (``ProcessFrame.F_sorted``, unclamped), and each F^(r) is evaluated
+    at them once.  The empirical term is evaluated at the sample points and
+    their left limits, with counts read off the ranks of the sort: i + 1
+    (right) and i (left) at sample point i.  Only the tail grid is
+    searched.  Ties need no exact counts: at a value v held by xs[a..b-1]
+    the ranks give counts between a and b, the first copy's left count is a
+    and the last copy's right count is b, and the remainder is monotone in
+    the count, so the supremum is the one exact counts give.
+
+    The midpoint of gap i, with count i + 1, enters the supremum too, but F
+    and F^(r) are evaluated there only where its value could raise the
+    maximum of the sample-point and tail-grid values.  The marginal's
+    ``turning_gaps`` names the gaps on which S_{n,p} may turn; on any other
+    gap S_{n,p} is monotone, so the midpoint value lies between the gap's
+    two endpoint values (the right limit at xs[i] and the left limit at
+    xs[i+1]), up to the evaluation error that its ``slack`` bounds.  So the
+    midpoints evaluated are those of the turning gaps and of the gaps whose
+    larger endpoint magnitude comes within ``slack`` of that maximum; the
+    others cannot exceed it, and the returned value is the one every
+    midpoint gives, bit for bit.  A marginal with no rule, or a maximum that
+    is not finite, has every midpoint evaluated.  A midpoint that rounds
+    onto a neighbour takes that neighbour's count, as ties do.
     """
     n = xs.size
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    nF, nF_m, nF_t = n * F_xs, n * np.asarray(mx.F(mids), dtype=float), n * tail.F
-    smooth, smooth_m, smooth_t = np.zeros(n), np.zeros(n - 1), np.zeros_like(nF_t)
+    counts = np.arange(n + 1.0)
+    nF = n * np.asarray(F_xs, dtype=float)
+    smooth = _smooth_part(mx, xs, y)
+    right = np.subtract(counts[1:], nF)
+    left = np.subtract(counts[:-1], nF, out=nF)
+    if smooth is not None:
+        right += smooth
+        left += smooth
+    nF_t, smooth_t = n * tail.F, np.zeros(tail.points.size)
     for r, y_r in enumerate(y, start=1):
-        sign = (-1.0) ** (r - 1)
-        smooth += sign * np.asarray(mx.F_deriv(r, xs), dtype=float) * y_r
-        smooth_m += sign * np.asarray(mx.F_deriv(r, mids), dtype=float) * y_r
-        smooth_t += sign * tail.derivs[r - 1] * y_r
-    right = np.arange(1.0, n + 1.0)
-    parts = (
-        (right - nF) + smooth,
-        (right - 1.0 - nF) + smooth,
-        (right[:-1] - nF_m) + smooth_m,  # a midpoint's left count equals its right count
-        (np.searchsorted(xs, tail.points, side="right") - nF_t) + smooth_t,
-        (np.searchsorted(xs, tail.points, side="left") - nF_t) + smooth_t,
-    )
+        smooth_t += (-1.0) ** (r - 1) * tail.derivs[r - 1] * y_r
+    ext = [
+        _extremes(v)
+        for v in (
+            right,
+            left,
+            (np.searchsorted(xs, tail.points, side="right") - nF_t) + smooth_t,
+            (np.searchsorted(xs, tail.points, side="left") - nF_t) + smooth_t,
+        )
+    ]
     # max |v| = max(max v, -min v); np.max keeps a NaN
-    sup = float(np.max([m for v in parts if v.size for m in (v.max(), -v.min())]))
+    sup = float(np.max([m for pair in ext for m in pair]))
+    gaps = _midpoint_gaps(right, left, ext[0], ext[1], sup, mx.turning_gaps(xs, y))
+    if gaps.size:
+        mids = 0.5 * (xs[gaps] + xs[gaps + 1])
+        mid = counts[gaps + 1] - n * np.asarray(mx.F(mids), dtype=float)
+        smooth_m = _smooth_part(mx, mids, y)
+        if smooth_m is not None:
+            mid += smooth_m
+        sup = float(np.max([sup, *_extremes(mid)]))
     return ReductionSupResult(value=sup / sigma_n1, grid_size=2 * n - 1 + tail.points.size)
+
+
+def _midpoint_gaps(right, left, right_ext, left_ext, sup: float, turns: TurningGaps | None) -> np.ndarray:
+    """Gaps whose midpoint may raise ``sup``: the turning gaps and those with an endpoint within the slack of it.
+
+    ``right`` and ``left`` are the values at the sample points, ``*_ext``
+    their (max, -min); gap i has the endpoint values right[i] and left[i + 1].
+    """
+    if turns is None or not math.isfinite(sup):
+        return np.arange(right.size - 1)
+    thr = sup - turns.slack
+    near = [turns.gaps]
+    # one pass for each side whose extreme reaches thr, none for the others
+    for ends, (hi, lo) in ((right[:-1], right_ext), (left[1:], left_ext)):
+        if hi >= thr:
+            near.append(np.flatnonzero(ends >= thr))
+        if lo >= thr:
+            near.append(np.flatnonzero(ends <= -thr))
+    return np.unique(np.concatenate(near))
 
 
 def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> ReductionSupResult:

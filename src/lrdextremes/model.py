@@ -19,6 +19,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx, ndtr, ndtri
@@ -362,6 +363,31 @@ class MarginalX:
         """r-th derivative of F; only analytic variants support r >= 2."""
         raise StateError(f"{type(self).__name__} does not provide analytic derivatives")
 
+    def F_derivs(self, p: int, x) -> list:
+        """F^(1), ..., F^(p) at x, as arrays the caller may overwrite."""
+        return [np.array(self.F_deriv(r, x), dtype=float) for r in range(1, p + 1)]
+
+    def turning_gaps(self, xs, y) -> TurningGaps | None:
+        """Gaps of the sorted sample ``xs`` on which the reduction remainder may turn.
+
+        ``y`` holds Y_{n,1..p}.  None means that any gap (xs[i], xs[i+1])
+        may hold an extremum of S_{n,p} above both its endpoint values, so
+        the supremum evaluates every midpoint; a marginal that can bound the
+        turning points returns a ``TurningGaps``.
+        """
+        return None
+
+
+class TurningGaps(NamedTuple):
+    """Gap indices i of (xs[i], xs[i+1]) where S_{n,p} may turn, and the rounding slack of its values.
+
+    ``slack`` bounds, with a wide margin, twice the floating-point error of
+    one evaluated value of S_{n,p} (a count minus n F plus the F^(r) terms).
+    """
+
+    gaps: np.ndarray
+    slack: float
+
 
 _PROB_OPEN_REFUSAL = "quantile-side argument must lie in the open interval (0, 1)"
 
@@ -377,6 +403,67 @@ def _check_prob_open(y):
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(_PROB_OPEN_REFUSAL)
     return arr
+
+
+# |z| beyond which He_r(z), r <= MAX_REDUCTION_ORDER = 4, may overflow while phi(z) underflows to 0
+_Z_FINITE = 1e50
+
+
+def _horner(poly: list, z: float) -> float:
+    v = 0.0
+    for c in reversed(poly):
+        v = v * z + c
+    return v
+
+
+def _widen(gaps, last: int) -> set:
+    """The gaps and their neighbours, within 0..last."""
+    return {j for g in gaps for j in (g - 1, g, g + 1) if 0 <= j <= last}
+
+
+def _sign_change_gap(poly: list, xs, s: float, lo: int, hi: int) -> int | None:
+    """The gap between samples lo and hi where ``poly`` at z = t/s changes sign, if it does, given it is monotone there."""
+    positive_lo = _horner(poly, float(xs[lo]) / s) > 0.0
+    if (_horner(poly, float(xs[hi]) / s) > 0.0) == positive_lo:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (_horner(poly, float(xs[mid]) / s) > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _rolle_gaps(poly: list, xs, s: float) -> set:
+    """Gaps (xs[i], xs[i+1]) of a sorted sample that may hold a sign change of ``poly`` at z = t/s.
+
+    Rolle's theorem, down the chain of derivatives: the last nonconstant
+    derivative is linear, so monotone.  If a derivative changes sign only
+    in the gaps found for it, the polynomial one order lower is monotone on
+    each run of samples between those gaps (widened by one), and changes
+    sign at most once there: where the signs at the run's ends differ,
+    bisection over the run's indices finds the gap.  That gap and the run
+    breaks are the level's result.  A run costs two evaluations and one per
+    halving, so a sample of n points costs O(p^2 log n) scalar evaluations.
+    """
+    while len(poly) > 1 and poly[-1] == 0.0:
+        poly = poly[:-1]
+    chain = []
+    while len(poly) > 1:
+        chain.append(poly)
+        poly = [k * poly[k] for k in range(1, len(poly))]
+    last, found = len(xs) - 1, set()
+    for q in reversed(chain):
+        breaks = sorted(_widen(found, last - 1))
+        lo = 0
+        for b in breaks + [last]:
+            gap = _sign_change_gap(q, xs, s, lo, b) if b > lo else None
+            if gap is not None:
+                found.add(gap)
+            lo = b + 1
+        found.update(breaks)
+    return found
 
 
 @dataclass(frozen=True)
@@ -447,6 +534,59 @@ class GaussianMarginal(MarginalX):
         coeffs[m] = 1.0
         he = np.polynomial.hermite_e.hermeval(z, coeffs) if m else 1.0  # He_0 = 1
         return (-1.0) ** m * he * phi / self.s**r
+
+    def F_derivs(self, p: int, x) -> list:
+        # F_deriv's operations for each r, in its order, on one z and one phi array;
+        # at r = 1 its (1.0 * phi) / s is phi / s, since 1.0 * phi is phi
+        if p == 0:
+            return []
+        z = np.asarray(x, dtype=float) / self.s
+        phi = z * -0.5
+        phi *= z
+        np.exp(phi, out=phi)
+        phi /= _SQRT2PI
+        out = [np.divide(phi, self.s, out=phi if p == 1 else None)]
+        for m in range(1, p):
+            coeffs = np.zeros(m + 1)
+            coeffs[m] = 1.0
+            d = (-1.0) ** m * np.polynomial.hermite_e.hermeval(z, coeffs)
+            d *= phi
+            d /= self.s ** (m + 1)
+            out.append(d)
+        return out
+
+    def turning_gaps(self, xs, y) -> TurningGaps | None:
+        """Gaps of the sorted sample ``xs`` on which S_{n,p} may turn, given Y_{n,1..p} in ``y``.
+
+        On (xs[i], xs[i+1]) the count is i + 1 and, with z = t/s and
+        F^(r)(t) = (-1)^(r-1) He_{r-1}(z) phi(z) / s^r,
+
+            dS_{n,p}/dt = phi(z)/s * P(z),  P(z) = -n - sum_r He_r(z) Y_{n,r} / s^r,
+
+        a polynomial of degree p or less.  On a gap where P does not change
+        sign, S_{n,p} is monotone, so its value at the midpoint lies between
+        its right limit at xs[i] and its left limit at xs[i+1], which the
+        supremum already holds.  The gaps returned are those that may hold a
+        sign change of P (``_rolle_gaps``), widened by one gap on each side
+        against rounding in P's signs.  Any other gap's midpoint can exceed
+        the larger endpoint magnitude only by the evaluation error of the
+        two values, which ``slack`` bounds: F and each F^(r) are evaluated
+        to a few ulp, and Cramer's inequality |He_m(z)| exp(-z^2/4) <=
+        1.09 sqrt(m!) bounds |F^(r)| by 0.44 sqrt((r-1)!) / s^r, so an
+        evaluated S_{n,p} is off by far less than the 1e-9 (n + sum_r
+        |Y_{n,r}| sqrt((r-1)!) / s^r) taken.  None (every gap) when a Y_{n,r}
+        or an extreme sample is not finite, or so large that He_r(z) phi(z)
+        could reach inf * 0: there a midpoint may be NaN where no endpoint is.
+        """
+        n = len(xs)
+        a = [float(y_r) / self.s**r for r, y_r in enumerate(y, start=1)]
+        if not (all(map(math.isfinite, a)) and -_Z_FINITE < xs[0] / self.s and xs[-1] / self.s < _Z_FINITE):
+            return None
+        slack = 1e-9 * (n + sum(abs(a_r) * math.sqrt(math.factorial(r - 1)) for r, a_r in enumerate(a, start=1)))
+        # P in the power basis of z
+        poly = np.polynomial.hermite_e.herme2poly([-float(n)] + [-a_r for a_r in a]).tolist()
+        gaps = _widen(_rolle_gaps(poly, xs, self.s), n - 2)
+        return TurningGaps(gaps=np.array(sorted(gaps), dtype=np.intp), slack=slack)
 
 
 @dataclass(frozen=True)

@@ -594,6 +594,41 @@ class FilterPlan:
                 parts.extend(2.0 * _strip_cross(strips[lo : lo + rows], k) for lo in range(0, S - 2, rows))
         return math.sqrt(sigma_eps2 * math.fsum(parts))
 
+    def sigma_n1_shorter(self, sigma_eps2: float, ns) -> np.ndarray:
+        """sigma_{n,1} at window lengths n < self.n, from a one-segment plan's spectrum.
+
+        The plan's L >= self.n + M > n + M, so c (*) 1_n does not wrap in
+        length L, and Parseval gives ||w||^2 = (1/L) sum_f g_f |D_f|^2 |C(f)|^2
+        as in ``sigma_n1``, with D = rfft(1_n, L) of each n.  Its modulus is
+        the Dirichlet kernel, |D_f|^2 = sin^2(pi f n / L) / sin^2(pi f / L)
+        (n^2 at f = 0), taken in closed form from one table of
+        sin^2(pi r / L), r = 0..L/2: sin^2 has period pi and is even about
+        pi/2, so the numerator is the entry at r = (f n mod L) folded into
+        [0, L/2], reduced exactly in integers.  So the table and
+        g |C|^2 / sin^2(pi f / L) are computed once for all sizes, and each
+        size costs one gather and one sum, with no transform.
+        """
+        ns = np.asarray(ns)
+        C, L = self.spectra[0], self.L
+        if np.any(ns < 1) or np.any(ns >= self.n) or (self.M > 0 and len(C) > 1):
+            raise DomainError(f"a plan at n = {self.n} with a partitioned filter or n at or above it does not serve n = {ns}")
+        if self.M == 0:
+            return np.sqrt(sigma_eps2 * (ns * C**2))
+        bins = np.arange(L // 2 + 1)
+        sin2 = np.square(np.sin(bins * (math.pi / L)))
+        power = np.square(C[0].real)
+        power += np.square(C[0].imag)
+        power[1 : (L + 1) // 2] *= 2.0
+        power[1:] /= sin2[1:]
+        out = []
+        for n in ns.tolist():
+            r = bins[1:] * n % L
+            np.minimum(r, L - r, out=r)
+            weighted = sin2[r]
+            weighted *= power[1:]
+            out.append(math.sqrt(sigma_eps2 * ((float(n) ** 2 * power[0] + np.sum(weighted)) / L)))
+        return np.array(out)
+
 
 def _strip_cross(strips: np.ndarray, k: int) -> float:
     """sum over rows of <suffix sums of the first k entries, prefix sums of the last k>, the overlap of two pieces."""
@@ -718,12 +753,18 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
 
-    ``FilterPlan.sigma_n1`` on the power-1 plan at each distinct
-    min(n, M + 1), so for n <= M + 1 the result is the one a study's bundle
-    holds.  Past M + 1 the window sums w of n taps are those of M + 1 taps
-    with n - M - 1 more entries equal to sum c, so the plan at M + 1 serves
-    every larger n, adding (n - M - 1) sigma_eps^2 (sum c)^2.  ``n`` may be
-    a sequence of sizes: the result is then an array.
+    ``FilterPlan.sigma_n1`` on power-1 plans, at each distinct
+    min(n, M + 1).  Past M + 1 the window sums w of n taps are those of
+    M + 1 taps with n - M - 1 more entries equal to sum c, so the plan at
+    M + 1 serves every larger n, adding (n - M - 1) sigma_eps^2 (sum c)^2.
+    ``n`` may be a sequence of sizes: the result is then an array.  The
+    sizes whose plan is one segment (M + 1 < 32 n) are all served by the
+    plan of the largest of them, so a grid transforms the taps once for
+    them; each partitioned size builds its own plan.  A single n, and the
+    largest one-segment size of a grid, take the plan a study's bundle
+    builds at that n, and its value; the smaller one-segment sizes of a
+    grid sum over a longer transform and may differ from their single-n
+    value in the last bits.
     """
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
@@ -733,9 +774,17 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     c = np.asarray(c, dtype=float)
     capped = np.minimum(ns, len(c))
     sizes, where = np.unique(capped, return_inverse=True)
-    out = np.array([FilterPlan.build(c, int(size)).sigma_n1(sigma_eps2) for size in sizes])[where]
-    # the plateau entries past M + 1; hypot leaves a capped size's value as the plan gave it
-    out = np.hypot(out, np.sqrt((ns - capped) * sigma_eps2) * abs(math.fsum(c)))
+    # the one-segment sizes are the largest ones: M + 1 < 32 n
+    first = int(np.searchsorted(_PARTITION_MIN_PATHS * sizes, len(c), side="right"))
+    vals = [FilterPlan.build(c, int(size)).sigma_n1(sigma_eps2) for size in sizes[:first]]
+    if first < sizes.size:
+        shared = FilterPlan.build(c, int(sizes[-1]))
+        vals += [*shared.sigma_n1_shorter(sigma_eps2, sizes[first:-1]), shared.sigma_n1(sigma_eps2)]
+    out = np.array(vals)[where]
+    # the plateau entries past M + 1
+    over = ns > capped
+    if over.any():
+        out[over] = np.hypot(out[over], np.sqrt((ns[over] - capped[over]) * sigma_eps2) * abs(math.fsum(c)))
     return float(out[0]) if np.ndim(n) == 0 else out
 
 

@@ -32,6 +32,7 @@ from lrdextremes.model import (
     InnovationDist,
     MdaCase,
     ParetoTarget,
+    TurningGaps,
 )
 from lrdextremes.scaling import ScalingBundle, make_bundle
 from lrdextremes.simulate import (
@@ -266,6 +267,160 @@ class TestReductionSupOracle:
         expected = searchsorted_reduction_sup(x, eps, c, 3, mx, 2.0)
         assert math.isfinite(expected)
         assert reduction_sup(x, eps, c, 3, mx, 2.0).value == expected
+
+    # (s, z* = t*/s, samples in units of s): the gap around t* = -n s^2 / Y_1 is wide, and
+    # in the first case its midpoint is t* itself, where |S_{n,1}| is largest
+    @pytest.mark.parametrize(
+        "s,z_star,z",
+        [
+            (1.0, 0.04, [-2.8, -1.96, 2.04, 2.8]),
+            (3.0, -2.2, [-2.8, -1.6, -0.9, 0.9]),
+            (2.0, 2.6, [-1.2, 0.1, 1.1, 3.9, 4.5]),
+            (0.5, -0.9, [-3.0, 0.5]),
+        ],
+    )
+    def test_turning_point_inside_a_wide_gap(self, s, z_star, z):
+        mx, x = GaussianMarginal(s), s * np.array(z)
+        n, t_star = x.size, z_star * s
+        eps = np.array([-n * s * s / t_star])  # one tap of 1: Y_1 = sum eps
+        gap = int(np.searchsorted(x, t_star)) - 1
+        assert gap in mx.turning_gaps(x, list(eps)).gaps
+        expected = searchsorted_reduction_sup(x, eps, np.array([1.0]), 1, mx, 1.3)
+        assert reduction_sup(x, eps, np.array([1.0]), 1, mx, 1.3).value == expected
+        if z_star == 0.04:
+            # the midpoint raises the supremum: skipping the turning gap would lower it
+            assert reduction_sup(x, eps, np.array([1.0]), 1, NoTurnsGaussian(s), 1.3).value < expected
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("scale", [4.0, 8.0])
+    def test_several_turning_points_in_the_sample_range(self, p, scale):
+        c = np.array([1.0, 0.7, 0.4, 0.2])
+        rng = np.random.default_rng(p)
+        eps = scale * rng.standard_normal(12 + 3)
+        x = rng.uniform(-3.5, 3.5, 40)
+        mx = GaussianMarginal(1.0)
+        y = [kernel_Y(eps, c, r, p) for r in range(1, p + 1)]
+        # dS/dt = phi(t) P(t), P = -n - sum_r Y_r He_r: three of its roots fall between samples
+        roots = np.polynomial.hermite_e.HermiteE([-x.size] + [-v for v in y]).roots()
+        xs = np.sort(x)
+        inside = [r.real for r in roots if abs(r.imag) < 1e-9 and xs[0] < r.real < xs[-1]]
+        gaps = set((np.searchsorted(xs, inside) - 1).tolist())
+        assert len(gaps) == 3
+        assert gaps <= set(mx.turning_gaps(xs, y).gaps.tolist())
+        expected = searchsorted_reduction_sup(x, eps, c, p, mx, 1.0)
+        assert reduction_sup(x, eps, c, p, mx, 1.0).value == expected
+
+    def test_two_turning_points_in_one_gap(self):
+        # P(z) = -a_2 (z - 1.2)(z - 1.3) has the same sign at both ends of (0.5, 2.0): only
+        # the chain of derivatives (P' changes sign there) finds that S turns twice inside
+        n, (z1, z2) = 3, (1.2, 1.3)
+        a2 = n / (1.0 + z1 * z2)
+        y1, y2 = -a2 * (z1 + z2), a2
+        # one window of c = (1, 1): Y_1 = e0 + e1 and Y_2 = e0 e1
+        e0 = 0.5 * (y1 - math.sqrt(y1 * y1 - 4.0 * y2))
+        eps, c = np.array([e0, y1 - e0]), np.array([1.0, 1.0])
+        x, mx = np.array([-1.0, 0.5, 2.0]), GaussianMarginal(1.0)
+        y = [kernel_Y(eps, c, r, 2) for r in (1, 2)]
+        assert y == pytest.approx([y1, y2], rel=1e-12)
+        assert 1 in mx.turning_gaps(x, y).gaps
+        expected = searchsorted_reduction_sup(x, eps, c, 2, mx, 1.0)
+        assert reduction_sup(x, eps, c, 2, mx, 1.0).value == expected
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 4])
+    def test_one_and_two_samples(self, p):
+        mx = GaussianMarginal(1.7)
+        c, eps = np.array([1.0, 0.6]), np.array([0.4, -2.5, 1.1])
+        for x in ([0.3], [-4.0], [0.3, 0.3], [-0.2, 1.9], [2.5, -6.0]):
+            x = np.array(x)
+            expected = searchsorted_reduction_sup(x, eps, c, p, mx, 0.9)
+            assert reduction_sup(x, eps, c, p, mx, 0.9).value == expected
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_in_y_or_an_infinite_sample_gives_nan(self, p):
+        mx = GaussianMarginal(1.0)
+        c = np.array([1.0, 0.5])
+        x = np.array([-1.0, 0.2, 0.4, 1.5])
+        eps = np.array([0.3, np.nan, -0.2, 0.8, 0.1])
+        assert math.isnan(searchsorted_reduction_sup(x, eps, c, p, mx, 1.0))
+        assert math.isnan(reduction_sup(x, eps, c, p, mx, 1.0).value)
+        eps = np.array([0.3, 1.0, -0.2, 0.8, 0.1])
+        for bad in (np.inf, -np.inf):
+            xb = np.append(x, bad)
+            expected = searchsorted_reduction_sup(xb, eps, c, p, mx, 1.0)
+            if p >= 2:  # He_1(+-inf) phi(+-inf) = inf * 0
+                assert math.isnan(expected)
+            got = reduction_sup(xb, eps, c, p, mx, 1.0).value
+            assert got == expected or math.isnan(got) and math.isnan(expected)
+
+    def test_random_small_samples(self):
+        # p = 0..4, |Y_r| up to 1e3, samples with and without ties, and in about a third
+        # of the runs a gap around a root of P (a turning point of S_{n,p}); skipping
+        # the turning gaps' midpoints would lower the supremum in some of the runs
+        rng = np.random.default_rng(2205)
+        raised = 0
+        for _ in range(2000):
+            p = int(rng.integers(0, 5))
+            n = int(rng.integers(1, 25))
+            s = float(np.exp(rng.uniform(-1.0, 1.0)))
+            c = rng.uniform(0.1, 1.0, int(rng.integers(1, 5)))
+            eps = rng.standard_normal(int(rng.integers(1, 8)) + c.size - 1)
+            y = []
+            if p:
+                # scale eps by lam: Y_r moves by lam^r, and each |Y_r| lands at or below 10^U(-1, 3)
+                top = max(abs(kernel_Y(eps, c, r, p)) ** (1.0 / r) for r in range(1, p + 1))
+                eps *= 10.0 ** (rng.uniform(-1.0, 3.0) / p) / max(top, 1e-300)
+                y = [kernel_Y(eps, c, r, p) for r in range(1, p + 1)]
+            x = s * rng.standard_normal(n) * rng.uniform(0.3, 3.0)
+            roots = np.polynomial.hermite_e.HermiteE([-n] + [-v / s**r for r, v in enumerate(y, start=1)]).roots()
+            real = roots.real[np.abs(roots.imag) < 1e-7 * (1.0 + np.abs(roots))]
+            if real.size and n >= 2 and rng.random() < 0.5:
+                t, h = s * rng.choice(real), s * rng.uniform(0.01, 1.0)
+                x = np.where(np.abs(x - t) < h, x + 2.0 * h * np.sign(x - t), x)
+                x[:2] = t - h, t + h
+            if rng.random() < 0.3:
+                x = np.round(x, 1)
+            mx = GaussianMarginal(s)
+            expected = searchsorted_reduction_sup(x, eps, c, p, mx, 1.0)
+            assert reduction_sup(x, eps, c, p, mx, 1.0).value == expected
+            raised += reduction_sup(x, eps, c, p, NoTurnsGaussian(s), 1.0).value < expected
+        assert raised >= 20
+
+    def test_midpoints_evaluated_on_a_case4_replicate(self):
+        # F at the n sample points for the frame, and at no more than 64 midpoints
+        n = 2**12
+        cm = build_coefficient_model(0.8, tol=1e-3)
+        mx = CountingGaussian(math.sqrt(cm.total_square_sum))
+        sig = sigma_n1_exact(cm.c, 1.0, n)
+        plan, tail = FilterPlan.build(cm.c, n), TailGrid.build(mx, 1)
+        for r in range(5):
+            eps = gen_innovations(InnovationDist.gaussian(1.0), n + cm.M, derive_seed(2026004, r))
+            sums = plan.stream(array_source(eps))
+            mx.points.clear()
+            frame = ProcessFrame.from_path(sums.paths[0], mx, ExponentialTarget(), sig)
+            res = reduction_sup_sorted(frame.x_sorted, frame.F_sorted, multilinear_sums(sums, 1), tail, mx, sig)
+            assert sum(mx.points) <= n + 64
+            assert res.grid_size == 2 * n - 1 + TAIL_GRID_SIZE
+            plain = GaussianMarginal(mx.s)
+            assert res.value == searchsorted_reduction_sup(sums.paths[0], eps, cm.c, 1, plain, sig)
+
+
+class NoTurnsGaussian(GaussianMarginal):
+    """A Gaussian marginal whose turning rule names no gap and no slack: only the midpoints at the maximum are evaluated."""
+
+    def turning_gaps(self, xs, y):
+        return TurningGaps(np.array([], dtype=np.intp), 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingGaussian(GaussianMarginal):
+    """A Gaussian marginal that records how many points each call of F takes."""
+
+    points: list = dataclasses.field(default_factory=list, compare=False)
+
+    def F(self, x):
+        self.points.append(np.size(x))
+        return super().F(x)
 
 
 def i3_direct(frame: ProcessFrame, bundle: ScalingBundle) -> float:

@@ -141,6 +141,29 @@ class TestGaussianMarginal:
             approx = (m.F_deriv(r - 1, xs + h) - m.F_deriv(r - 1, xs - h)) / (2 * h)
             np.testing.assert_allclose(m.F_deriv(r, xs), approx, rtol=1e-7, atol=1e-9)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_all_derivatives_have_f_deriv_bits(self, p):
+        # one z and one phi array for every order, and the same operations as F_deriv
+        m = GaussianMarginal(1.7)
+        xs = np.concatenate([np.random.default_rng(p).normal(0.0, 4.0, 4001), [0.0, -0.0, 1e-300, 60.0, -60.0]])
+        got = m.F_derivs(p, xs)
+        assert len(got) == p
+        for r, d in enumerate(got, start=1):
+            assert d.tobytes() == np.asarray(m.F_deriv(r, xs), dtype=float).tobytes()
+
+    def test_turning_gaps(self):
+        m = GaussianMarginal(2.0)
+        xs = np.linspace(-6.0, 6.0, 13)
+        # p = 1: P(z) = -13 - z Y_1 / 2 vanishes at t = 2 z = -13 * 4 / Y_1 = 2.6, in gap 8
+        turns = m.turning_gaps(xs, [-20.0])
+        assert turns.gaps.tolist() == [7, 8, 9]
+        assert turns.slack == pytest.approx(1e-9 * (13 + 10.0))
+        assert m.turning_gaps(xs, []).gaps.size == 0  # p = 0: P = -n
+        assert m.turning_gaps(xs[:1], [-20.0, 3.0]).gaps.size == 0
+        assert m.turning_gaps(xs, [np.nan]) is None
+        assert m.turning_gaps(np.append(xs, 1e60), [1.0]) is None
+        assert m.turning_gaps(np.append(xs, np.inf), [1.0]) is None
+
     def test_von_mises_ratio_tends_to_one(self):
         # Gumbel membership: fQ_upper(y) / (y * L(1/y)) -> 1 as y -> 0
         m = GaussianMarginal(1.0)
@@ -160,6 +183,13 @@ class TestParetoMarginal:
         np.testing.assert_allclose(m.Q(1.0 - y), y ** (-0.25), rtol=1e-13)
         np.testing.assert_allclose(m.fQ_upper(y), 4.0 * y**1.25, rtol=1e-13)
         assert np.max(np.abs(m.F(m.Q(y)) - y)) < 1e-12
+
+    def test_all_derivatives_default_to_f_deriv(self):
+        m = ParetoMarginal(4.0, x_m=2.0)
+        xs = np.array([1.0, 2.5, 3.0, 9.0])
+        for r, d in enumerate(m.F_derivs(3, xs), start=1):
+            np.testing.assert_array_equal(d, m.F_deriv(r, xs))
+        assert m.turning_gaps(np.sort(xs), [1.0, 2.0]) is None  # every gap may turn
 
     def test_derivatives_match_finite_differences(self):
         m = ParetoMarginal(4.0, x_m=2.0)

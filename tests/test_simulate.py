@@ -692,6 +692,37 @@ class TestSigmaN1:
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(oracle, rel=1e-13)
 
+    def test_n_grid_serves_its_one_segment_sizes_from_one_plan(self, monkeypatch):
+        # M + 1 = 301: sizes 10 and up are one segment and share the plan at min(500, 301);
+        # size 5 (M + 1 >= 32 n) is partitioned and builds its own
+        c = np.random.default_rng(9).uniform(0.05, 1.0, 301)
+        ns = [20, 50, 100, 301, 500, 5, 11]
+        build, built = FilterPlan.build, []
+
+        def counted_build(c, n, order=1):
+            built.append(n)
+            return build(c, n, order)
+
+        monkeypatch.setattr(FilterPlan, "build", counted_build)
+        grid = sigma_n1_exact(c, 1.3, ns)
+        assert sorted(built) == [5, 301]
+        for n, val in zip(ns, grid):
+            oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
+            assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        monkeypatch.undo()
+        # a single n keeps the bits of the plan at n, and so does the shared plan's own size in the grid
+        for n in [20, 301, 5]:
+            assert sigma_n1_exact(c, 1.3, n) == FilterPlan.build(c, n).sigma_n1(1.3)
+        assert grid[3] == sigma_n1_exact(c, 1.3, 301)
+
+    def test_shorter_sizes_need_a_one_segment_plan(self):
+        c = np.random.default_rng(10).uniform(0.05, 1.0, 301)
+        with pytest.raises(DomainError):
+            FilterPlan.build(c, 5).sigma_n1_shorter(1.0, [2])  # partitioned
+        with pytest.raises(DomainError):
+            FilterPlan.build(c, 64).sigma_n1_shorter(1.0, [64])  # not shorter
+        np.testing.assert_allclose(FilterPlan.build(np.array([2.0]), 9).sigma_n1_shorter(1.0, [1, 4]), [2.0, 4.0])
+
     def test_n_grid_domain(self):
         with pytest.raises(DomainError):
             sigma_n1_exact(np.array([1.0, 0.5]), 1.0, [4, 0])

@@ -9,9 +9,12 @@ it against the package.  It also keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
 the filter's transforms, and keeps the replicate and set-up kernels off
-BLAS: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` and
-``@`` on float64 to OpenBLAS, whose own threads would make a one-worker run
-use more than one core, and whose partial sums depend on its thread count.
+BLAS and LAPACK: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``,
+``np.matmul`` and ``@`` on float64 to OpenBLAS, and ``np.linalg``, the
+polynomial root finders (``np.roots``, ``polyroots``, ``hermeroots``, ...)
+and the eigenvalue routines to LAPACK on OpenBLAS's threads.  Those threads
+would make a one-worker run use more than one core, and BLAS's partial sums
+depend on their count.
 A study in a fresh interpreter loads no ``scipy.integrate``, nor the
 subpackages it would bring.  Last, every name the package re-exports must have a caller in the package
 or in ``perfbench/``, unless an allowlist names the reason it stays.
@@ -144,6 +147,8 @@ REPLICATE_KERNELS = [
     # the marginal functions a replicate of the reference workloads evaluates
     ("model.py", "GaussianMarginal.F"),
     ("model.py", "GaussianMarginal.F_deriv"),
+    ("model.py", "GaussianMarginal.F_derivs"),
+    ("model.py", "GaussianMarginal.turning_gaps"),
     ("model.py", "ExponentialTarget.Q"),
     ("model.py", "ExponentialTarget.cum_Q"),
     ("model.py", "ExponentialTarget.integral_Q"),
@@ -155,6 +160,9 @@ REPLICATE_KERNELS = [
     ("model.py", "IdentityTarget.integral_Q"),
 ]
 BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul"}
+# LAPACK-backed: every call through a ``linalg`` module, these names, and every
+# polynomial root finder (numpy's ``*roots`` take the companion matrix's eigenvalues)
+LAPACK_ROUTINES = {"eig", "eigh", "eigvals", "eigvalsh", "lstsq", "polyfit"}
 
 
 def definitions(tree: ast.Module) -> dict[str, ast.AST]:
@@ -191,24 +199,54 @@ def with_local_callees(defs: dict[str, ast.AST], name: str) -> list[str]:
     return seen
 
 
+def call_chain(func: ast.AST) -> list[str]:
+    """The dotted names of a call's target, innermost first: ``np.linalg.solve`` -> [np, linalg, solve]."""
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if isinstance(func, ast.Name):
+        parts.append(func.id)
+    return parts[::-1]
+
+
 def blas_uses(fn: ast.AST) -> list[int]:
-    """Lines with ``@``, ``@=`` or a call of a BLAS-backed routine (``np.dot``, ``a.dot``, ``dot``, ...)."""
+    """Lines with ``@``, ``@=`` or a call of a BLAS- or LAPACK-backed routine (``np.dot``, ``np.roots``, ...)."""
     lines = set()
     for node in ast.walk(fn):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             lines.add(node.lineno)
         elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
-            if name in BLAS_ROUTINES:
+            chain = call_chain(node.func)
+            name = chain[-1] if chain else None
+            if name in BLAS_ROUTINES or name in LAPACK_ROUTINES or "linalg" in chain[:-1]:
+                lines.add(node.lineno)
+            elif name is not None and name.endswith("roots"):
                 lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_blas_scan_finds_each_form():
-    body = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "inner(a, b)", "np.sum(a * b)"]
+    body = [
+        "a @ b",
+        "a @= b",
+        "np.dot(a, b)",
+        "a.dot(b)",
+        "inner(a, b)",
+        "np.linalg.solve(a, b)",
+        "scipy.linalg.eigh(a)",
+        "linalg.norm(a)",
+        "np.roots(a)",
+        "np.polynomial.polynomial.polyroots(a)",
+        "hermeroots(a)",
+        "np.linalg.eigvals(a)",
+        "eigvals(a)",
+        "np.polyfit(a, b, 1)",
+        "np.sum(a * b)",
+        "np.polynomial.hermite_e.hermeval(a, b)",
+    ]
     snippet = "def f(a, b):\n" + "".join(f"    {line}\n" for line in body)
-    assert blas_uses(ast.parse(snippet).body[0]) == [2, 3, 4, 5, 6]
+    assert blas_uses(ast.parse(snippet).body[0]) == list(range(2, 16))
 
 
 def assert_no_blas(module: str, kernel: str, listed_in: str) -> None:
@@ -216,7 +254,7 @@ def assert_no_blas(module: str, kernel: str, listed_in: str) -> None:
     assert kernel in defs, f"{module} no longer defines {kernel}; update {listed_in}"
     found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
     found = {name: lines for name, lines in found.items() if lines}
-    assert not found, f"{kernel} reaches BLAS-backed calls in {module}: {found}"
+    assert not found, f"{kernel} reaches BLAS- or LAPACK-backed calls in {module}: {found}"
 
 
 @pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
