@@ -92,6 +92,8 @@ _QK21_WG = np.array([
 _QK21_NODES = np.concatenate((-_QK21_X[:0:-1], _QK21_X))
 _QK21_KRONROD = np.concatenate((_QK21_WK[:0:-1], _QK21_WK))
 _QK21_GAUSS = np.concatenate((_QK21_WG[:0:-1], _QK21_WG))
+# QUADPACK's floor on an interval's error estimate, per unit of int |f| there
+_QK21_FLOOR = 50.0 * np.finfo(float).eps
 
 # a refining round cuts an interval into this many equal parts, unless it is
 # narrower than _GK_MIN_WIDTH of its magnitude: the outermost node of a part
@@ -107,60 +109,86 @@ def _qk21(fn, lo, hi):
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _QK21_NODES
     f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-    resk = np.sum(f * _QK21_KRONROD, axis=1)
-    resg = np.sum(f * _QK21_GAUSS, axis=1)
-    resabs = half * np.sum(np.abs(f) * _QK21_KRONROD, axis=1)
-    resasc = half * np.sum(np.abs(f - 0.5 * resk[:, None]) * _QK21_KRONROD, axis=1)
+    fk = f * _QK21_KRONROD
+    resk = fk.sum(axis=1)
+    resg = (f * _QK21_GAUSS).sum(axis=1)
+    resabs = half * np.abs(fk).sum(axis=1)
+    resasc = half * (np.abs(f - 0.5 * resk[:, None]) * _QK21_KRONROD).sum(axis=1)
     err = half * np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where(resasc != 0.0, scaled, err)
-    return half * resk, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return half * resk, np.maximum(err, _QK21_FLOOR * resabs)
 
 
 def _gauss_kronrod(fn, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, points=None):
     """int_a^b fn(x) dx, a <= b, by adaptive Gauss-Kronrod quadrature: (value, error estimate).
 
-    Called and answering like SciPy's QUADPACK ``quad``, with QUADPACK's
-    qk21 rule and error estimate on each interval.  ``fn`` takes a 1-d
-    array of nodes and returns its values there; the nodes are interior to
-    each interval, so fn never sees a, b or one of the breakpoints
-    ``points``, which split the first partition.  Each round cuts every
-    interval whose error exceeds an equal share of the tolerance (the
-    tolerance over the number of intervals) into _GK_PARTS equal parts, the
-    largest errors first while the partition stays within ``limit``
-    intervals, and evaluates all new nodes in one call.  A share in
-    proportion to width would not do: next to an endpoint singularity the
-    rounding floor of a narrow interval's error exceeds it, and every such
-    interval would be cut until the limit.  It ends when the summed error
-    is at most max(epsabs, epsrel |value|), when the value is not finite,
-    or when no interval can be cut; the error it returns then exceeds the
-    tolerance.
+    Called and answering like SciPy's QUADPACK ``quad``: the one-group case
+    of ``_gauss_kronrod_groups``, with the breakpoints ``points`` splitting
+    the first partition.  fn never sees a, b or a breakpoint.
     """
-    edges = np.array([a, *(points or ()), b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    val, err = _qk21(fn, lo, hi)
-    while True:
-        value, error = float(np.sum(val)), float(np.sum(err))
-        tol = max(epsabs, epsrel * abs(value))
-        if not error > tol:  # a non-finite value ends here too
-            return value, error
-        width = hi - lo
-        over = (err * lo.size > tol) & (width > _GK_MIN_WIDTH * np.maximum(np.abs(lo), np.abs(hi)))
-        cut = np.flatnonzero(over)
-        room = max(0, (limit - lo.size) // (_GK_PARTS - 1))
-        if cut.size > room:
-            cut = cut[np.argsort(err[cut])[cut.size - room :]]
-        if not cut.size:
-            return value, error
-        grid = lo[cut, None] + width[cut, None] * _GK_STEPS
-        grid[:, -1] = hi[cut]
-        new_lo, new_hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-        new_val, new_err = _qk21(fn, new_lo, new_hi)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[cut] = False
-        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+    (value,), (error,) = _gauss_kronrod_groups(fn, [[a, *(points or ()), b]], epsabs=epsabs, epsrel=epsrel, limit=limit)
+    return value, error
+
+
+def _gauss_kronrod_groups(fn, edges, *, epsabs: float, epsrel: float, limit: int):
+    """Adaptive Gauss-Kronrod quadrature of several groups of intervals in lockstep: (values, errors), lists.
+
+    Group g integrates fn over [edges[g][0], edges[g][-1]], its inner edges
+    splitting its first partition, with QUADPACK's qk21 rule and error
+    estimate on each interval.  ``fn`` takes a 1-d array of nodes and
+    returns its values there; the nodes are interior to each interval, so
+    fn never sees an edge.  In each round every unfinished group cuts each
+    of its intervals whose error exceeds an equal share of its tolerance
+    (the tolerance over its number of intervals) into _GK_PARTS equal
+    parts, the largest errors first while it stays within ``limit``
+    intervals; the new nodes of all groups go through one call of fn.  A
+    share in proportion to width would not do: next to an endpoint
+    singularity the rounding floor of a narrow interval's error exceeds it,
+    and every such interval would be cut until the limit.  A group finishes
+    when its summed error is at most max(epsabs, epsrel |value|), when its
+    value is not finite, or when none of its intervals can be cut; the
+    error it returns then exceeds the tolerance.  The others go on.
+
+    Each group's value and error are those it gets alone: it keeps its
+    intervals in the order a lone run does, kept ones first and then the
+    parts of each cut, and sums them by itself.  One sum across groups
+    (np.add.reduceat) would add in another order and round differently.
+    """
+    todo = []  # per unfinished group: its id, the (lo, hi, val, err) it keeps, and the (lo, hi) it adds
+    for g, e in enumerate(edges):
+        e = np.asarray(e, dtype=float)
+        todo.append((g, (e[:0],) * 4, (e[:-1], e[1:])))
+    values, errors = [0.0] * len(todo), [0.0] * len(todo)
+    while todo:
+        # one call of fn for the new intervals of every unfinished group
+        new_val, new_err = _qk21(fn, np.concatenate([t[2][0] for t in todo]), np.concatenate([t[2][1] for t in todo]))
+        refined, stop = [], 0
+        for g, kept, (new_lo, new_hi) in todo:
+            start, stop = stop, stop + new_lo.size
+            lo, hi = np.concatenate((kept[0], new_lo)), np.concatenate((kept[1], new_hi))
+            val, err = np.concatenate((kept[2], new_val[start:stop])), np.concatenate((kept[3], new_err[start:stop]))
+            value, error = float(val.sum()), float(err.sum())
+            values[g], errors[g] = value, error
+            tol = max(epsabs, epsrel * abs(value))
+            if not error > tol:  # a non-finite value ends here too
+                continue
+            width = hi - lo
+            over = (err * lo.size > tol) & (width > _GK_MIN_WIDTH * np.maximum(np.abs(lo), np.abs(hi)))
+            cut = over.nonzero()[0]
+            room = max(0, (limit - lo.size) // (_GK_PARTS - 1))
+            if cut.size > room:
+                cut = cut[np.argsort(err[cut])[cut.size - room :]]
+            if not cut.size:
+                continue
+            grid = lo[cut, None] + width[cut, None] * _GK_STEPS
+            grid[:, -1] = hi[cut]
+            keep = np.ones(lo.size, dtype=bool)
+            keep[cut] = False
+            refined.append((g, (lo[keep], hi[keep], val[keep], err[keep]), (grid[:, :-1].ravel(), grid[:, 1:].ravel())))
+        todo = refined
+    return values, errors
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InfeasibleConfigError, NumericError
 from .model import (
     _gauss_kronrod,
+    _gauss_kronrod_groups,
     MarginalX,
     MdaCase,
     MdaTag,
@@ -207,14 +208,17 @@ def iid_contrast(n: int, k_n: int, alpha: float) -> float:
 def _quad_pieces(fn, edges, epsrel: float) -> float:
     """Adaptive quadrature piecewise over [edges[0], edges[-1]].
 
-    Each piece is integrated on its own, to its own tolerance, which keeps
-    more digits of the small pieces than one call with the edges as
-    breakpoints; the nodes stay interior, so integrable endpoint
-    singularities are never evaluated directly.
+    Each piece is a group of ``_gauss_kronrod_groups``: integrated to its
+    own tolerance, which keeps more digits of the small pieces than one
+    group with the edges as breakpoints, and refined in lockstep with the
+    others, so a round is one call of fn for all pieces.  The nodes stay
+    interior, so integrable endpoint singularities are never evaluated
+    directly.  The first non-finite piece, in edge order, raises.
     """
+    pieces = [[a, b] for a, b in zip(edges[:-1], edges[1:])]
+    values, _ = _gauss_kronrod_groups(fn, pieces, epsabs=QUAD_EPSABS * 1e-4, epsrel=epsrel, limit=1000)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _gauss_kronrod(fn, a, b, epsabs=QUAD_EPSABS * 1e-4, epsrel=epsrel, limit=1000)
+    for (a, b), val in zip(pieces, values):
         if not math.isfinite(val):
             raise NumericError(f"integral diverges on ({a}, {b})")
         total += val

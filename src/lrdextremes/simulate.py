@@ -558,8 +558,9 @@ class FilterPlan:
         where suf_s[t] sums the last n-1-t taps of a_s and pre_{s+1}[t] the
         first t+1 of a_{s+1}.  Since B + n - 1 <= L, Parseval gives the first
         term from the spectra: (1/L) sum_f g_f |D_f|^2 sum_s |A_s(f)|^2, with
-        D = rfft(1_n, L) and g_f = 1 for a bin without a conjugate twin (DC,
-        and Nyquist at even L), 2 for the others.  The spectra are read in
+        D = rfft(1_n, L), taken in closed form (``_dirichlet_weights``), and
+        g_f = 1 for a bin without a conjugate twin (DC, and Nyquist at even
+        L), 2 for the others.  The spectra are read in
         row blocks of rows = max(1, _BLOCK_POINTS // L) segments, and the
         strips of 2 (n - 1) taps around the boundaries as many at a time, so
         no array as long as the filter is made.  One segment has no boundary.
@@ -569,9 +570,7 @@ class FilterPlan:
         if M == 0:
             return math.sqrt(sigma_eps2 * (n * C**2))
         S = len(C)
-        D = sfft.rfft(np.ones(n), L)
-        weight = np.square(D.real) + np.square(D.imag)
-        weight[1 : (L + 1) // 2] *= 2.0
+        (weight,) = _dirichlet_weights(L, [n])
         rows = max(1, _BLOCK_POINTS // L)
         parts = []
         for lo in range(0, S, rows):
@@ -599,14 +598,9 @@ class FilterPlan:
 
         The plan's L >= self.n + M > n + M, so c (*) 1_n does not wrap in
         length L, and Parseval gives ||w||^2 = (1/L) sum_f g_f |D_f|^2 |C(f)|^2
-        as in ``sigma_n1``, with D = rfft(1_n, L) of each n.  Its modulus is
-        the Dirichlet kernel, |D_f|^2 = sin^2(pi f n / L) / sin^2(pi f / L)
-        (n^2 at f = 0), taken in closed form from one table of
-        sin^2(pi r / L), r = 0..L/2: sin^2 has period pi and is even about
-        pi/2, so the numerator is the entry at r = (f n mod L) folded into
-        [0, L/2], reduced exactly in integers.  So the table and
-        g |C|^2 / sin^2(pi f / L) are computed once for all sizes, and each
-        size costs one gather and one sum, with no transform.
+        as in ``sigma_n1``, with D = rfft(1_n, L) of each n in closed form
+        from one table for all sizes (``_dirichlet_weights``), so each size
+        costs a gather, a division and a sum, with no transform.
         """
         ns = np.asarray(ns)
         C, L = self.spectra[0], self.L
@@ -614,20 +608,35 @@ class FilterPlan:
             raise DomainError(f"a plan at n = {self.n} with a partitioned filter or n at or above it does not serve n = {ns}")
         if self.M == 0:
             return np.sqrt(sigma_eps2 * (ns * C**2))
-        bins = np.arange(L // 2 + 1)
-        sin2 = np.square(np.sin(bins * (math.pi / L)))
         power = np.square(C[0].real)
         power += np.square(C[0].imag)
-        power[1 : (L + 1) // 2] *= 2.0
-        power[1:] /= sin2[1:]
         out = []
-        for n in ns.tolist():
-            r = bins[1:] * n % L
-            np.minimum(r, L - r, out=r)
-            weighted = sin2[r]
-            weighted *= power[1:]
-            out.append(math.sqrt(sigma_eps2 * ((float(n) ** 2 * power[0] + np.sum(weighted)) / L)))
+        for weight in _dirichlet_weights(L, ns.tolist()):
+            weight *= power
+            out.append(math.sqrt(sigma_eps2 * (np.sum(weight) / L)))
         return np.array(out)
+
+
+def _dirichlet_weights(L: int, ns):
+    """g_f |D_f|^2 at the bins f = 0..L/2 of D = rfft(1_n, L), for each n of ns in turn, with no transform.
+
+    |D_f|^2 is the Dirichlet kernel sin^2(pi f n / L) / sin^2(pi f / L)
+    (n^2 at f = 0), and g_f = 1 for a bin without a conjugate twin (DC, and
+    Nyquist at even L), 2 for the others.  Both sines are entries of one
+    table of sin^2(pi r / L), r = 0..L/2: sin^2 has period pi and is even
+    about pi/2, so the numerator is the entry at r = (f n mod L) folded
+    into [0, L/2], reduced exactly in integers.
+    """
+    bins = np.arange(L // 2 + 1)
+    sin2 = np.square(np.sin(bins * (math.pi / L)))
+    for n in ns:
+        r = bins[1:] * n % L
+        np.minimum(r, L - r, out=r)
+        weight = np.empty(bins.size)
+        weight[0] = float(n) ** 2
+        np.divide(sin2[r], sin2[1:], out=weight[1:])
+        weight[1 : (L + 1) // 2] *= 2.0
+        yield weight
 
 
 def _strip_cross(strips: np.ndarray, k: int) -> float:

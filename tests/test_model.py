@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from lrdextremes import model
+from lrdextremes import model, scaling
 from lrdextremes.errors import ClampWarning, DomainError, FitError, StateError
 from lrdextremes.model import (
     CoefficientModel,
@@ -32,7 +32,19 @@ from lrdextremes.model import (
     subordinate,
     sv_eval,
 )
-from lrdextremes.model import _QK21_GAUSS, _QK21_KRONROD, _QK21_NODES, _check_prob_open, _gauss_kronrod
+from lrdextremes.model import (
+    _GK_MIN_WIDTH,
+    _GK_PARTS,
+    _GK_STEPS,
+    _QK21_GAUSS,
+    _QK21_KRONROD,
+    _QK21_NODES,
+    _check_prob_open,
+    _gauss_kronrod,
+    _gauss_kronrod_groups,
+    _qk21,
+)
+from lrdextremes.scaling import check_condition_Dr, power_rank_integral
 
 # high-precision values computed with an independent mpmath oracle
 # (root-solve of ncdf(x) = 0.975, and 1/sqrt(2*pi))
@@ -413,6 +425,48 @@ def counted(fn, sizes):
     return wrapper
 
 
+def lone_gauss_kronrod(fn, a, b, *, epsabs, epsrel, limit, points=None):
+    """The adaptive loop of one integral refining on its own: the reference for the bits of a group."""
+    edges = np.array([a, *(points or ()), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _qk21(fn, lo, hi)
+    while True:
+        value, error = float(np.sum(val)), float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(value))
+        if not error > tol:
+            return value, error
+        width = hi - lo
+        over = (err * lo.size > tol) & (width > _GK_MIN_WIDTH * np.maximum(np.abs(lo), np.abs(hi)))
+        cut = np.flatnonzero(over)
+        room = max(0, (limit - lo.size) // (_GK_PARTS - 1))
+        if cut.size > room:
+            cut = cut[np.argsort(err[cut])[cut.size - room :]]
+        if not cut.size:
+            return value, error
+        grid = lo[cut, None] + width[cut, None] * _GK_STEPS
+        grid[:, -1] = hi[cut]
+        new_lo, new_hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        new_val, new_err = _qk21(fn, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[cut] = False
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+
+
+def hexes(*xs):
+    return [float(x).hex() for x in xs]
+
+
+# the X and Y marginals and p of the benchmark's three workloads (X's scale is the model's s at
+# beta 0.8 and 0.7), and a pair whose power-rank integrand grows like u^-0.8 at u = 0
+FEASIBILITY_PAIRS = [
+    (GaussianMarginal(1.8117615600050787), ExponentialTarget(), 1),
+    (GaussianMarginal(1.8117615600050787), ParetoTarget(6.0), 1),
+    (GaussianMarginal(2.02483046192972), ExponentialTarget(), 2),
+    (GaussianMarginal(1.0), ParetoTarget(1.25), 1),
+]
+
+
 class TestGaussKronrod:
     """The package's adaptive quadrature, against scipy.integrate.quad and closed forms."""
 
@@ -504,3 +558,53 @@ class TestGaussKronrod:
             guarded(lambda u: mx.Q(u) ** 2, 0.0, 1.0), 0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=1000, points=[0.5]
         )
         assert val == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("mx,ty,p", FEASIBILITY_PAIRS)
+    def test_grouped_pieces_keep_the_bits_of_lone_runs(self, mx, ty, p, monkeypatch):
+        # record the grouped quadratures of the feasibility checks, then run each piece alone
+        grouped = []
+
+        def recording(fn, edges, **options):
+            grouped.append((fn, edges, options))
+            return _gauss_kronrod_groups(fn, edges, **options)
+
+        monkeypatch.setattr(scaling, "_gauss_kronrod_groups", recording)
+        power_rank_integral(mx, ty)
+        for r in range(1, p + 1):
+            check_condition_Dr(mx, ty, r)
+        monkeypatch.undo()
+        assert [len(edges) for _, edges, _ in grouped] == [4] + [2] * p
+        for fn, edges, options in grouped:
+            values, errors = _gauss_kronrod_groups(fn, edges, **options)
+            for (a, b), value, error in zip(edges, values, errors):
+                assert hexes(value, error) == hexes(*lone_gauss_kronrod(fn, a, b, **options))
+                assert hexes(value, error) == hexes(*_gauss_kronrod(fn, a, b, **options))
+
+    def test_a_lost_and_a_limit_bound_group_leave_the_others_alone(self):
+        # four groups on one integrand: smooth; NaN above 1.7; |sin(300 x)|, which exhausts the
+        # limit; and x^-1/2 from 12, with a breakpoint
+        def f(x):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.select(
+                    [x < 1.0, x < 2.0, x < 12.0],
+                    [1.0 / (1.0 + 25.0 * (x - 0.5) ** 2), np.where(x > 1.7, np.nan, x), np.abs(np.sin(300.0 * x))],
+                    1.0 / np.sqrt(np.abs(x - 12.0)),
+                )
+
+        edges = [[0.0, 1.0], [1.0, 2.0], [2.0, 12.0], [12.0, 12.5, 13.0]]
+        options = dict(epsabs=0.0, epsrel=1e-10, limit=50)
+        sizes = []
+        values, errors = _gauss_kronrod_groups(counted(f, sizes), edges, **options)
+        lone_sizes = []
+        for e, value, error in zip(edges, values, errors):
+            lone_sizes.append([])
+            lone = lone_gauss_kronrod(counted(f, lone_sizes[-1]), e[0], e[-1], points=e[1:-1], **options)
+            assert hexes(value, error) == hexes(*lone)
+        assert values[0] == pytest.approx(0.4 * math.atan(2.5), rel=1e-12)
+        assert not math.isfinite(values[1]) and len(lone_sizes[1]) == 1
+        assert errors[2] > 1e-10 * abs(values[2])
+        assert abs(values[3] - 2.0) <= errors[3]
+        # a round takes the new nodes of all groups in one call: as many calls as the longest lone
+        # run, and the same nodes
+        assert len(sizes) == max(map(len, lone_sizes))
+        assert sum(sizes) == sum(map(sum, lone_sizes))

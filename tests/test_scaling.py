@@ -336,6 +336,11 @@ class TestPowerRank:
         with pytest.raises(NumericError, match="diverges"):
             power_rank_integral(NanTailMarginal(1.0), ExponentialTarget())
 
+    def test_the_first_lost_piece_is_named(self):
+        # NaN below t = 1e-3: the pieces (0, 1e-6) and (1e-6, 0.5) are both lost
+        with pytest.raises(NumericError, match=r"diverges on \(0\.0, 1e-06\)"):
+            power_rank_integral(NanTailMarginal(1.0), ExponentialTarget())
+
     def test_nodes_where_one_minus_u_rounds_to_one(self):
         # int_0^1 fQ(1-u)/f_YQ_Y(1-u) du = int phi(z)^2 / (alpha0 Phi(-z)^(1 + 1/alpha0)) dz by mpmath at
         # 30 digits.  Near u = 0 the plain forms saw only u's leading digits: they gave 1.4086144398758411
@@ -344,6 +349,24 @@ class TestPowerRank:
         reference = {2.0: 1.40861443962217618006655708735, 4.0: 0.363165528283778960558251997897}
         for alpha0, ref in reference.items():
             assert power_rank_integral(GaussianMarginal(1.0), ParetoTarget(alpha0)) == pytest.approx(ref, rel=1e-11)
+
+
+class TestFeasibilityQuadratures:
+    def test_pieces_refine_in_one_integrand_call_a_round(self, monkeypatch):
+        # each integrand call takes f_Y Q_Y once; 17 and 13 calls when each piece refines on its own
+        calls = []
+        fQ_upper = ExponentialTarget.fQ_upper
+
+        def counted(self, t):
+            calls.append(np.size(t))
+            return fQ_upper(self, t)
+
+        monkeypatch.setattr(ExponentialTarget, "fQ_upper", counted)
+        power_rank_integral(GaussianMarginal(1.0), ExponentialTarget())
+        assert len(calls) <= 7
+        calls.clear()
+        check_condition_Dr(GaussianMarginal(1.0), ExponentialTarget(), 1)
+        assert len(calls) <= 7
 
 
 class TestConditionDr:

@@ -278,6 +278,7 @@ SETUP_KERNELS = [
     ("mc.py", "ReplicatePlan.build"),
     ("estats.py", "TailGrid.build"),
     ("model.py", "_gauss_kronrod"),
+    ("model.py", "_gauss_kronrod_groups"),
 ]
 
 
