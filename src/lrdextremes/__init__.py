@@ -10,7 +10,6 @@ from .errors import (
     ClampWarning,
     ConfigError,
     DomainError,
-    FitError,
     InfeasibleConfigError,
     LrdExtremesError,
     NumericError,
@@ -38,7 +37,6 @@ from .mc import (
 )
 from .model import (
     CoefficientModel,
-    EmpiricalMarginal,
     ExponentialTarget,
     GaussianMarginal,
     IdentityTarget,
@@ -55,7 +53,6 @@ from .model import (
     SvNumeric,
     TargetMarginalY,
     clamp_events,
-    fit_empirical_marginal,
     reset_clamp_events,
     subordinate,
     sv_eval,

@@ -128,18 +128,13 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
         return EXIT_OK
     R = min(config.replicates, 10)
     reps = _run_replicate_loop(problem, bundle, config.master_seed, R, threads, with_reduction=True)
-    # the replicate kernel reports NaN where a diagnostic is undefined
-    urs = np.array([rep.u_ratio for rep in reps])
-    sups = np.array([rep.reduction_sup for rep in reps])
-    if np.all(np.isnan(urs)):
-        print("median_u_ratio = unavailable (needs an analytic X marginal)")
-    else:
-        print(f"median_u_ratio = {float(np.median(urs))!r}")
-    skip = _reduction_skip_reason(mx, bundle.p, with_reduction=True)
+    print(f"median_u_ratio = {float(np.median([rep.u_ratio for rep in reps]))!r}")
+    skip = _reduction_skip_reason(bundle.p, with_reduction=True)
     if skip is not None:
         print(f"median_reduction_sup = unavailable ({skip})")
     else:
-        print(f"median_reduction_sup = {float(np.median(sups))!r} (over {R} replicates)")
+        sup = float(np.median([rep.reduction_sup for rep in reps]))
+        print(f"median_reduction_sup = {sup!r} (over {R} replicates)")
     return EXIT_OK
 
 

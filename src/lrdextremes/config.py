@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .model import (
     GaussianMarginal,
@@ -25,10 +23,9 @@ from .model import (
     ExponentialTarget,
     SvConstant,
     SvLogPower,
-    fit_empirical_marginal,
 )
 from .scaling import xi_feasibility
-from .simulate import build_coefficient_model, moving_average
+from .simulate import build_coefficient_model
 
 KNOWN_KEYS = {
     "beta",
@@ -47,9 +44,6 @@ KNOWN_KEYS = {
 }
 
 REQUIRED_KEYS = ("beta", "y_marginal", "xi", "master_seed")
-
-# length of the calibration path used to fit an empirical X marginal
-EMPIRICAL_FIT_LENGTH = 200_000
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,8 @@ def _parse_innovation(spec: str) -> InnovationDist:
     raise DomainError(f"unknown innovation spec {spec!r}")
 
 
-def _x_marginal_tag(spec: str) -> MdaTag | None:
-    """Static MDA tag of the X marginal spec; None when only known after fitting."""
+def _x_marginal_tag(spec: str) -> MdaTag:
+    """MDA tag of the X marginal spec, so the case is known at parse time."""
     kind, _, rest = spec.partition(":")
     if kind == "gaussian":
         return MdaTag("gumbel")
@@ -111,13 +105,6 @@ def _x_marginal_tag(spec: str) -> MdaTag | None:
         if not parts:
             raise DomainError("pareto marginal needs 'pareto:ALPHA[,XM]'")
         return MdaTag("frechet", float(parts[0]))
-    if kind == "empirical":
-        parts = [p for p in rest.split(",") if p]
-        if not parts or not 0.0 < float(parts[0]) < 1.0:
-            raise DomainError("empirical marginal needs 'empirical:TAIL_FRACTION[,frechet|gumbel]'")
-        if len(parts) > 1 and parts[1] not in ("frechet", "gumbel"):
-            raise DomainError(f"unknown empirical tail model {parts[1]!r}")
-        return None
     raise DomainError(f"unknown x_marginal spec {spec!r}")
 
 
@@ -266,9 +253,9 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
 def build_problem(config: ExperimentConfig):
     """Realize the configuration as (coeffs, innovation, mx, ty) objects.
 
-    The empirical X marginal is fitted once from a deterministic
-    calibration path drawn under SeedSequence(master_seed, spawn_key=(0, 0)),
-    a stream disjoint from every replicate stream.
+    Every X marginal is in closed form, so nothing is drawn here.  A
+    config built directly, without ``parse_config``, has an unknown
+    marginal spec refused here by name.
     """
     L0 = _parse_sv(config.l0)
     coeffs = build_coefficient_model(config.beta, L0, config.trunc_tol)
@@ -280,16 +267,8 @@ def build_problem(config: ExperimentConfig):
     elif kind == "pareto":
         parts = [p for p in rest.split(",") if p]
         mx = ParetoMarginal(float(parts[0]), float(parts[1]) if len(parts) > 1 else 1.0)
-    else:  # empirical
-        parts = [p for p in rest.split(",") if p]
-        tail_fraction = float(parts[0])
-        tail_model = parts[1] if len(parts) > 1 else "frechet"
-        ss = np.random.SeedSequence(config.master_seed, spawn_key=(0, 0))
-        seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-        rng = np.random.default_rng(seed)
-        eps = dist.sample(EMPIRICAL_FIT_LENGTH + coeffs.M, rng)
-        calibration = moving_average(coeffs.c, eps)
-        mx = fit_empirical_marginal(calibration, tail_fraction, mda=tail_model)
+    else:
+        raise ConfigError(f"unknown x_marginal spec {config.x_marginal!r}")
 
     ykind, _, yrest = config.y_marginal.partition(":")
     if ykind == "exponential":

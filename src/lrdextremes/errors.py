@@ -25,10 +25,6 @@ class InfeasibleConfigError(ConfigError):
     """Configuration violates a feasibility constraint of the limit theorem."""
 
 
-class FitError(LrdExtremesError, ValueError):
-    """Empirical marginal fitting failed (degenerate or invalid tail)."""
-
-
 class StateError(LrdExtremesError, RuntimeError):
     """Operation is unsupported for the object's current state or variant."""
 

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, StateError
-from .model import CLAMP_EPS, EmpiricalMarginal, MarginalX, TargetMarginalY, TurningGaps
+from .errors import ConfigError, DomainError, NumericError
+from .model import CLAMP_EPS, MarginalX, TargetMarginalY, TurningGaps
 from .scaling import ScalingBundle
 from .simulate import FilterPlan, PathPair, PowerSums, array_source
 
@@ -33,12 +33,12 @@ class ProcessFrame:
 
     ``F_sorted`` holds F(X_{i:n}) as evaluated, and ``u_sorted`` the same
     values clamped to [CLAMP_EPS, 1 - CLAMP_EPS]: the order statistics of
-    U_i = F(X_i).  They are only meaningful when the X marginal is analytic
-    (a fitted marginal would feed its own estimation error back into the
-    process).  A replicate evaluates F at the sample points here only: the
-    reduction supremum reads ``F_sorted``.  The frame holds no Y values;
-    ``top_y(k)`` applies Q_Y to the k largest order statistics, so a
-    replicate evaluates Q_Y only where Z_n and the decomposition read it.
+    U_i = F(X_i), with F the exact X marginal (``mc`` refuses one that the
+    simulated process does not have).  A replicate evaluates F at the
+    sample points here only: the reduction supremum reads ``F_sorted``.
+    The frame holds no Y values; ``top_y(k)`` applies Q_Y to the k largest
+    order statistics, so a replicate evaluates Q_Y only where Z_n and the
+    decomposition read it.
     """
 
     x_sorted: np.ndarray = field(repr=False)
@@ -48,7 +48,8 @@ class ProcessFrame:
     sigma_n1: float
     mx: MarginalX = field(repr=False)
     ty: TargetMarginalY = field(repr=False)
-    analytic: bool = True
+    # always True, as no X marginal is fitted; kept because perfbench/jobs.py reads it
+    analytic = True
 
     @classmethod
     def from_path(cls, x, mx: MarginalX, ty: TargetMarginalY, sigma_n1: float) -> "ProcessFrame":
@@ -62,7 +63,6 @@ class ProcessFrame:
             sigma_n1=float(sigma_n1),
             mx=mx,
             ty=ty,
-            analytic=not isinstance(mx, EmpiricalMarginal),
         )
 
     def u_order(self, k: int) -> float:
@@ -294,8 +294,6 @@ def reduction_sup(x, eps, c, p: int, mx: MarginalX, sigma_n1: float) -> Reductio
     and their left limits), the midpoints between consecutive samples, and
     a 512-point quantile-spaced tail grid for the smooth correction.
     """
-    if isinstance(mx, EmpiricalMarginal):
-        raise StateError("reduction diagnostics need analytic derivatives of F")
     if not 0 <= p <= MAX_REDUCTION_ORDER:
         raise DomainError(f"supported correction orders are 0 <= p <= {MAX_REDUCTION_ORDER}")
     x = np.asarray(x, dtype=float)
@@ -367,8 +365,6 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     in scalar form, which for some targets rounds differently from the
     array form (numpy's scalar and array ``**`` differ in the last bit).
     """
-    if not frame.analytic:
-        raise StateError("decomposition requires an analytic X marginal")
     if bundle.k_n < 2:
         raise DomainError("k_n must be >= 2 for a nondegenerate integration range")
     if frame.n != bundle.n:

@@ -21,13 +21,12 @@ from .estats import (
     MAX_REDUCTION_ORDER,
     ProcessFrame,
     TailGrid,
-    _frame_z,
     decompose_I,
     multilinear_sums,
     reduction_sup_sorted,
     u_ratio,
 )
-from .model import EmpiricalMarginal, GaussianMarginal, ParetoMarginal
+from .model import GaussianMarginal, ParetoMarginal
 from .scaling import (
     ScalingBundle,
     check_condition_Dr,
@@ -131,7 +130,7 @@ def _marginal_refusal(mx, dist) -> str | None:
     if isinstance(mx, ParetoMarginal):
         return (
             "declared Pareto X marginal: no linear process of this model has it "
-            "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
+            "(use 'gaussian' with gaussian innovations, whose X marginal is exact)"
         )
     if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
         # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
@@ -139,7 +138,7 @@ def _marginal_refusal(mx, dist) -> str | None:
             f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
             f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
             "the Frechet domain and F(X) is not uniform in the tail "
-            "(use 'empirical:FRACTION' to fit the marginal of the simulated path)"
+            f"(there is no exact X marginal for {dist.kind} innovations yet)"
         )
     return None
 
@@ -155,19 +154,14 @@ def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     if pr == 0.0:
         raise InfeasibleConfigError("power-rank integral vanishes; normalization by sigma_n1 is invalid")
     record["p"] = bundle.p
-    if isinstance(mx, EmpiricalMarginal):
-        record["condition_Dr"] = "skipped (no analytic derivatives for the fitted marginal)"
-    else:
-        record["condition_Dr"] = [check_condition_Dr(mx, ty, r) for r in range(1, bundle.p + 1)]
+    record["condition_Dr"] = [check_condition_Dr(mx, ty, r) for r in range(1, bundle.p + 1)]
     return record
 
 
-def _reduction_skip_reason(mx, p: int, with_reduction: bool) -> str | None:
+def _reduction_skip_reason(p: int, with_reduction: bool) -> str | None:
     """Why no replicate computes the reduction supremum, or None when every replicate does."""
     if not with_reduction:
         return "reduction off"
-    if isinstance(mx, EmpiricalMarginal):
-        return "fitted X marginal (no analytic F^(r))"
     if p > MAX_REDUCTION_ORDER:
         return f"p = {p} > MAX_REDUCTION_ORDER = {MAX_REDUCTION_ORDER}"
     return None
@@ -194,10 +188,9 @@ class ReplicatePlan:
 
     @classmethod
     def build(cls, problem, bundle: ScalingBundle, with_reduction: bool) -> "ReplicatePlan":
-        mx = problem[2]
-        reduced = _reduction_skip_reason(mx, bundle.p, with_reduction) is None
+        reduced = _reduction_skip_reason(bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
-        tail = TailGrid.build(mx, bundle.p) if reduced else None
+        tail = TailGrid.build(problem[2], bundle.p) if reduced else None
         return cls(filter=bundle.filter_plan.with_order(order), tail=tail)
 
 
@@ -206,22 +199,16 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
     sums = plan.filter.stream(innovation_source(dist, seed))
     x = sums.paths[0]
     frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
-    if frame.analytic:
-        # the uniform transform is exact, so the decomposition and the
-        # order-statistic diagnostics are meaningful
-        dec = decompose_I(frame, bundle)
-        z, i1, i2, i3 = dec.z, dec.i1, dec.i2, dec.i3
-        ur = u_ratio(frame, bundle.k_n)
-    else:
-        nan = float("nan")
-        z = _frame_z(frame.top_y(bundle.k_n), bundle)
-        i1, i2, i3, ur = nan, nan, nan, nan
+    dec = decompose_I(frame, bundle)
+    ur = u_ratio(frame, bundle.k_n)
     if plan.tail is not None:
         y = multilinear_sums(sums, bundle.p)
         red = reduction_sup_sorted(frame.x_sorted, frame.F_sorted, y, plan.tail, mx, bundle.sigma_n1).value
     else:
         red = float("nan")
-    return ReplicateResult(replicate=r, seed=seed, z=z, i1=i1, i2=i2, i3=i3, u_ratio=ur, reduction_sup=red)
+    return ReplicateResult(
+        replicate=r, seed=seed, z=dec.z, i1=dec.i1, i2=dec.i2, i3=dec.i3, u_ratio=ur, reduction_sup=red
+    )
 
 
 # The heap set-up that keeps a replicate's arrays on reused pages is done
@@ -292,7 +279,7 @@ def run_replicates(
 
     problem, bundle = _problem_and_bundle(config, n)
     feas = _feasibility_record(problem, bundle)
-    feas["reduction_sup"] = _reduction_skip_reason(problem[2], bundle.p, with_reduction) or "computed"
+    feas["reduction_sup"] = _reduction_skip_reason(bundle.p, with_reduction) or "computed"
     reps = _run_replicate_loop(problem, bundle, master_seed, R, threads, with_reduction)
 
     z = np.array([rep.z for rep in reps])

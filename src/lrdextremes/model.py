@@ -15,7 +15,6 @@ construction and safe to share between processes.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfcx, ndtr, ndtri
 
-from .errors import ClampWarning, DomainError, FitError, StateError
+from .errors import ClampWarning, DomainError, StateError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -238,9 +237,9 @@ class SvLogPower(SlowlyVaryingFn):
 class SvNumeric(SlowlyVaryingFn):
     """Slowly varying part given as a plain numeric function of u.
 
-    Used for marginals whose L has no closed form (the Gaussian light tail,
-    fitted empirical tails).  ``fn`` must be picklable, i.e. a module-level
-    function or a bound method of a picklable object.
+    Used for a marginal whose L has no closed form (the Gaussian light
+    tail).  ``fn`` must be picklable, i.e. a module-level function or a
+    bound method of a picklable object.
     """
 
     fn: object
@@ -675,192 +674,6 @@ class ParetoMarginal(MarginalX):
             -self.alpha - r
         )
         return np.where(x >= self.x_m, out, 0.0)
-
-
-class EmpiricalMarginal(MarginalX):
-    """Sample-based marginal: interpolated CDF body with a parametric tail.
-
-    The body is the piecewise-linear interpolant of the empirical CDF on the
-    unique sample values up to the threshold x_T (the empirical
-    1 - tail_fraction quantile).  Above x_T the tail is
-
-    * ``frechet``: a pure Pareto splice 1 - F(x) = p_T * (x/x_T)^-alpha_hat
-      with alpha_hat the Hill estimate, i.e. a constant-L fit; or
-    * ``gumbel``: a moment-fitted Gaussian tail, rescaled to be continuous
-      at x_T.
-    """
-
-    def __init__(self, xs, Fs, x_T, tail_fraction, tail_kind, alpha_hat=None, mu=None, sigma=None):
-        order = np.argsort(xs)
-        self._xs = np.asarray(xs, dtype=float)[order]
-        self._Fs = np.asarray(Fs, dtype=float)[order]
-        self._x_T = float(x_T)
-        self._p_T = float(tail_fraction)
-        self._tail_kind = tail_kind
-        self._alpha_hat = alpha_hat
-        self._mu = mu
-        self._sigma = sigma
-        if tail_kind == "gumbel":
-            self._S_T = float(ndtr(-(self._x_T - mu) / sigma))
-        # piecewise-constant body density from the interpolation slopes
-        self._slopes = np.diff(self._Fs) / np.diff(self._xs)
-
-    def __repr__(self) -> str:
-        # the same in every process: ``simulate.config_hash`` hashes it
-        nodes = hashlib.sha256(self._xs.tobytes() + self._Fs.tobytes()).hexdigest()
-        return (
-            f"EmpiricalMarginal(tail_kind={self._tail_kind!r}, tail_fraction={self._p_T!r}, "
-            f"x_T={self._x_T!r}, alpha_hat={self._alpha_hat!r}, mu={self._mu!r}, sigma={self._sigma!r}, "
-            f"nodes_sha256={nodes!r})"
-        )
-
-    @property
-    def mda(self) -> MdaTag:
-        if self._tail_kind == "frechet":
-            return MdaTag("frechet", self._alpha_hat)
-        return MdaTag("gumbel")
-
-    @property
-    def alpha_hat(self) -> float | None:
-        return self._alpha_hat
-
-    @property
-    def threshold(self) -> float:
-        return self._x_T
-
-    @property
-    def tail_fraction(self) -> float:
-        return self._p_T
-
-    @property
-    def L(self) -> SlowlyVaryingFn:
-        if self._tail_kind == "frechet":
-            # Q(1-y) = y^(-1/alpha) * [x_T * p_T^(1/alpha)] exactly in the splice
-            return SvConstant(self._alpha_hat / (self._x_T * self._p_T ** (1.0 / self._alpha_hat)))
-        return SvNumeric(self._L, label="empirical-gumbel-L3")
-
-    def F(self, x):
-        x = np.asarray(x, dtype=float)
-        body = np.interp(x, self._xs, self._Fs)
-        if self._tail_kind == "frechet":
-            tail = 1.0 - self._p_T * (np.maximum(x, self._x_T) / self._x_T) ** -self._alpha_hat
-        else:
-            w = (np.maximum(x, self._x_T) - self._mu) / self._sigma
-            tail = 1.0 - self._p_T * ndtr(-w) / self._S_T
-        return np.where(x <= self._x_T, body, tail)
-
-    def f(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._slopes) - 1)
-        body = np.where((x >= self._xs[0]) & (x <= self._xs[-1]), self._slopes[idx], 0.0)
-        if self._tail_kind == "frechet":
-            tail = (
-                self._p_T
-                * self._alpha_hat
-                / self._x_T
-                * (np.maximum(x, self._x_T) / self._x_T) ** (-self._alpha_hat - 1.0)
-            )
-        else:
-            w = (np.maximum(x, self._x_T) - self._mu) / self._sigma
-            tail = self._p_T / self._S_T * np.exp(-0.5 * w * w) / (_SQRT2PI * self._sigma)
-        return np.where(x <= self._x_T, body, tail)
-
-    def Q(self, y):
-        y = _check_prob_open(y)
-        body = np.interp(y, self._Fs, self._xs)
-        t = 1.0 - y  # tail probability
-        if self._tail_kind == "frechet":
-            tail = self._x_T * (np.minimum(t, self._p_T) / self._p_T) ** (-1.0 / self._alpha_hat)
-        else:
-            arg = np.minimum(t, self._p_T) * self._S_T / self._p_T
-            tail = self._mu - self._sigma * ndtri(arg)
-        return np.where(y <= 1.0 - self._p_T, body, tail)
-
-    def _L(self, u):
-        # integral definition, split at the body/tail boundary
-        u = np.asarray(u, dtype=float)
-        return 1.0 / (u * self._von_mises_integral(1.0 / u))
-
-    def _von_mises_integral(self, y):
-        """int_{1-y}^1 (1-v)/f(Q(v)) dv for the gumbel-tail variant."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        # tail contribution: scaled-normal closed form up to w(y)
-        w_y = -ndtri(np.minimum(y, self._p_T) * self._S_T / self._p_T)
-        phi = np.exp(-0.5 * w_y * w_y) / _SQRT2PI
-        bracket = 1.0 - w_y * math.sqrt(math.pi / 2.0) * erfcx(w_y / math.sqrt(2.0))
-        out = self._p_T * self._sigma / self._S_T * phi * bracket
-        # body contribution: segments are linear in F, so (1-v)/f is explicit
-        over = y > self._p_T
-        if np.any(over):
-            Fs, xs = self._Fs, self._xs
-            for i in np.nonzero(over)[0]:
-                lo = 1.0 - y[i]
-                j0 = np.searchsorted(Fs, lo, side="right") - 1
-                contrib = 0.0
-                for j in range(j0, len(self._slopes)):
-                    a = max(Fs[j], lo)
-                    b = Fs[j + 1]
-                    if b <= a:
-                        continue
-                    # int_a^b (1-v)/slope dv
-                    contrib += ((1.0 - a) ** 2 - (1.0 - b) ** 2) / (2.0 * self._slopes[j])
-                out[i] += contrib
-        return out if out.shape != (1,) else float(out[0])
-
-
-def fit_empirical_marginal(sample, tail_fraction: float, mda: str = "frechet") -> EmpiricalMarginal:
-    """Fit an empirical marginal with a parametric upper-tail splice.
-
-    Parameters
-    ----------
-    sample : array-like
-        At least 1e4 observations.
-    tail_fraction : float in (0, 1)
-        Fraction of the sample used for the tail fit; tail_fraction * size
-        must be at least 100.
-    mda : {'frechet', 'gumbel'}
-        Tail model: Hill/Pareto splice, or moment-fitted Gaussian tail.
-    """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    if n < 10**4:
-        raise DomainError(f"need at least 1e4 observations to fit, got {n}")
-    if not 0.0 < tail_fraction < 1.0:
-        raise DomainError("tail_fraction must lie in (0, 1)")
-    k = int(math.floor(tail_fraction * n))
-    if k < 100:
-        raise DomainError("tail_fraction * size must be at least 100")
-    if mda not in ("frechet", "gumbel"):
-        raise DomainError(f"unknown MDA tail model {mda!r}")
-
-    x_T = x[n - k - 1]  # order statistic at empirical (1 - k/n) level
-    tail = x[n - k :]
-    if not np.all(tail > x_T):
-        raise FitError("degenerate sample: ties at the tail threshold leave no usable tail")
-
-    # body nodes: unique values up to x_T with exact empirical CDF heights,
-    # anchored one average spacing below the minimum so F is continuous at 0
-    body = x[: n - k]
-    uniq, counts = np.unique(body, return_counts=True)
-    Fs = np.cumsum(counts) / n
-    spacing = (uniq[-1] - uniq[0]) / max(len(uniq) - 1, 1)
-    if spacing <= 0:
-        raise FitError("degenerate sample: body has a single support point")
-    xs = np.concatenate([[uniq[0] - spacing], uniq])
-    Fs = np.concatenate([[0.0], Fs])
-    p_T = k / n  # so F(x_T) = 1 - p_T exactly
-
-    if mda == "frechet":
-        if x_T <= 0 or np.any(tail <= 0):
-            raise FitError("Frechet tail fit requires positive tail values")
-        alpha_hat = k / float(np.sum(np.log(tail / x_T)))
-        return EmpiricalMarginal(xs, Fs, x_T, p_T, "frechet", alpha_hat=alpha_hat)
-
-    mu = float(np.mean(x))
-    sigma = float(np.std(x, ddof=1))
-    if sigma <= 0:
-        raise FitError("degenerate sample: zero variance")
-    return EmpiricalMarginal(xs, Fs, x_T, p_T, "gumbel", mu=mu, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 import lrdextremes
 from lrdextremes import cli
 from lrdextremes.cli import main
-from lrdextremes.config import build_problem, parse_config
-from lrdextremes.errors import ConfigError
+from lrdextremes.config import ExperimentConfig, build_problem, parse_config
+from lrdextremes.errors import ConfigError, InfeasibleConfigError
 from lrdextremes.mc import run_replicates
 from lrdextremes.scaling import select_p
 from lrdextremes.simulate import config_hash
@@ -25,19 +25,6 @@ xi = 0.9
 n = 32768
 R = 400
 master_seed = 2026004
-"""
-
-# fitted (empirical) X marginal: its MDA tag, and so the case, is known only
-# after the fit, so the parse step cannot check xi
-FITTED_CASE1 = """
-beta = 0.8
-x_marginal = empirical:0.05
-innovation = student_t:6,1
-y_marginal = pareto:8
-xi = 0.5
-n = 1024
-R = 4
-master_seed = 1
 """
 
 CASE2_ANALYTIC = """
@@ -56,6 +43,12 @@ master_seed = 99
 PARETO_X = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95")
 GAUSSIAN_X = MINIMAL_CASE4.replace("n = 32768", "n = 10000")
 GAUSSIAN_UNDER_T = "Gaussian X marginal under student_t innovations"
+# an 'empirical:' spec names no X marginal: parse refuses it like any other unknown spec
+EMPIRICAL_X = GAUSSIAN_X + "x_marginal = empirical:0.05\n"
+EMPIRICAL_REFUSAL = "key 'x_marginal': unknown x_marginal spec 'empirical:0.05'"
+
+# Y = X over the Gaussian marginal: the target's repr nests the marginal's
+IDENTITY_OVER_GAUSSIAN = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity")
 
 
 # prints config_hash of the problem that the config on standard input builds
@@ -70,18 +63,23 @@ print(config_hash(coeffs, dist, mx, ty, cfg.n))
 
 
 def test_fitted_config_hash_is_the_same_in_every_interpreter():
-    # the fitted marginal's repr enters the hash; it must not carry an object address
+    # the marginals' reprs enter the hash; a nested one must not carry an object address either
     src = str(Path(lrdextremes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     hashes = [
         subprocess.run(
-            [sys.executable, "-c", HASH_SCRIPT], input=FITTED_CASE1, env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", HASH_SCRIPT],
+            input=IDENTITY_OVER_GAUSSIAN,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
         ).stdout.strip()
         for _ in range(2)
     ]
-    cfg = parse_config(FITTED_CASE1)
+    cfg = parse_config(IDENTITY_OVER_GAUSSIAN)
     coeffs, dist, mx, ty = build_problem(cfg)
-    assert "0x" not in repr(mx)
+    assert repr(mx) in repr(ty) and "0x" not in repr(ty)
     assert hashes == [config_hash(coeffs, dist, mx, ty, cfg.n)] * 2
 
 
@@ -135,10 +133,12 @@ class TestParseConfig:
             parse_config(text)
         assert "k_n" in str(err.value)
 
-    def test_empirical_marginal_spec(self):
-        text = MINIMAL_CASE4.replace("beta = 0.8", "beta = 0.8\nx_marginal = empirical:0.05\ninnovation = student_t:6,1")
-        cfg = parse_config(text)
-        assert cfg.x_marginal == "empirical:0.05"
+    @pytest.mark.parametrize("spec", ["bogus", "empirical:0.05"])
+    def test_build_problem_refuses_an_unknown_x_marginal_by_name(self, spec):
+        # a config built directly skips parse_config; no unknown spec may fall into a known branch
+        cfg = ExperimentConfig(beta=0.8, y_marginal="exponential", xi=0.9, master_seed=1, n=512, x_marginal=spec)
+        with pytest.raises(ConfigError, match=f"unknown x_marginal spec '{spec}'"):
+            build_problem(cfg)
 
     def test_logpareto_requires_frechet_base(self):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = logpareto:0.5")
@@ -190,14 +190,12 @@ class TestCli:
         assert errors[0] == "code,message"
         assert any("(**)" in ln for ln in errors[1:])
 
-    def test_mc_runtime_refusal_cites_condition(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, FITTED_CASE1)
-        assert parse_config(FITTED_CASE1).xi == 0.5  # accepted at parse time
-        code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
-        assert code == 2
-        errors = (tmp_path / "errors.csv").read_text().splitlines()
-        assert errors[0] == "code,message"
-        assert any("(*)" in ln and "CASE1" in ln for ln in errors[1:])
+    def test_mc_runtime_refusal_cites_condition(self):
+        # a config built directly skips parse_config, so the run itself refuses xi below the threshold
+        cfg = ExperimentConfig(beta=0.8, y_marginal="exponential", xi=0.7, master_seed=1, n=512, replicates=2)
+        with pytest.raises(InfeasibleConfigError) as err:
+            run_replicates(cfg)
+        assert "(****)" in str(err.value) and "CASE4" in str(err.value)
 
     @pytest.mark.parametrize(
         "command,size,text,refusal",
@@ -214,6 +212,14 @@ class TestCli:
                 GAUSSIAN_UNDER_T,
                 id="gaussian_x_student_t-convergence-n_grid = 256,512",
             ),
+            pytest.param("mc", "n = 512", EMPIRICAL_X, EMPIRICAL_REFUSAL, id="empirical_x-mc-n = 512"),
+            pytest.param(
+                "convergence",
+                "n_grid = 256,512",
+                EMPIRICAL_X,
+                EMPIRICAL_REFUSAL,
+                id="empirical_x-convergence-n_grid = 256,512",
+            ),
         ],
     )
     def test_declared_pareto_marginal_refused(self, tmp_path, capsys, command, size, text, refusal):
@@ -225,16 +231,6 @@ class TestCli:
         assert any(ln.startswith(f"2,{refusal}") for ln in errors[1:])
         assert not (tmp_path / "z_samples.csv").exists()
 
-    def test_fit_failure_exit_2_and_errors_csv(self, tmp_path, capsys):
-        # a tail fraction of 0.6 reaches below zero, where a Frechet fit is undefined
-        text = FITTED_CASE1.replace("empirical:0.05", "empirical:0.6").replace("xi = 0.5", "xi = 0.95")
-        cfg = write_config(tmp_path, text)
-        code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
-        assert code == 2
-        errors = (tmp_path / "errors.csv").read_text().splitlines()
-        assert errors[0] == "code,message"
-        assert any("Frechet tail fit requires positive tail values" in ln for ln in errors[1:])
-
     def test_diag_shares_the_replicate_kernel(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("n = 32768", "n = 512").replace("R = 400", "R = 12")
         cfg = write_config(tmp_path, text)
@@ -244,13 +240,6 @@ class TestCli:
         assert out["median_u_ratio"] == repr(float(np.median([r.u_ratio for r in reps])))
         sup = repr(float(np.median([r.reduction_sup for r in reps])))
         assert out["median_reduction_sup"] == f"{sup} (over 10 replicates)"
-
-    def test_diag_fitted_marginal_has_no_u_ratio(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, FITTED_CASE1)
-        assert main(["diag", "--config", cfg, "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "median_u_ratio = unavailable" in out
-        assert "median_reduction_sup = unavailable" in out
 
     def test_diag_names_why_the_reduction_is_skipped(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("n = 32768", "n = 256").replace("R = 400", "R = 2") + "p_override = 5\n"

@@ -221,26 +221,6 @@ class TestRunReplicates:
         assert all(math.isnan(rep.reduction_sup) for rep in res.replicates)
         assert res.summary["feasibility"]["reduction_sup"] == "p = 5 > MAX_REDUCTION_ORDER = 4"
 
-    def test_empirical_marginal_mc_smoke(self):
-        # heavy-tailed innovations with a fitted X marginal (diagnostic
-        # mode): z is computable, U-dependent diagnostics are NaN
-        cfg = small_config(
-            innovation="student_t:6,1",
-            x_marginal="empirical:0.05",
-            y_marginal="pareto:8",
-            xi=0.95,
-            replicates=4,
-            n=2**10,
-        )
-        res = run_replicates(cfg)
-        assert np.all(np.isfinite(res.z_samples))
-        assert math.isnan(res.replicates[0].i1)
-        assert math.isnan(res.replicates[0].u_ratio)
-        feas = res.summary["feasibility"]
-        assert feas["case"] == "CASE1"
-        assert "skipped" in feas["condition_Dr"]
-        assert feas["reduction_sup"] == "fitted X marginal (no analytic F^(r))"
-
 
 def result_bytes(rep: ReplicateResult) -> bytes:
     return np.array(dataclasses.astuple(rep)[2:]).tobytes()

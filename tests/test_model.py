@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from lrdextremes import model, scaling
-from lrdextremes.errors import ClampWarning, DomainError, FitError, StateError
+from lrdextremes.errors import ClampWarning, DomainError
 from lrdextremes.model import (
     CoefficientModel,
     ExponentialTarget,
@@ -27,7 +27,6 @@ from lrdextremes.model import (
     SvLogPower,
     TargetMarginalY,
     clamp_events,
-    fit_empirical_marginal,
     reset_clamp_events,
     subordinate,
     sv_eval,
@@ -365,54 +364,6 @@ class TestCoefficientModel:
         for chunk in (1, 3, 7, 999, 1000, 1001):
             monkeypatch.setattr(model, "_CHUNK_POINTS", chunk)
             assert CoefficientModel.build(0.6, L0, M).c.tobytes() == oracle.tobytes()
-
-
-class TestEmpiricalMarginal:
-    def test_hill_on_exact_pareto(self):
-        rng = np.random.default_rng(20260810)
-        sample = (1.0 - rng.uniform(size=100_000)) ** (-1.0 / 4.0)
-        m = fit_empirical_marginal(sample, 0.05)
-        # Hill estimator relative sd at k = 5000 is about alpha/sqrt(k) ~ 1.4%
-        assert 3.6 <= m.alpha_hat <= 4.4
-        assert m.mda.kind == "frechet"
-
-    def test_degenerate_sample_rejected(self):
-        with pytest.raises(FitError):
-            fit_empirical_marginal(np.ones(20_000), 0.05)
-
-    def test_small_sample_rejected(self):
-        with pytest.raises(DomainError):
-            fit_empirical_marginal(np.random.default_rng(0).normal(size=5000), 0.05)
-        with pytest.raises(DomainError):
-            fit_empirical_marginal(np.random.default_rng(0).normal(size=20_000), 0.001)
-
-    def test_gumbel_fit_on_normal(self):
-        rng = np.random.default_rng(7)
-        m = fit_empirical_marginal(rng.standard_normal(100_000), 0.05, mda="gumbel")
-        assert m.mda.kind == "gumbel"
-        # the fitted L (an L3) increases, tracking the normal's sqrt(2 log u) growth
-        us = np.array([25.0, 1e2, 1e3, 1e4, 1e6])
-        vals = sv_eval(m.L, us)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_cdf_quantile_consistency(self):
-        rng = np.random.default_rng(3)
-        m = fit_empirical_marginal(rng.standard_normal(50_000), 0.05, mda="gumbel")
-        y = np.linspace(0.01, 0.99, 99)
-        assert np.max(np.abs(m.F(m.Q(y)) - y)) < 1e-3
-        xs = np.linspace(-3.5, 4.5, 200)
-        assert np.all(np.diff(m.F(xs)) >= 0)
-
-    def test_frechet_fit_needs_positive_tail(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(FitError):
-            fit_empirical_marginal(-np.abs(rng.standard_normal(20_000)) - 1.0, 0.05)
-
-    def test_unsupported_derivatives(self):
-        rng = np.random.default_rng(9)
-        m = fit_empirical_marginal(rng.standard_normal(20_000), 0.05, mda="gumbel")
-        with pytest.raises(StateError):
-            m.F_deriv(1, 0.0)
 
 
 def counted(fn, sizes):

@@ -5,7 +5,9 @@ interpreters, so a removed or renamed name would only show as a failed
 benchmark run.  This test reads those scripts with ``ast``, finds every
 attribute chain rooted at an import of ``lrdextremes`` (``lx.make_bundle``,
 ``lx.mc.write_z_samples_csv``, ``simulate.config_hash``, ...) and resolves
-it against the package.  It also keeps every import inside the package at
+it against the package.  Attribute reads on the objects the package returns
+escape that scan, so the benchmark's traced job also runs once.  It also
+keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
 the filter's transforms, and keeps the replicate and set-up kernels off
@@ -22,6 +24,7 @@ or in ``perfbench/``, unless an allowlist names the reason it stays.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -80,6 +83,23 @@ def test_benchmark_names_resolve(script):
     assert chains, f"no package names found in {script}; the scan no longer matches its imports"
     missing = [".".join(chain) for chain in sorted(chains) if not resolve(".".join((roots[chain[0]], *chain[1:])))]
     assert not missing, f"{script} uses names the package no longer has: {missing}"
+
+
+def test_benchmark_traced_job_runs(tmp_path):
+    # the name scan cannot see attribute reads on the objects the package returns
+    # (``frame.analytic``), so run the benchmark's traced replicate loop once
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = json.dumps({"workload": "case4_n15", "seed": 2026004, "out_dir": str(tmp_path)})
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "jobs.py"), "traced", args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert "error" not in result, result.get("error")
 
 
 def function_local_imports(tree: ast.AST) -> list[tuple[str, int]]:
