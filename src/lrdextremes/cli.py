@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, build_problem, parse_config
+from .config import ExperimentConfig, _marginal_refusal, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
-    _marginal_refusal,
     _problem_and_bundle,
     _reduction_skip_reason,
     _run_replicate_loop,

@@ -17,7 +17,6 @@ from .model import (
     IdentityTarget,
     InnovationDist,
     LogParetoTarget,
-    MdaTag,
     ParetoMarginal,
     ParetoTarget,
     ExponentialTarget,
@@ -48,7 +47,13 @@ REQUIRED_KEYS = ("beta", "y_marginal", "xi", "master_seed")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, primitives only (picklable, hashable)."""
+    """Experiment description, primitives only (picklable, hashable).
+
+    The dataclass checks nothing.  ``parse_config`` validates the text it
+    reads; a directly built config is validated by ``build_problem``, which
+    refuses a malformed spec by key, and a run refuses its xi and marginals
+    with ``parse_config``'s text.
+    """
 
     beta: float
     y_marginal: str
@@ -70,67 +75,85 @@ class ExperimentConfig:
         return {k: ("" if v is None else v) for k, v in d.items()}
 
 
-def _parse_sv(spec: str):
+# key -> kind -> (fewest numbers, most numbers, form, constructor); a
+# constructor takes the context first (the Gaussian X's scale, or a
+# target's X marginal), then the numbers after the colon
+_SPECS = {
+    "L0": {
+        "constant": (0, 1, "constant[:C]", SvConstant),
+        "logpower": (2, 2, "logpower:C,B", SvLogPower),
+    },
+    "innovation": {
+        "gaussian": (0, 1, "gaussian[:SIGMA]", InnovationDist.gaussian),
+        "student_t": (1, 2, "student_t:NU[,SIGMA]", InnovationDist.student_t),
+    },
+    "x_marginal": {
+        "gaussian": (0, 0, "gaussian", GaussianMarginal),
+        "pareto": (1, 2, "pareto:ALPHA[,XM]", lambda s, *values: ParetoMarginal(*values)),
+    },
+    "y_marginal": {
+        "exponential": (0, 0, "exponential", lambda mx: ExponentialTarget()),
+        "pareto": (1, 1, "pareto:ALPHA0", lambda mx, alpha0: ParetoTarget(alpha0)),
+        "logpareto": (0, 1, "logpareto[:U0]", LogParetoTarget),
+        "identity": (0, 0, "identity", IdentityTarget),
+    },
+}
+
+
+def _spec(key: str, spec: str, *context):
+    """The object that the spec string of ``key`` names; the one place a spec is split.
+
+    An unknown kind, a wrong count of numbers, a non-number and a value the
+    constructor refuses all raise ``ConfigError`` naming the key.
+    """
     kind, _, rest = spec.partition(":")
-    if kind == "constant":
-        return SvConstant(float(rest) if rest else 1.0)
-    if kind == "logpower":
-        parts = [p for p in rest.split(",") if p]
-        if len(parts) != 2:
-            raise DomainError(f"logpower needs 'logpower:C,B', got {spec!r}")
-        return SvLogPower(float(parts[0]), float(parts[1]))
-    raise DomainError(f"unknown slowly varying spec {spec!r} (use constant:C or logpower:C,B)")
+    forms = _SPECS[key]
+    if kind not in forms:
+        raise ConfigError(f"key {key!r}: unknown {key} spec {spec!r} (use {' | '.join(f[2] for f in forms.values())})")
+    least, most, form, make = forms[kind]
+    try:
+        values = [float(v) for v in rest.split(",")] if rest else []
+    except ValueError:
+        values = None
+    if values is None or not least <= len(values) <= most or not all(map(math.isfinite, values)):
+        raise ConfigError(f"key {key!r}: {kind} needs {form!r}, got {spec!r}")
+    try:
+        return make(*context, *values)
+    except DomainError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
-def _parse_innovation(spec: str) -> InnovationDist:
-    kind, _, rest = spec.partition(":")
-    parts = [p for p in rest.split(",") if p]
-    if kind == "gaussian":
-        return InnovationDist.gaussian(float(parts[0]) if parts else 1.0)
-    if kind == "student_t":
-        if not parts:
-            raise DomainError("student_t needs 'student_t:NU[,SIGMA]'")
-        sigma = float(parts[1]) if len(parts) > 1 else 1.0
-        return InnovationDist.student_t(float(parts[0]), sigma)
-    raise DomainError(f"unknown innovation spec {spec!r}")
+def _marginals(x_marginal: str, y_marginal: str, s: float):
+    """The X marginal (a Gaussian one of standard deviation s) and the target Y marginal."""
+    mx = _spec("x_marginal", x_marginal, s)
+    return mx, _spec("y_marginal", y_marginal, mx)
 
 
-def _x_marginal_tag(spec: str) -> MdaTag:
-    """MDA tag of the X marginal spec, so the case is known at parse time."""
-    kind, _, rest = spec.partition(":")
-    if kind == "gaussian":
-        return MdaTag("gumbel")
-    if kind == "pareto":
-        parts = [p for p in rest.split(",") if p]
-        if not parts:
-            raise DomainError("pareto marginal needs 'pareto:ALPHA[,XM]'")
-        return MdaTag("frechet", float(parts[0]))
-    raise DomainError(f"unknown x_marginal spec {spec!r}")
-
-
-def _y_marginal_tag(spec: str, x_tag: MdaTag | None) -> MdaTag | None:
-    kind, _, rest = spec.partition(":")
-    if kind == "exponential":
-        return MdaTag("gumbel")
-    if kind == "pareto":
-        if not rest:
-            raise DomainError("pareto target needs 'pareto:ALPHA0'")
-        return MdaTag("frechet", float(rest))
-    if kind == "logpareto":
-        if x_tag is not None and x_tag.kind != "frechet":
-            raise DomainError("logpareto target requires a Frechet-tagged x_marginal")
-        return MdaTag("gumbel")
-    if kind == "identity":
-        return x_tag
-    raise DomainError(f"unknown y_marginal spec {spec!r}")
+def _marginal_refusal(mx, dist) -> str | None:
+    """Why no replicate can run on this X marginal under these innovations, or None when replicates can."""
+    if isinstance(mx, ParetoMarginal):
+        return (
+            "declared Pareto X marginal: no linear process of this model has it "
+            "(use 'gaussian' with gaussian innovations, whose X marginal is exact)"
+        )
+    if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
+        # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
+        return (
+            f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
+            f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
+            "the Frechet domain and F(X) is not uniform in the tail "
+            f"(there is no exact X marginal for {dist.kind} innovations yet)"
+        )
+    return None
 
 
 def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
     """Parse and validate flat ``key = value`` text.
 
     Every violation is collected and reported together.  With
-    ``require_feasible`` the xi threshold of the statically determined case
-    is enforced; diagnostic commands relax this.
+    ``require_feasible`` the xi threshold of the case, read off the
+    marginals' MDA tags, is enforced, and so is the refusal of an X marginal
+    no replicate can run on; diagnostic commands relax both.
     """
     violations: list[str] = []
     raw: dict[str, str] = {}
@@ -197,25 +220,17 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
     x_marginal = raw.get("x_marginal", "gaussian")
     y_marginal = raw.get("y_marginal", "")
 
-    x_tag = None
-    try:
-        _parse_sv(l0)
-    except DomainError as exc:
-        violations.append(f"key 'L0': {exc}")
-    try:
-        _parse_innovation(innovation)
-    except DomainError as exc:
-        violations.append(f"key 'innovation': {exc}")
-    try:
-        x_tag = _x_marginal_tag(x_marginal)
-    except DomainError as exc:
-        violations.append(f"key 'x_marginal': {exc}")
-    y_tag = None
-    if y_marginal:
+    def realize(build, *args):
         try:
-            y_tag = _y_marginal_tag(y_marginal, x_tag)
-        except DomainError as exc:
-            violations.append(f"key 'y_marginal': {exc}")
+            return build(*args)
+        except ConfigError as exc:
+            violations.extend(exc.violations)
+
+    realize(_spec, "L0", l0)
+    dist = realize(_spec, "innovation", innovation)
+    # no MDA tag and no refusal depends on the Gaussian X's scale, so s = 1 stands in for it
+    marginals = realize(_marginals, x_marginal, y_marginal, 1.0) if "y_marginal" in raw else None
+    mx, ty = marginals or (None, None)
 
     # extreme-count bounds per experiment size
     if xi is not None:
@@ -224,9 +239,10 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
             if not 2 <= k_n <= nn - 1:
                 violations.append(f"k_n = ceil({nn}^{xi}) = {k_n} must lie in [2, n-1]")
 
-    if require_feasible and beta is not None and xi is not None and x_tag is not None and y_tag is not None:
-        refusal = xi_feasibility(x_tag, y_tag, beta, xi).refusal
-        if refusal is not None:
+    if require_feasible and mx is not None:
+        if beta is not None and xi is not None and (refusal := xi_feasibility(mx.mda, ty.mda, beta, xi).refusal):
+            violations.append(refusal)
+        if dist is not None and (refusal := _marginal_refusal(mx, dist)):
             violations.append(refusal)
 
     if violations:
@@ -253,32 +269,11 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
 def build_problem(config: ExperimentConfig):
     """Realize the configuration as (coeffs, innovation, mx, ty) objects.
 
-    Every X marginal is in closed form, so nothing is drawn here.  A
-    config built directly, without ``parse_config``, has an unknown
-    marginal spec refused here by name.
+    Every X marginal is in closed form, so nothing is drawn here.  The
+    specs are read by the parser that ``parse_config`` uses, so a directly
+    built config with a malformed spec is refused here, by key.
     """
-    L0 = _parse_sv(config.l0)
-    coeffs = build_coefficient_model(config.beta, L0, config.trunc_tol)
-    dist = _parse_innovation(config.innovation)
-
-    kind, _, rest = config.x_marginal.partition(":")
-    if kind == "gaussian":
-        mx = GaussianMarginal(dist.sigma_eps * math.sqrt(coeffs.total_square_sum))
-    elif kind == "pareto":
-        parts = [p for p in rest.split(",") if p]
-        mx = ParetoMarginal(float(parts[0]), float(parts[1]) if len(parts) > 1 else 1.0)
-    else:
-        raise ConfigError(f"unknown x_marginal spec {config.x_marginal!r}")
-
-    ykind, _, yrest = config.y_marginal.partition(":")
-    if ykind == "exponential":
-        ty = ExponentialTarget()
-    elif ykind == "pareto":
-        ty = ParetoTarget(float(yrest))
-    elif ykind == "logpareto":
-        ty = LogParetoTarget(mx, float(yrest) if yrest else 0.5)
-    elif ykind == "identity":
-        ty = IdentityTarget(mx)
-    else:
-        raise ConfigError(f"unknown y_marginal spec {config.y_marginal!r}")
+    coeffs = build_coefficient_model(config.beta, _spec("L0", config.l0), config.trunc_tol)
+    dist = _spec("innovation", config.innovation)
+    mx, ty = _marginals(config.x_marginal, config.y_marginal, dist.sigma_eps * math.sqrt(coeffs.total_square_sum))
     return coeffs, dist, mx, ty

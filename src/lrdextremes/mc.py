@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
 
-from .config import ExperimentConfig, build_problem
+from .config import ExperimentConfig, _marginal_refusal, build_problem
 from .errors import DomainError, InfeasibleConfigError
 from .estats import (
     MAX_REDUCTION_ORDER,
@@ -26,7 +26,6 @@ from .estats import (
     reduction_sup_sorted,
     u_ratio,
 )
-from .model import GaussianMarginal, ParetoMarginal
 from .scaling import (
     ScalingBundle,
     check_condition_Dr,
@@ -123,24 +122,6 @@ def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool =
         check_feasible=check_feasible,
     )
     return problem, bundle
-
-
-def _marginal_refusal(mx, dist) -> str | None:
-    """Why no replicate can run on this X marginal under these innovations, or None when replicates can."""
-    if isinstance(mx, ParetoMarginal):
-        return (
-            "declared Pareto X marginal: no linear process of this model has it "
-            "(use 'gaussian' with gaussian innovations, whose X marginal is exact)"
-        )
-    if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
-        # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
-        return (
-            f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
-            f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
-            "the Frechet domain and F(X) is not uniform in the tail "
-            f"(there is no exact X marginal for {dist.kind} innovations yet)"
-        )
-    return None
 
 
 def _feasibility_record(problem, bundle: ScalingBundle) -> dict:

@@ -47,6 +47,8 @@ GAUSSIAN_UNDER_T = "Gaussian X marginal under student_t innovations"
 EMPIRICAL_X = GAUSSIAN_X + "x_marginal = empirical:0.05\n"
 EMPIRICAL_REFUSAL = "key 'x_marginal': unknown x_marginal spec 'empirical:0.05'"
 
+SMALL_CASE4 = MINIMAL_CASE4.replace("n = 32768", "n = 512").replace("R = 400", "R = 2")
+
 # Y = X over the Gaussian marginal: the target's repr nests the marginal's
 IDENTITY_OVER_GAUSSIAN = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = identity")
 
@@ -140,6 +142,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"unknown x_marginal spec '{spec}'"):
             build_problem(cfg)
 
+    @pytest.mark.parametrize(
+        "field,spec,key",
+        [
+            ("x_marginal", "pareto", "x_marginal"),
+            ("y_marginal", "pareto", "y_marginal"),
+            ("innovation", "gaussian:abc", "innovation"),
+            ("l0", "logpower:1", "L0"),
+        ],
+    )
+    def test_build_problem_refuses_a_malformed_spec_by_key(self, field, spec, key):
+        # the parser that parse_config uses reads a directly built config's specs too
+        fields = dict(beta=0.8, y_marginal="exponential", xi=0.9, master_seed=1, n=512)
+        cfg = ExperimentConfig(**{**fields, field: spec})
+        with pytest.raises(ConfigError, match=f"^key '{key}': "):
+            build_problem(cfg)
+
     def test_logpareto_requires_frechet_base(self):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = logpareto:0.5")
         with pytest.raises(ConfigError) as err:
@@ -196,6 +214,21 @@ class TestCli:
         with pytest.raises(InfeasibleConfigError) as err:
             run_replicates(cfg)
         assert "(****)" in str(err.value) and "CASE4" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "xi,spec,refusal",
+        [
+            pytest.param(0.95, {"x_marginal": "pareto:4"}, "declared Pareto X marginal", id="pareto_x"),
+            pytest.param(0.9, {"innovation": "student_t:6,1"}, GAUSSIAN_UNDER_T, id="gaussian_x_student_t"),
+        ],
+    )
+    def test_run_refuses_a_directly_built_marginal_it_cannot_run(self, xi, spec, refusal):
+        # scaling and diag parse these configs without the refusal; a run refuses them with the CLI's text
+        cfg = ExperimentConfig(beta=0.8, y_marginal="exponential", xi=xi, master_seed=2026004, n=512, replicates=2, **spec)
+        text = SMALL_CASE4.replace("xi = 0.9", f"xi = {xi}") + "".join(f"{k} = {v}\n" for k, v in spec.items())
+        assert parse_config(text, require_feasible=False) == cfg
+        with pytest.raises(InfeasibleConfigError, match=f"^{refusal}"):
+            run_replicates(cfg)
 
     @pytest.mark.parametrize(
         "command,size,text,refusal",
@@ -295,11 +328,25 @@ class TestCli:
         assert len(lines) == 3
         assert lines[0].startswith("n,k_n,ks_d")
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "beta = 5\n")
-        code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("command", ["mc", "scaling"])
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            pytest.param("beta = 5\n", "beta", id="beta"),
+            pytest.param(
+                SMALL_CASE4.replace("y_marginal = exponential", "y_marginal = pareto:abc"), "y_marginal", id="y_marginal"
+            ),
+            pytest.param(SMALL_CASE4 + "innovation = gaussian:abc\n", "innovation", id="innovation"),
+            pytest.param(SMALL_CASE4 + "x_marginal = pareto:4,x\n", "x_marginal", id="x_marginal"),
+            pytest.param(SMALL_CASE4 + "L0 = constant:abc\n", "L0", id="L0"),
+        ],
+    )
+    def test_bad_config_exit_code(self, tmp_path, capsys, command, text, key):
+        cfg = write_config(tmp_path, text)
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
-        assert (tmp_path / "errors.csv").exists()
+        errors = (tmp_path / "errors.csv").read_text().splitlines()
+        assert any(ln.startswith(f"2,key '{key}'") for ln in errors[1:])
 
     def test_missing_config_file(self, capsys):
         assert main(["mc", "--config", "/nonexistent/x.cfg"]) == 2

@@ -10,8 +10,9 @@ escape that scan, so the benchmark's traced job also runs once.  It also
 keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
-the filter's transforms, and keeps the replicate and set-up kernels off
-BLAS and LAPACK: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``,
+the filter's transforms, every split of a spec string on ``":"`` inside
+``config._spec``, the one spec parser, and keeps the replicate and set-up
+kernels off BLAS and LAPACK: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``,
 ``np.matmul`` and ``@`` on float64 to OpenBLAS, and ``np.linalg``, the
 polynomial root finders (``np.roots``, ``polyroots``, ``hermeroots``, ...)
 and the eigenvalue routines to LAPACK on OpenBLAS's threads.  Those threads
@@ -143,6 +144,30 @@ def test_fft_calls_only_in_the_filter_plan(module):
         tree.body = [node for node in tree.body if not (isinstance(node, ast.ClassDef) and node.name == "FilterPlan")]
     outside = fft_uses(tree)
     assert not outside, f"{module} uses scipy.fft outside simulate.FilterPlan at lines {outside}"
+
+
+def colon_splits(tree: ast.AST) -> list[int]:
+    """Lines that split a string on ``":"`` (``partition``, ``split`` or their right-hand forms)."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("partition", "rpartition", "split", "rsplit"):
+                args = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "sep"]
+                if any(isinstance(arg, ast.Constant) and arg.value == ":" for arg in args):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_specs_split_only_in_the_spec_parser(module):
+    # config._spec is the one reader of the spec strings (L0, innovation, x_marginal, y_marginal)
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    if module == "config.py":
+        parser = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_spec"]
+        assert parser and colon_splits(parser[0]), "config._spec no longer splits a spec; the scan no longer matches it"
+        tree.body = [node for node in tree.body if node not in parser]
+    outside = colon_splits(tree)
+    assert not outside, f"{module} splits a string on ':' outside config._spec at lines {outside}"
 
 
 # the code every replicate runs, as (module, qualified name); the whole-array
