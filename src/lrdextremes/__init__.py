@@ -74,9 +74,7 @@ from .scaling import (
 )
 from .simulate import (
     PathPair,
-    autocovariance,
     autocovariance_model,
-    autocovariances,
     build_coefficient_model,
     derive_seed,
     dump_path_csv,

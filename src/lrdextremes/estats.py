@@ -109,7 +109,7 @@ def trimmed_sum(sample, m: int, k: int) -> float:
     # exact in integer units of 1/n
     i = np.arange(1, n + 1)
     units = np.clip(np.minimum(i, n - k) - np.maximum(i - 1, m), 0, None)
-    integral = float(np.dot(units.astype(float), srt))
+    integral = float(np.sum(units * srt))
     scale = max(abs(direct), abs(integral), 1.0)
     if abs(direct - integral) > 1e-10 * scale:
         raise NumericError(f"trimmed-sum representations disagree: {direct} vs {integral}")

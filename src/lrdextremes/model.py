@@ -698,20 +698,13 @@ class TargetMarginalY:
         """Density-quantile f_Y(Q_Y(1 - t)) from the upper-tail probability t."""
         raise NotImplementedError
 
+    def cum_Q(self, u):
+        """Vectorized antiderivative P(u) = int_0^u Q_Y(v) dv, in closed form."""
+        raise NotImplementedError
+
     def integral_Q(self, lo: float, hi: float) -> float:
         """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
-        val, err = _gauss_kronrod(lambda u: self.Q(u), lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
-        return float(val)
-
-    def cum_Q(self, u):
-        """Vectorized antiderivative P(u) = int_0^u Q_Y(v) dv.
-
-        Exact closed form in the concrete targets; the generic fallback
-        integrates segment by segment.
-        """
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.array([self.integral_Q(0.0, float(v)) for v in arr])
-        return out if np.ndim(u) else float(out[0])
+        return float(self.cum_Q(hi) - self.cum_Q(lo))
 
 
 @dataclass(frozen=True)
@@ -743,9 +736,6 @@ class ParetoTarget(TargetMarginalY):
         g = 1.0 - 1.0 / self.alpha0
         return (1.0 - (1.0 - np.asarray(u, dtype=float)) ** g) / g
 
-    def integral_Q(self, lo: float, hi: float) -> float:
-        return float(self.cum_Q(hi) - self.cum_Q(lo))
-
 
 @dataclass(frozen=True)
 class ExponentialTarget(TargetMarginalY):
@@ -770,9 +760,6 @@ class ExponentialTarget(TargetMarginalY):
         t = 1.0 - np.asarray(u, dtype=float)
         safe = np.where(t > 0.0, t, 1.0)
         return np.where(t > 0.0, 1.0 - safe * (1.0 - np.log(safe)), 1.0)
-
-    def integral_Q(self, lo: float, hi: float) -> float:
-        return float(self.cum_Q(hi) - self.cum_Q(lo))
 
 
 @dataclass(frozen=True)
@@ -828,9 +815,7 @@ class LogParetoTarget(TargetMarginalY):
         return out if out.ndim else float(out)
 
     def cum_Q(self, u):
-        if not isinstance(self.base, ParetoMarginal):
-            return super().cum_Q(u)
-        # exact Pareto base: Q_Y(v) = alpha*log(x_m) - log(1-v) above u0
+        # the base is Frechet, so a Pareto marginal: Q_Y(v) = alpha*log(x_m) - log(1-v) above u0
         arr = np.asarray(u, dtype=float)
         a = self.base.mda.alpha
         q0 = a * math.log(self.base.Q(self.u0))
@@ -848,11 +833,6 @@ class LogParetoTarget(TargetMarginalY):
         above = p_u0 + cshift * (vv - self.u0) + p_exp(vv) - p_exp(self.u0)
         out = np.where(arr > self.u0, above, below)
         return out if out.ndim else float(out)
-
-    def integral_Q(self, lo: float, hi: float) -> float:
-        if not isinstance(self.base, ParetoMarginal):
-            return super().integral_Q(lo, hi)
-        return float(self.cum_Q(hi) - self.cum_Q(lo))
 
 
 @dataclass(frozen=True)
@@ -876,25 +856,18 @@ class IdentityTarget(TargetMarginalY):
         return self.mx.fQ_upper(t)
 
     def cum_Q(self, u):
-        # closed antiderivatives for the analytic bases
+        # closed antiderivatives of the two X marginals, Gaussian and Pareto
         arr = np.asarray(u, dtype=float)
         if isinstance(self.mx, GaussianMarginal):
             z = ndtri(np.clip(arr, CLAMP_EPS, 1.0 - CLAMP_EPS))
             out = -self.mx.s * np.exp(-0.5 * z * z) / _SQRT2PI
             return out if out.ndim else float(out)
-        if isinstance(self.mx, ParetoMarginal):
-            a = self.mx.alpha
-            if a <= 1:
-                raise DomainError("identity target over a Pareto base needs alpha > 1 for E Y < inf")
-            g = 1.0 - 1.0 / a
-            out = self.mx.x_m * (1.0 - (1.0 - arr) ** g) / g
-            return out if out.ndim else float(out)
-        return super().cum_Q(u)
-
-    def integral_Q(self, lo: float, hi: float) -> float:
-        if isinstance(self.mx, (GaussianMarginal, ParetoMarginal)):
-            return float(self.cum_Q(hi) - self.cum_Q(lo))
-        return super().integral_Q(lo, hi)
+        a = self.mx.alpha
+        if a <= 1:
+            raise DomainError("identity target over a Pareto base needs alpha > 1 for E Y < inf")
+        g = 1.0 - 1.0 / a
+        out = self.mx.x_m * (1.0 - (1.0 - arr) ** g) / g
+        return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

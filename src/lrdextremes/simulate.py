@@ -40,12 +40,11 @@ a spectrum, and a replicate pays one blocked multiply-and-sum over eps for
 it, not a filter pass.  The window sums are built by pairwise doubling in
 cache-sized chunks (``window_sums``), which keeps each within a relative
 (ceil(log2 n) + 1) * 2^-53 of exact; differences of a running cumsum lose
-digits on the small windows of the tail.  Neither a replicate kernel nor
-the set-up (coefficients, plans, window sums, sigma_{n,1}) nor the exact
-lags calls a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @):
-those run OpenBLAS's own threads, so a run with one worker would not be
-one core, and OpenBLAS splits a sum by its thread count, so the sum's bits
-would depend on that count.
+digits on the small windows of the tail.  No code of the package calls
+a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @): those run
+OpenBLAS's own threads, so a run with one worker would not be one core,
+and OpenBLAS splits a sum by its thread count, so the sum's bits would
+depend on that count.
 
 A replicate study builds the power-1 plan once, in its scaling bundle, and
 raises it to order p in its replicate plan, so the taps are transformed
@@ -55,12 +54,13 @@ sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
 sigma_{n,1}^2 = sigma_eps^2 ||w||^2; Parseval gives the part of ||w||^2 that
 each segment makes alone from its spectrum, and sums over the n - 1 taps on
 either side of each segment boundary give the overlaps, so no filter pass
-follows the spectra.  The exact autocovariances at lags 0..min(n-1, M) are
-not part of a study's set-up: they are the reference that tests check
-sigma_{n,1} and the spectra against, and what the partial-sum variance
-checks of the roadmap build on.  A one-segment plan reads them off its
-spectrum, and a partitioned one streams the reversed taps through its
-power-1 pass, O((n + M) log n).
+follows the spectra.  The exact autocovariances rho_k at the lags
+0..min(n-1, M) have one route too, ``FilterPlan.autocovariances``: a
+one-segment plan reads them off its spectrum, and a partitioned one streams
+the reversed taps through its power-1 pass, O((n + M) log n).  A study's
+set-up does not need them; ``sigma_n1_exact`` sums them for the smaller
+sizes of an n grid, and tests check sigma_{n,1} and the spectra against
+them.
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or, for the exact
@@ -367,7 +367,7 @@ class FilterPlan:
     around the segment boundaries, with no further transform of the taps,
     so the taps are transformed here only, once per filtered power.
     ``autocovariances`` gives the exact lags 0..min(n-1, M) from the same
-    spectra, as a reference for tests; no study's set-up calls it.
+    spectra, the package's one route to them.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
     module docstring (B = 4 n when M + 1 >= 32 n, else B = M + 1), after
@@ -531,9 +531,10 @@ class FilterPlan:
         return self.stream(array_source(eps)).paths[m - 1]
 
     def autocovariances(self, sigma_eps2: float) -> np.ndarray:
-        """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M).
+        """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M), the package's one route to the lags.
 
-        One segment reads them off its own spectrum as irfft(|C|^2, L): a
+        ``sigma_n1_exact`` sums them for the sizes of a grid below the plan's
+        n.  One segment reads them off its own spectrum as irfft(|C|^2, L): a
         circular autocorrelation of length L >= n + M does not wrap on lags
         below n.  Several segments stream the reversed taps followed by
         n - 1 zeros, [c_M, ..., c_0, 0, ...], through the power-1 pass;
@@ -570,7 +571,7 @@ class FilterPlan:
         if M == 0:
             return math.sqrt(sigma_eps2 * (n * C**2))
         S = len(C)
-        (weight,) = _dirichlet_weights(L, [n])
+        weight = _dirichlet_weights(L, n)
         rows = max(1, _BLOCK_POINTS // L)
         parts = []
         for lo in range(0, S, rows):
@@ -593,32 +594,9 @@ class FilterPlan:
                 parts.extend(2.0 * _strip_cross(strips[lo : lo + rows], k) for lo in range(0, S - 2, rows))
         return math.sqrt(sigma_eps2 * math.fsum(parts))
 
-    def sigma_n1_shorter(self, sigma_eps2: float, ns) -> np.ndarray:
-        """sigma_{n,1} at window lengths n < self.n, from a one-segment plan's spectrum.
 
-        The plan's L >= self.n + M > n + M, so c (*) 1_n does not wrap in
-        length L, and Parseval gives ||w||^2 = (1/L) sum_f g_f |D_f|^2 |C(f)|^2
-        as in ``sigma_n1``, with D = rfft(1_n, L) of each n in closed form
-        from one table for all sizes (``_dirichlet_weights``), so each size
-        costs a gather, a division and a sum, with no transform.
-        """
-        ns = np.asarray(ns)
-        C, L = self.spectra[0], self.L
-        if np.any(ns < 1) or np.any(ns >= self.n) or (self.M > 0 and len(C) > 1):
-            raise DomainError(f"a plan at n = {self.n} with a partitioned filter or n at or above it does not serve n = {ns}")
-        if self.M == 0:
-            return np.sqrt(sigma_eps2 * (ns * C**2))
-        power = np.square(C[0].real)
-        power += np.square(C[0].imag)
-        out = []
-        for weight in _dirichlet_weights(L, ns.tolist()):
-            weight *= power
-            out.append(math.sqrt(sigma_eps2 * (np.sum(weight) / L)))
-        return np.array(out)
-
-
-def _dirichlet_weights(L: int, ns):
-    """g_f |D_f|^2 at the bins f = 0..L/2 of D = rfft(1_n, L), for each n of ns in turn, with no transform.
+def _dirichlet_weights(L: int, n: int) -> np.ndarray:
+    """g_f |D_f|^2 at the bins f = 0..L/2 of D = rfft(1_n, L), with no transform.
 
     |D_f|^2 is the Dirichlet kernel sin^2(pi f n / L) / sin^2(pi f / L)
     (n^2 at f = 0), and g_f = 1 for a bin without a conjugate twin (DC, and
@@ -629,14 +607,13 @@ def _dirichlet_weights(L: int, ns):
     """
     bins = np.arange(L // 2 + 1)
     sin2 = np.square(np.sin(bins * (math.pi / L)))
-    for n in ns:
-        r = bins[1:] * n % L
-        np.minimum(r, L - r, out=r)
-        weight = np.empty(bins.size)
-        weight[0] = float(n) ** 2
-        np.divide(sin2[r], sin2[1:], out=weight[1:])
-        weight[1 : (L + 1) // 2] *= 2.0
-        yield weight
+    r = bins[1:] * n % L
+    np.minimum(r, L - r, out=r)
+    weight = np.empty(bins.size)
+    weight[0] = float(n) ** 2
+    np.divide(sin2[r], sin2[1:], out=weight[1:])
+    weight[1 : (L + 1) // 2] *= 2.0
+    return weight
 
 
 def _strip_cross(strips: np.ndarray, k: int) -> float:
@@ -697,43 +674,14 @@ def simulate_path(
     return PathPair(x=x, y=np.atleast_1d(y), seed=seed, spec_hash=config_hash(coeffs, dist, mx, ty, n))
 
 
-def autocovariance(c: np.ndarray, sigma_eps2: float, k: int) -> float:
-    """Exact lag-k autocovariance of the truncated model, sigma_eps^2 * sum_j c_j c_{j+k}.
-
-    Lags beyond the truncation length return 0.0 with a TruncationWarning.
-    """
-    c = np.asarray(c, dtype=float)
-    M = len(c) - 1
-    if k < 0:
-        raise DomainError("lag must be >= 0")
-    if k > M:
-        warnings.warn(f"lag {k} exceeds truncation length {M}; returning 0", TruncationWarning, stacklevel=2)
-        return 0.0
-    return float(sigma_eps2 * np.dot(c[: M - k + 1], c[k:]))
-
-
-def autocovariances(c: np.ndarray, sigma_eps2: float, kmax: int) -> np.ndarray:
-    """Lags 0..kmax of the exact truncated-model autocovariance.
-
-    Lags 0..min(kmax, M) come from ``FilterPlan.autocovariances`` on the
-    plan at n = min(kmax, M) + 1, so the cost follows the lags asked for;
-    lags beyond M are 0.
-    """
-    c = np.asarray(c, dtype=float)
-    out = np.zeros(kmax + 1)
-    rho = FilterPlan.build(c, min(kmax, len(c) - 1) + 1).autocovariances(sigma_eps2)
-    out[: rho.size] = rho
-    return out
-
-
 def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int, sigma_eps2: float = 1.0) -> float:
     """Theoretical lag-k autocovariance of the untruncated model.
 
     Sums c_j c_{j+k} exactly for j <= M - k and adds the analytic tail
     integral over j > M - k (closed incomplete-beta form for constant L0,
     quadrature otherwise).  This is the model quantity rho_k whose scaled
-    limit is the beta-function constant; the truncated-path value is
-    ``autocovariance``.
+    limit is the beta-function constant; the truncated-path lags are
+    ``FilterPlan.autocovariances``.
     """
     if L0 is None:
         L0 = SvConstant(1.0)
@@ -762,17 +710,16 @@ def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
 
-    ``FilterPlan.sigma_n1`` on power-1 plans, at each distinct
-    min(n, M + 1).  Past M + 1 the window sums w of n taps are those of
-    M + 1 taps with n - M - 1 more entries equal to sum c, so the plan at
-    M + 1 serves every larger n, adding (n - M - 1) sigma_eps^2 (sum c)^2.
-    ``n`` may be a sequence of sizes: the result is then an array.  The
-    sizes whose plan is one segment (M + 1 < 32 n) are all served by the
-    plan of the largest of them, so a grid transforms the taps once for
-    them; each partitioned size builds its own plan.  A single n, and the
-    largest one-segment size of a grid, take the plan a study's bundle
-    builds at that n, and its value; the smaller one-segment sizes of a
-    grid sum over a longer transform and may differ from their single-n
+    ``n`` may be a sequence of sizes: the result is then an array.  Past
+    M + 1 the window sums w of n taps are those of M + 1 taps with
+    n - M - 1 more entries equal to sum c, so every size is capped at
+    M + 1 and the capped size gets the plateau (n - M - 1) sigma_eps^2
+    (sum c)^2 added.  One power-1 plan, at the largest capped size, serves
+    the whole grid: that size takes ``FilterPlan.sigma_n1``, the route and
+    the bits of a study's bundle at that n, and so does a single n, which
+    computes no lags.  Every smaller size m is
+    m rho_0 + 2 sum_{k=1}^{m-1} (m - k) rho_k over the plan's lags
+    (``FilterPlan.autocovariances``), so it may differ from its single-n
     value in the last bits.
     """
     ns = np.atleast_1d(np.asarray(n))
@@ -783,13 +730,14 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     c = np.asarray(c, dtype=float)
     capped = np.minimum(ns, len(c))
     sizes, where = np.unique(capped, return_inverse=True)
-    # the one-segment sizes are the largest ones: M + 1 < 32 n
-    first = int(np.searchsorted(_PARTITION_MIN_PATHS * sizes, len(c), side="right"))
-    vals = [FilterPlan.build(c, int(size)).sigma_n1(sigma_eps2) for size in sizes[:first]]
-    if first < sizes.size:
-        shared = FilterPlan.build(c, int(sizes[-1]))
-        vals += [*shared.sigma_n1_shorter(sigma_eps2, sizes[first:-1]), shared.sigma_n1(sigma_eps2)]
-    out = np.array(vals)[where]
+    plan = FilterPlan.build(c, int(sizes[-1]))
+    vals = np.empty(sizes.size)
+    vals[-1] = plan.sigma_n1(sigma_eps2)
+    if sizes.size > 1:
+        rho = plan.autocovariances(sigma_eps2)
+        for i, m in enumerate(sizes[:-1].tolist()):
+            vals[i] = math.sqrt(m * rho[0] + 2.0 * np.sum((m - np.arange(1.0, m)) * rho[1:m]))
+    out = vals[where]
     # the plateau entries past M + 1
     over = ns > capped
     if over.any():

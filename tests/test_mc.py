@@ -37,7 +37,6 @@ from lrdextremes.model import (
 from lrdextremes.scaling import make_bundle
 from lrdextremes.simulate import (
     FilterPlan,
-    autocovariance,
     config_hash,
     derive_seed,
     gen_innovations,
@@ -45,7 +44,7 @@ from lrdextremes.simulate import (
     simulate_path,
 )
 from test_estats import searchsorted_reduction_sup
-from test_simulate import peak_over_result
+from test_simulate import lag_oracle, peak_over_result
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -211,7 +210,7 @@ class TestRunReplicates:
         (coeffs, dist, _, _), bundle = _problem_and_bundle(cfg, cfg.n)
         assert coeffs.M == 32262 and len(bundle.filter_plan.spectra[0]) > 1
         n, s2 = cfg.n, dist.variance
-        rho = np.array([autocovariance(coeffs.c, s2, k) for k in range(n)])
+        rho = np.array([lag_oracle(coeffs.c, s2, k) for k in range(n)])
         oracle = math.sqrt(n * rho[0] + 2.0 * float(np.dot(n - np.arange(1.0, n), rho[1:])))
         assert bundle.sigma_n1 == pytest.approx(oracle, rel=1e-13)
 

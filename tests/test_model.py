@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from lrdextremes import model, scaling
 from lrdextremes.errors import ClampWarning, DomainError
@@ -25,7 +25,6 @@ from lrdextremes.model import (
     ParetoTarget,
     SvConstant,
     SvLogPower,
-    TargetMarginalY,
     clamp_events,
     reset_clamp_events,
     subordinate,
@@ -249,19 +248,6 @@ class TestTargets:
     def test_log_pareto_requires_positive_quantile(self):
         with pytest.raises(DomainError):
             LogParetoTarget(GaussianMarginal(1.0))  # gumbel base rejected
-
-    def test_generic_integral_q_takes_the_quadrature(self):
-        # no closed antiderivative: int_lo^hi Phi^-1(u) du = phi(Phi^-1(lo)) - phi(Phi^-1(hi)).
-        # Q raises at u = 1, which the quadrature never evaluates
-        class QuantileOnly(TargetMarginalY):
-            def Q(self, u):
-                return GaussianMarginal(1.0).Q(u)
-
-        ty = QuantileOnly()
-        phi_q = lambda u: math.exp(-0.5 * ndtri(u) ** 2) / math.sqrt(2.0 * math.pi)
-        assert ty.integral_Q(0.2, 0.8) == pytest.approx(0.0, abs=1e-12)
-        assert ty.integral_Q(0.9, 1.0) == pytest.approx(phi_q(0.9), rel=1e-12)
-        np.testing.assert_allclose(ty.cum_Q(np.array([0.1, 0.5])), [-phi_q(0.1), -phi_q(0.5)], rtol=1e-12)
 
     def test_identity_target_gaussian_cum_q(self):
         ty = IdentityTarget(GaussianMarginal(2.0))

@@ -32,9 +32,7 @@ from lrdextremes.simulate import (
     M_CAP,
     FilterPlan,
     array_source,
-    autocovariance,
     autocovariance_model,
-    autocovariances,
     build_coefficient_model,
     derive_seed,
     dump_path_csv,
@@ -46,6 +44,12 @@ from lrdextremes.simulate import (
     truncation_length,
     window_sums,
 )
+
+
+def lag_oracle(c, sigma_eps2, k):
+    """Scalar oracle for the truncated model's lag k: sigma_eps^2 * sum_j c_j c_{j+k}, summed exactly."""
+    c = np.asarray(c, dtype=float)
+    return sigma_eps2 * math.fsum(c[: c.size - k] * c[k:])
 
 
 def direct_convolution(c, eps):
@@ -536,43 +540,23 @@ class TestSimulatePath:
 
 class TestAutocovariance:
     def test_tiny_example(self):
-        c = np.array([1.0, 0.5])
-        assert autocovariance(c, 1.0, 0) == pytest.approx(1.25)
-        assert autocovariance(c, 1.0, 1) == pytest.approx(0.5)
+        rho = FilterPlan.build(np.array([1.0, 0.5]), 2).autocovariances(1.0)
+        assert rho == pytest.approx([1.25, 0.5])
 
     def test_white_noise(self):
-        assert autocovariance(np.array([1.0]), 2.5, 0) == pytest.approx(2.5)
+        assert FilterPlan.build(np.array([1.0]), 1).autocovariances(2.5) == pytest.approx([2.5])
 
-    def test_beyond_truncation(self):
-        with pytest.warns(TruncationWarning):
-            assert autocovariance(np.array([1.0, 0.5]), 1.0, 5) == 0.0
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        c = rng.uniform(0.1, 1.0, 20)
-        vec = autocovariances(c, 1.7, 25)
-        for k in range(20):
-            assert vec[k] == pytest.approx(autocovariance(c, 1.7, k), rel=1e-12)
-        assert np.all(vec[20:] == 0.0)
-
-    @pytest.mark.parametrize("kmax", [0, 3, 40, 4095, 5000])
-    def test_short_autocorrelation_matches_dot(self, kmax):
-        # lags 0..min(kmax, M) come from the plan at min(kmax, M) + 1: partitioned for kmax 0, 3, 40
-        cm = build_coefficient_model(0.8, M=4095)
-        vec = autocovariances(cm.c, 1.3, kmax)
-        assert vec.shape == (kmax + 1,)
-        direct = [autocovariance(cm.c, 1.3, k) for k in range(min(kmax, cm.M) + 1)]
-        np.testing.assert_allclose(vec[: len(direct)], direct, rtol=1e-12, atol=0.0)
-        assert np.all(vec[cm.M + 1 :] == 0.0)
-
-    @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095)])
+    # partitioned plans filter the reversed taps, one-segment plans read |C|^2; on
+    # 4096 taps n = 1, 4 and 41 are partitioned and n = 4096 reaches every lag
+    @pytest.mark.parametrize(
+        "n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095), (1, 4095), (4, 4095), (41, 4095), (4096, 4095), (20, 19)]
+    )
     def test_plan_autocovariances_match_dot(self, n, M):
-        # partitioned plans filter the reversed taps, one-segment plans read |C|^2
         c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
         plan = FilterPlan.build(c, n)
         rho = plan.autocovariances(0.7)
         assert rho.shape == (min(n - 1, M) + 1,)
-        np.testing.assert_allclose(rho, [autocovariance(c, 0.7, k) for k in range(rho.size)], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rho, [lag_oracle(c, 0.7, k) for k in range(rho.size)], rtol=1e-12, atol=0.0)
 
     def test_with_order_keeps_the_spectra_it_holds(self):
         c = np.random.default_rng(4).uniform(0.05, 1.0, 3000)
@@ -600,7 +584,7 @@ class TestAutocovariance:
     def test_model_vs_truncated_direction(self):
         # the truncated sum omits positive mass, so the model value is larger
         cm = build_coefficient_model(0.75, M=10**4)
-        trunc = autocovariance(cm.c, 1.0, 100)
+        trunc = lag_oracle(cm.c, 1.0, 100)
         model = autocovariance_model(0.75, SvConstant(1.0), 10**4, 100)
         assert model > trunc
 
@@ -677,24 +661,22 @@ class TestSigmaN1:
         assert np.var(sums, ddof=1) == pytest.approx(sig2, rel=0.15)
 
     def test_n_grid_matches_pairwise_weights(self):
-        # the grid evaluation against today's formula n rho_0 + 2 sum (n - k) rho_k
+        # the grid sums n rho_0 + 2 sum (n - k) rho_k over its plan's lags; the oracle is the
+        # window sums, a route that takes no lags
         cm = build_coefficient_model(0.8, tol=1e-3)
         ns = [2**15, 1, 2, 1000, cm.M, cm.M + 1, cm.M + 2, 2**17, 1000]
-        rho = autocovariances(cm.c, 1.3, cm.M)
         grid = sigma_n1_exact(cm.c, 1.3, ns)
         assert grid.shape == (len(ns),)
         for n, val in zip(ns, grid):
-            kmax = min(n - 1, cm.M)
-            weights = n - np.arange(kmax + 1, dtype=float)
-            oracle = math.sqrt(n * rho[0] + 2.0 * float(np.dot(weights[1:], rho[1 : kmax + 1])))
+            oracle = math.sqrt(1.3 * math.fsum(window_sums(cm.c, n) ** 2))
             assert val == pytest.approx(oracle, rel=1e-13)
             scalar = sigma_n1_exact(cm.c, 1.3, n)
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(oracle, rel=1e-13)
 
     def test_n_grid_serves_its_one_segment_sizes_from_one_plan(self, monkeypatch):
-        # M + 1 = 301: sizes 10 and up are one segment and share the plan at min(500, 301);
-        # size 5 (M + 1 >= 32 n) is partitioned and builds its own
+        # M + 1 = 301: every size shares the one plan at min(500, 301), size 5 too,
+        # whose own plan (M + 1 >= 32 n) would be partitioned
         c = np.random.default_rng(9).uniform(0.05, 1.0, 301)
         ns = [20, 50, 100, 301, 500, 5, 11]
         build, built = FilterPlan.build, []
@@ -705,7 +687,7 @@ class TestSigmaN1:
 
         monkeypatch.setattr(FilterPlan, "build", counted_build)
         grid = sigma_n1_exact(c, 1.3, ns)
-        assert sorted(built) == [5, 301]
+        assert built == [301]
         for n, val in zip(ns, grid):
             oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
             assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
@@ -714,14 +696,6 @@ class TestSigmaN1:
         for n in [20, 301, 5]:
             assert sigma_n1_exact(c, 1.3, n) == FilterPlan.build(c, n).sigma_n1(1.3)
         assert grid[3] == sigma_n1_exact(c, 1.3, 301)
-
-    def test_shorter_sizes_need_a_one_segment_plan(self):
-        c = np.random.default_rng(10).uniform(0.05, 1.0, 301)
-        with pytest.raises(DomainError):
-            FilterPlan.build(c, 5).sigma_n1_shorter(1.0, [2])  # partitioned
-        with pytest.raises(DomainError):
-            FilterPlan.build(c, 64).sigma_n1_shorter(1.0, [64])  # not shorter
-        np.testing.assert_allclose(FilterPlan.build(np.array([2.0]), 9).sigma_n1_shorter(1.0, [1, 4]), [2.0, 4.0])
 
     def test_n_grid_domain(self):
         with pytest.raises(DomainError):

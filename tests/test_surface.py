@@ -11,8 +11,8 @@ keeps every import inside the package at
 module level, where a module's dependencies are visible at a glance, and
 every ``scipy.fft`` call inside ``simulate.FilterPlan``, the one owner of
 the filter's transforms, every split of a spec string on ``":"`` inside
-``config._spec``, the one spec parser, and keeps the replicate and set-up
-kernels off BLAS and LAPACK: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``,
+``config._spec``, the one spec parser, and keeps every function of every
+module off BLAS and LAPACK: numpy hands ``np.dot``, ``np.vdot``, ``np.inner``,
 ``np.matmul`` and ``@`` on float64 to OpenBLAS, and ``np.linalg``, the
 polynomial root finders (``np.roots``, ``polyroots``, ``hermeroots``, ...)
 and the eigenvalue routines to LAPACK on OpenBLAS's threads.  Those threads
@@ -170,78 +170,10 @@ def test_specs_split_only_in_the_spec_parser(module):
     assert not outside, f"{module} splits a string on ':' outside config._spec at lines {outside}"
 
 
-# the code every replicate runs, as (module, qualified name); the whole-array
-# entries (gen_innovations, sample, apply) are the calls of perfbench's traced replicate
-REPLICATE_KERNELS = [
-    ("mc.py", "_run_one"),
-    ("simulate.py", "innovation_source"),
-    ("model.py", "InnovationDist.fill"),
-    ("simulate.py", "FilterPlan.stream"),
-    ("simulate.py", "gen_innovations"),
-    ("model.py", "InnovationDist.sample"),
-    ("simulate.py", "FilterPlan.apply"),
-    ("estats.py", "multilinear_sums"),
-    ("estats.py", "reduction_sup_sorted"),
-    ("estats.py", "ProcessFrame.from_path"),
-    ("estats.py", "ProcessFrame.top_y"),
-    ("estats.py", "ProcessFrame.u_order"),
-    ("estats.py", "decompose_I"),
-    ("estats.py", "_stieltjes_y_minus_en"),
-    ("estats.py", "_frame_z"),
-    ("estats.py", "u_ratio"),
-    # the marginal functions a replicate of the reference workloads evaluates
-    ("model.py", "GaussianMarginal.F"),
-    ("model.py", "GaussianMarginal.F_deriv"),
-    ("model.py", "GaussianMarginal.F_derivs"),
-    ("model.py", "GaussianMarginal.turning_gaps"),
-    ("model.py", "ExponentialTarget.Q"),
-    ("model.py", "ExponentialTarget.cum_Q"),
-    ("model.py", "ExponentialTarget.integral_Q"),
-    ("model.py", "ParetoTarget.Q"),
-    ("model.py", "ParetoTarget.cum_Q"),
-    ("model.py", "ParetoTarget.integral_Q"),
-    ("model.py", "IdentityTarget.Q"),
-    ("model.py", "IdentityTarget.cum_Q"),
-    ("model.py", "IdentityTarget.integral_Q"),
-]
 BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul"}
 # LAPACK-backed: every call through a ``linalg`` module, these names, and every
 # polynomial root finder (numpy's ``*roots`` take the companion matrix's eigenvalues)
 LAPACK_ROUTINES = {"eig", "eigh", "eigvals", "eigvalsh", "lstsq", "polyfit"}
-
-
-def definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Qualified name -> definition, for the module's functions and the methods of its classes."""
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    defs[f"{node.name}.{item.name}"] = item
-    return defs
-
-
-def with_local_callees(defs: dict[str, ast.AST], name: str) -> list[str]:
-    """``name`` and every function of the same module it reaches by a bare name or ``self.``/``cls.``."""
-    owner = name.rpartition(".")[0]
-    seen, todo = [], [name]
-    while todo:
-        current = todo.pop()
-        if current in seen:
-            continue
-        seen.append(current)
-        for node in ast.walk(defs[current]):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in defs:
-                todo.append(func.id)
-            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                if func.value.id in ("self", "cls") and f"{owner}.{func.attr}" in defs:
-                    todo.append(f"{owner}.{func.attr}")
-    return seen
 
 
 def call_chain(func: ast.AST) -> list[str]:
@@ -255,10 +187,10 @@ def call_chain(func: ast.AST) -> list[str]:
     return parts[::-1]
 
 
-def blas_uses(fn: ast.AST) -> list[int]:
+def blas_uses(tree: ast.AST) -> list[int]:
     """Lines with ``@``, ``@=`` or a call of a BLAS- or LAPACK-backed routine (``np.dot``, ``np.roots``, ...)."""
     lines = set()
-    for node in ast.walk(fn):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             lines.add(node.lineno)
         elif isinstance(node, ast.Call):
@@ -294,42 +226,11 @@ def test_blas_scan_finds_each_form():
     assert blas_uses(ast.parse(snippet).body[0]) == list(range(2, 16))
 
 
-def assert_no_blas(module: str, kernel: str, listed_in: str) -> None:
-    defs = definitions(ast.parse((PACKAGE / module).read_text(), filename=module))
-    assert kernel in defs, f"{module} no longer defines {kernel}; update {listed_in}"
-    found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
-    found = {name: lines for name, lines in found.items() if lines}
-    assert not found, f"{kernel} reaches BLAS- or LAPACK-backed calls in {module}: {found}"
-
-
-@pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
-def test_replicate_kernels_call_no_blas(module, kernel):
-    assert_no_blas(module, kernel, "REPLICATE_KERNELS")
-
-
-# the set-up of a study, which runs in the same process before its replicates, and
-# the exact lags (FilterPlan.autocovariances): no study calls them, but they are the
-# reference sigma_{n,1} is tested against, so they are held to the same rule
-SETUP_KERNELS = [
-    ("scaling.py", "make_bundle"),
-    ("simulate.py", "FilterPlan.sigma_n1"),
-    ("simulate.py", "FilterPlan.build"),
-    ("simulate.py", "FilterPlan.with_order"),
-    ("simulate.py", "FilterPlan._spectrum"),
-    ("simulate.py", "FilterPlan.autocovariances"),
-    ("simulate.py", "window_sums"),
-    ("model.py", "CoefficientModel.build"),
-    ("model.py", "_square_sum"),
-    ("mc.py", "ReplicatePlan.build"),
-    ("estats.py", "TailGrid.build"),
-    ("model.py", "_gauss_kronrod"),
-    ("model.py", "_gauss_kronrod_groups"),
-]
-
-
-@pytest.mark.parametrize("module,kernel", SETUP_KERNELS)
-def test_setup_kernels_call_no_blas(module, kernel):
-    assert_no_blas(module, kernel, "SETUP_KERNELS")
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_calls_no_blas(module):
+    # the whole module: every function, method and module-level statement
+    found = blas_uses(ast.parse((PACKAGE / module).read_text(), filename=module))
+    assert not found, f"{module} calls BLAS- or LAPACK-backed routines at lines {found}"
 
 
 # sigma_{n,1} of a fixed random filter of 32 262 taps, about the Case 4 truncation
@@ -400,8 +301,6 @@ EXPORTS_WITHOUT_CALLER = {
     "z_statistic": "the independent route to Z_n that the decomposition tests compare with",
     "trend_nonincreasing": "the acceptance criteria judge their trends with it",
     "karamata_product": "the acceptance criteria check A_n K_n -> 1 with it",
-    "autocovariance": "the scalar reference that FilterPlan.autocovariances is tested against",
-    "autocovariances": "the exact lags rho_k; tests check sigma_n1 and the spectra against them, and ROADMAP item 2 builds on them",
     "autocovariance_model": "the theoretical autocovariance, kept for the LRD-at-experiment-size check",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
