@@ -546,12 +546,18 @@ class TestAutocovariance:
     def test_white_noise(self):
         assert FilterPlan.build(np.array([1.0]), 1).autocovariances(2.5) == pytest.approx([2.5])
 
-    # partitioned plans filter the reversed taps, one-segment plans read |C|^2; on
-    # 4096 taps n = 1, 4 and 41 are partitioned and n = 4096 reaches every lag
-    @pytest.mark.parametrize(
-        "n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095), (1, 4095), (4, 4095), (41, 4095), (4096, 4095), (20, 19)]
-    )
+    @pytest.mark.parametrize("kmax", [0, 3, 40, 4095, 5000])
+    def test_short_autocorrelation_matches_dot(self, kmax):
+        # lags 0..min(kmax, M) come from the plan at min(kmax, M) + 1: partitioned for kmax 0, 3, 40
+        cm = build_coefficient_model(0.8, M=4095)
+        vec = FilterPlan.build(cm.c, min(kmax, cm.M) + 1).autocovariances(1.3)
+        assert vec.shape == (min(kmax, cm.M) + 1,)
+        direct = [lag_oracle(cm.c, 1.3, k) for k in range(vec.size)]
+        np.testing.assert_allclose(vec, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095), (20, 19)])
     def test_plan_autocovariances_match_dot(self, n, M):
+        # partitioned plans filter the reversed taps, one-segment plans read |C|^2
         c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
         plan = FilterPlan.build(c, n)
         rho = plan.autocovariances(0.7)

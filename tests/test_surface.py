@@ -233,6 +233,126 @@ def test_package_calls_no_blas(module):
     assert not found, f"{module} calls BLAS- or LAPACK-backed routines at lines {found}"
 
 
+# the code every replicate runs, as (module, qualified name); the whole-array
+# entries (gen_innovations, sample, apply) are the calls of perfbench's traced replicate.
+# The module scan above already covers them; these lists also pin that each kernel
+# is still defined under its name
+REPLICATE_KERNELS = [
+    ("mc.py", "_run_one"),
+    ("simulate.py", "innovation_source"),
+    ("model.py", "InnovationDist.fill"),
+    ("simulate.py", "FilterPlan.stream"),
+    ("simulate.py", "gen_innovations"),
+    ("model.py", "InnovationDist.sample"),
+    ("simulate.py", "FilterPlan.apply"),
+    ("estats.py", "multilinear_sums"),
+    ("estats.py", "reduction_sup_sorted"),
+    ("estats.py", "ProcessFrame.from_path"),
+    ("estats.py", "ProcessFrame.top_y"),
+    ("estats.py", "ProcessFrame.u_order"),
+    ("estats.py", "decompose_I"),
+    ("estats.py", "_stieltjes_y_minus_en"),
+    ("estats.py", "_frame_z"),
+    ("estats.py", "u_ratio"),
+    # the marginal functions a replicate of the reference workloads evaluates
+    ("model.py", "GaussianMarginal.F"),
+    ("model.py", "GaussianMarginal.F_deriv"),
+    ("model.py", "GaussianMarginal.F_derivs"),
+    ("model.py", "GaussianMarginal.turning_gaps"),
+    ("model.py", "ExponentialTarget.Q"),
+    ("model.py", "ExponentialTarget.cum_Q"),
+    ("model.py", "ExponentialTarget.integral_Q"),
+    ("model.py", "ParetoTarget.Q"),
+    ("model.py", "ParetoTarget.cum_Q"),
+    ("model.py", "ParetoTarget.integral_Q"),
+    ("model.py", "IdentityTarget.Q"),
+    ("model.py", "IdentityTarget.cum_Q"),
+    ("model.py", "IdentityTarget.integral_Q"),
+]
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Qualified name -> definition, for the module's functions and the methods of its classes.
+
+    A class also lists the methods it inherits from a base defined earlier in the module:
+    ``ExponentialTarget.integral_Q`` is ``TargetMarginalY.integral_Q``, whose ``self.cum_Q``
+    then resolves to ``ExponentialTarget.cum_Q``.
+    """
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for base in reversed(node.bases):
+                if isinstance(base, ast.Name):
+                    prefix = f"{base.id}."
+                    for name, fn in list(defs.items()):
+                        if name.startswith(prefix):
+                            defs[f"{node.name}.{name[len(prefix):]}"] = fn
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{node.name}.{item.name}"] = item
+    return defs
+
+
+def with_local_callees(defs: dict[str, ast.AST], name: str) -> list[str]:
+    """``name`` and every function of the same module it reaches by a bare name or ``self.``/``cls.``."""
+    owner = name.rpartition(".")[0]
+    seen, todo = [], [name]
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.append(current)
+        for node in ast.walk(defs[current]):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in defs:
+                todo.append(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in ("self", "cls") and f"{owner}.{func.attr}" in defs:
+                    todo.append(f"{owner}.{func.attr}")
+    return seen
+
+
+def assert_no_blas(module: str, kernel: str, listed_in: str) -> None:
+    defs = definitions(ast.parse((PACKAGE / module).read_text(), filename=module))
+    assert kernel in defs, f"{module} no longer defines {kernel}; update {listed_in}"
+    found = {name: blas_uses(defs[name]) for name in with_local_callees(defs, kernel)}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"{kernel} reaches BLAS- or LAPACK-backed calls in {module}: {found}"
+
+
+@pytest.mark.parametrize("module,kernel", REPLICATE_KERNELS)
+def test_replicate_kernels_call_no_blas(module, kernel):
+    assert_no_blas(module, kernel, "REPLICATE_KERNELS")
+
+
+# the set-up of a study, which runs in the same process before its replicates, and
+# the exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums
+SETUP_KERNELS = [
+    ("scaling.py", "make_bundle"),
+    ("simulate.py", "FilterPlan.sigma_n1"),
+    ("simulate.py", "FilterPlan.build"),
+    ("simulate.py", "FilterPlan.with_order"),
+    ("simulate.py", "FilterPlan._spectrum"),
+    ("simulate.py", "FilterPlan.autocovariances"),
+    ("simulate.py", "window_sums"),
+    ("model.py", "CoefficientModel.build"),
+    ("model.py", "_square_sum"),
+    ("mc.py", "ReplicatePlan.build"),
+    ("estats.py", "TailGrid.build"),
+    ("model.py", "_gauss_kronrod"),
+    ("model.py", "_gauss_kronrod_groups"),
+]
+
+
+@pytest.mark.parametrize("module,kernel", SETUP_KERNELS)
+def test_setup_kernels_call_no_blas(module, kernel):
+    assert_no_blas(module, kernel, "SETUP_KERNELS")
+
+
 # sigma_{n,1} of a fixed random filter of 32 262 taps, about the Case 4 truncation
 # length, from a partitioned plan (n = 2^8: 32 segments) and a one-segment one
 # (n = 2^15).  A sum taken by np.dot would be split by OpenBLAS's thread count,
