@@ -18,6 +18,7 @@ from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
     _problem_and_bundle,
     _reduction_skip_reason,
+    _resolve_threads,
     _run_replicate_loop,
     convergence_study,
     run_replicates,
@@ -42,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["simulate", "scaling", "mc", "convergence", "diag"])
     parser.add_argument("--config", required=True, help="path to a flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir or '.')")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes; 0 means auto")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker processes, and set-up threads; 0 means the usable cores"
+    )
     return parser
 
 
@@ -110,7 +113,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir: str, threads: int) -> in
 
 
 def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
-    problem, bundle = _problem_and_bundle(config, config.n, check_feasible=False)
+    problem, bundle = _problem_and_bundle(config, config.n, check_feasible=False, workers=threads)
     _, dist, mx, ty = problem
     pr = power_rank_integral(mx, ty)
     print(f"power_rank_integral = {pr!r}")
@@ -180,7 +183,7 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
 
     try:
-        return _COMMANDS[args.command](config, out_dir, args.threads)
+        return _COMMANDS[args.command](config, out_dir, _resolve_threads(args.threads))
     except (NumericError, ArithmeticError) as exc:
         write_errors_csv([(EXIT_NUMERIC, str(exc))], os.path.join(out_dir, "errors.csv"))
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -104,8 +104,23 @@ def summarize(z_samples: np.ndarray) -> dict:
     }
 
 
-def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool = True):
-    """The realized (coeffs, dist, mx, ty) and the scaling bundle at size n."""
+def _resolve_threads(threads: int) -> int:
+    """The worker count of a run: ``threads`` itself, or for 0 the cores this process may run on.
+
+    The count serves both the set-up's threads and the replicates' process
+    pool.  A negative count is refused.
+    """
+    if threads < 0:
+        raise DomainError(f"threads = {threads} must be >= 0 (0 means every core this process may run on)")
+    if threads:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool = True, workers: int = 1):
+    """The realized (coeffs, dist, mx, ty) and the scaling bundle at size n, built on ``workers`` threads."""
     problem = build_problem(config)
     coeffs, dist, mx, ty = problem
     bundle = make_bundle(
@@ -120,6 +135,7 @@ def _problem_and_bundle(config: ExperimentConfig, n: int, check_feasible: bool =
         p=config.p_override,
         spec_hash=config_hash(coeffs, dist, mx, ty, n),
         check_feasible=check_feasible,
+        workers=workers,
     )
     return problem, bundle
 
@@ -161,18 +177,19 @@ class ReplicatePlan:
     spectra of c come from the bundle's plan, so a run transforms the taps
     once per filtered power and never transforms c**p.
     ``tail`` is its tail grid, or None when ``_reduction_skip_reason``
-    gives a reason not to compute it.
+    gives a reason not to compute it.  The plan is built on ``workers``
+    threads, with the same bytes at every count.
     """
 
     filter: FilterPlan
     tail: TailGrid | None
 
     @classmethod
-    def build(cls, problem, bundle: ScalingBundle, with_reduction: bool) -> "ReplicatePlan":
+    def build(cls, problem, bundle: ScalingBundle, with_reduction: bool, workers: int = 1) -> "ReplicatePlan":
         reduced = _reduction_skip_reason(bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
         tail = TailGrid.build(problem[2], bundle.p) if reduced else None
-        return cls(filter=bundle.filter_plan.with_order(order), tail=tail)
+        return cls(filter=bundle.filter_plan.with_order(order, workers), tail=tail)
 
 
 def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
@@ -209,16 +226,16 @@ def _run_task(task) -> ReplicateResult:
     return _run_one(r, seed, *_worker_run)
 
 
-def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int, threads: int, with_reduction: bool):
-    """Replicates 0..R-1 of one bundle, in replicate order whatever the worker count.
+def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int, workers: int, with_reduction: bool):
+    """Replicates 0..R-1 of one bundle on ``workers`` processes, in replicate order whatever their count.
 
-    The plan is built here, once; pool workers receive it with the problem
-    and the bundle when they start, so a task is only (r, seed).
+    The plan is built here, once, on ``workers`` threads that are joined
+    before the pool forks; pool workers receive it with the problem and the
+    bundle when they start, so a task is only (r, seed).
     """
-    plan = ReplicatePlan.build(problem, bundle, with_reduction)
+    plan = ReplicatePlan.build(problem, bundle, with_reduction, workers)
     tasks = [(r, derive_seed(master_seed, r)) for r in range(R)]
-    workers = os.cpu_count() if threads == 0 else threads
-    if workers is None or workers <= 1 or R == 1:
+    if workers <= 1 or R == 1:
         reps = [_run_one(r, seed, problem, bundle, plan) for r, seed in tasks]
     else:
         n_workers = min(workers, R)
@@ -247,9 +264,12 @@ def run_replicates(
         derivative-integrability) is checked once before any simulation.
     R, master_seed, n : optional overrides of the config values.
     threads : int
-        Worker processes; 0 means the detected CPU count, 1 runs inline.
-        The output never depends on this value.
+        Worker processes; 0 means the cores this process may run on, 1 runs
+        inline, and a negative count is refused.  The set-up runs its chunk
+        loops on as many threads first.  The output never depends on this
+        value.
     """
+    workers = _resolve_threads(threads)
     R = R if R is not None else config.replicates
     master_seed = master_seed if master_seed is not None else config.master_seed
     n = n if n is not None else config.n
@@ -258,10 +278,10 @@ def run_replicates(
     if n is None:
         raise DomainError("an experiment size n is required")
 
-    problem, bundle = _problem_and_bundle(config, n)
+    problem, bundle = _problem_and_bundle(config, n, workers=workers)
     feas = _feasibility_record(problem, bundle)
     feas["reduction_sup"] = _reduction_skip_reason(bundle.p, with_reduction) or "computed"
-    reps = _run_replicate_loop(problem, bundle, master_seed, R, threads, with_reduction)
+    reps = _run_replicate_loop(problem, bundle, master_seed, R, workers, with_reduction)
 
     z = np.array([rep.z for rep in reps])
     summary = summarize(z)

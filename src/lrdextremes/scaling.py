@@ -304,12 +304,15 @@ def make_bundle(
     p: int | None = None,
     spec_hash: str = "",
     check_feasible: bool = True,
+    workers: int = 1,
 ) -> ScalingBundle:
     """Assemble the ScalingBundle for one experiment size.
 
     With ``check_feasible`` the xi threshold of the case is enforced;
     disable it for purely diagnostic bundles outside the theorem's domain.
-    The verdict is kept on the bundle either way.
+    The verdict is kept on the bundle either way.  The filter plan and
+    sigma_{n,1} are built on ``workers`` threads, with the same bytes at
+    every count.
     """
     if not 0.0 < xi < 1.0:
         raise ConfigError(f"xi = {xi} must lie in (0, 1)")
@@ -321,14 +324,14 @@ def make_bundle(
     if k_n >= n:
         raise ConfigError(f"k_n = ceil(n^xi) = {k_n} must be < n = {n}")
     pp = p if p is not None else select_p(beta)
-    plan = FilterPlan.build(c, n)
+    plan = FilterPlan.build(c, n, workers=workers)
     return ScalingBundle(
         case=case,
         n=n,
         k_n=k_n,
         xi=xi,
         p=pp,
-        sigma_n1=plan.sigma_n1(sigma_eps2),
+        sigma_n1=plan.sigma_n1(sigma_eps2, workers),
         A_n=big_A(mx, ty, n, k_n),
         d_np=d_np(n, pp, beta, L0),
         mu_n=centering(ty, n, k_n),

@@ -44,7 +44,16 @@ digits on the small windows of the tail.  No code of the package calls
 a BLAS-backed routine (np.dot, np.vdot, np.inner, np.matmul, @): those run
 OpenBLAS's own threads, so a run with one worker would not be one core,
 and OpenBLAS splits a sum by its thread count, so the sum's bits would
-depend on that count.
+depend on that count.  The package starts threads of its own in one
+place, ``_each``, and only when given more than one worker: a pool run's
+set-up builds the segment spectra, the sigma_{n,1} row blocks and
+boundary strips, and the window sums a piece per thread, on as many
+threads as the run has worker processes.  Each piece writes its own slice
+with the operations it would run alone, and sigma_{n,1} adds its parts by
+``math.fsum``, which is exact, so the bytes do not depend on the worker
+count.  The threads are joined before the set-up returns, so none is
+alive when the process pool forks; a one-worker run, and a loop of one
+piece, starts no thread.
 
 A replicate study builds the power-1 plan once, in its scaling bundle, and
 raises it to order p in its replicate plan, so the taps are transformed
@@ -97,6 +106,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -295,7 +305,22 @@ def _power(x: np.ndarray, m: int, out: np.ndarray) -> None:
         np.power(x, m, out=out)
 
 
-def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
+def _each(body, starts, workers: int = 1) -> None:
+    """Run ``body(start)`` for every start: inline for one worker or one piece, else on up to ``workers`` threads.
+
+    Each piece must write its own slice of the output, so the order the
+    pieces run in changes no byte.  The threads are joined before this
+    returns, so none is alive when a process pool forks.
+    """
+    if workers <= 1 or len(starts) <= 1:
+        for start in starts:
+            body(start)
+        return
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        list(pool.map(body, starts))  # reads every result, so an exception in a piece is raised here
+
+
+def window_sums(a: np.ndarray, n: int, m: int = 1, workers: int = 1) -> np.ndarray:
     """s[j] = a[j-n+1]**m + ... + a[j]**m for j = 0..len(a)+n-2, entries outside ``a`` counting as 0.
 
     Pairwise doubling: level h holds the sums of h consecutive entries, and
@@ -304,13 +329,14 @@ def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
     most floor(log2 n) + 1 and, on input of one sign, lies within
     (ceil(log2 n) + 1) * 2^-53 of exact.  The output is cut into chunks of
     about ``_CHUNK_POINTS`` so each level stays in cache; every sum has the
-    same tree whatever the chunk, so the result does not depend on it.
+    same tree whatever the chunk, so the result does not depend on it, and
+    the chunks run on ``workers`` threads (``_each``).
 
     Level 0 of a chunk is raised to the power m straight from ``a`` as
     given (a view such as the reversed taps, with the power taken on that
     layout), with zeros where the windows run past either end of ``a``.
-    Apart from the output, the only arrays built are two chunk buffers of
-    T + n - 1 points, T = max(_CHUNK_POINTS, n).
+    Apart from the output, the only arrays built are two buffers of
+    T + n - 1 points per chunk in flight, T = max(_CHUNK_POINTS, n).
     """
     a = np.asarray(a, dtype=float)
     if n < 1:
@@ -318,11 +344,12 @@ def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
     size = a.size + n - 1
     out = np.empty(size)
     T = max(_CHUNK_POINTS, n)
-    spare, other = np.empty(T + n - 1), np.empty(T + n - 1)
-    for lo in range(0, size, T):
+
+    def chunk(lo: int) -> None:
         t = min(T, size - lo)
+        spare, other = np.empty(t + n - 1), np.empty(t + n - 1)
         # level 0 holds a[lo-n+1 .. lo+t-1] ** m; level[i] is a[lo+i-n+1]
-        level, acc = other[: t + n - 1], out[lo : lo + t]
+        level, acc = other, out[lo : lo + t]
         first, last = max(n - 1 - lo, 0), min(a.size + n - 1 - lo, t + n - 1)
         level[:first] = 0.0
         _power(a[lo + first - n + 1 : lo + last - n + 1], m, level[first:last])
@@ -341,6 +368,8 @@ def window_sums(a: np.ndarray, n: int, m: int = 1) -> np.ndarray:
             np.add(level[:-h], level[h:], out=up)
             level, h = up, 2 * h
             spare, other = other, spare
+
+    _each(chunk, range(0, size, T), workers)
     return out
 
 
@@ -382,12 +411,18 @@ class FilterPlan:
 
     ``_spectrum(m)`` builds a power's spectra a block of rows at a time: it
     raises the block's segments (rows reversed, the pad zeros in front of
-    the last) to the power m into one reused ``(rows, L)`` buffer whose
-    last L - B columns stay zero, with rows = max(1, _BLOCK_POINTS // L),
+    the last) to the power m into a ``(rows, L)`` buffer whose last L - B
+    columns are zero, with rows = max(1, _BLOCK_POINTS // L),
     and writes the block's rfft into the preallocated ``(S, L//2+1)``
     array.  ``with_order`` builds the window sums of the reversed taps
     raised to ``order`` with ``window_sums``, which takes the power chunk
     by chunk.  Neither makes another array as long as the filter.
+
+    ``build``, ``with_order`` and ``sigma_n1`` take a worker count (1 by
+    default): the row blocks, strips and chunks of those loops then run on
+    as many threads (``_each``), joined before the call returns, so a pool
+    run's set-up uses the run's workers before its process pool forks.  The
+    plan is the same bytes at every count; the count is not kept on it.
     """
 
     n: int
@@ -400,30 +435,30 @@ class FilterPlan:
     weights: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, c, n: int, order: int = 1) -> "FilterPlan":
+    def build(cls, c, n: int, order: int = 1, workers: int = 1) -> "FilterPlan":
         c = np.asarray(c, dtype=float)
         if n < 1:
             raise DomainError("n must be >= 1")
         M = len(c) - 1
         B = _SEGMENT_PATHS * n if M + 1 >= _PARTITION_MIN_PATHS * n else M + 1
         L = sfft.next_fast_len(n + B - 1, real=True)
-        return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order)
+        return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order, workers)
 
-    def with_order(self, order: int) -> "FilterPlan":
+    def with_order(self, order: int, workers: int = 1) -> "FilterPlan":
         """This plan raised or lowered to ``order``; the spectra it holds are kept, not recomputed."""
         if order < 1:
             raise DomainError("filter order must be >= 1")
         filtered = max(order - 1, 1)
         kept = self.spectra[:filtered]
-        spectra = kept + tuple(self._spectrum(m) for m in range(len(kept) + 1, filtered + 1))
+        spectra = kept + tuple(self._spectrum(m, workers) for m in range(len(kept) + 1, filtered + 1))
         if order == self.order:
             weights = self.weights
         else:
             # eps[j] meets the taps M-j .. M-j+n-1: windows of n reversed taps
-            weights = window_sums(self.taps[::-1], self.n, order) if order >= 2 else None
+            weights = window_sums(self.taps[::-1], self.n, order, workers) if order >= 2 else None
         return replace(self, spectra=spectra, order=order, weights=weights)
 
-    def _spectrum(self, m: int):
+    def _spectrum(self, m: int, workers: int = 1):
         if self.M == 0:
             return float(self.taps[0]) ** m
         B, L, taps = self.B, self.L, self.taps
@@ -431,11 +466,11 @@ class FilterPlan:
         pad = S * B - (self.M + 1)
         out = np.empty((S, L // 2 + 1), dtype=complex)
         rows = max(1, _BLOCK_POINTS // L)
-        # row r holds taps (S-1-r) B - pad .. (S-r) B - pad - 1 raised to the power m,
-        # then L - B zeros that no block overwrites
-        buf = np.zeros((min(rows, S), L))
-        for lo in range(0, S, rows):
-            block = buf[: min(rows, S - lo)]
+
+        def block_spectra(lo: int) -> None:
+            # row r holds taps (S-1-r) B - pad .. (S-r) B - pad - 1 raised to the power m, then L - B zeros
+            block = np.empty((min(rows, S - lo), L))
+            block[:, B:] = 0.0
             whole = min(len(block), S - 1 - lo)  # every row but the padded last one
             end = (S - lo) * B - pad  # one past the last tap of row lo
             _power(taps[end - whole * B : end].reshape(whole, B)[::-1], m, block[:whole, :B])
@@ -443,6 +478,8 @@ class FilterPlan:
                 block[-1, :pad] = 0.0
                 _power(taps[: B - pad], m, block[-1, pad:B])
             out[lo : lo + len(block)] = sfft.rfft(block, axis=-1)
+
+        _each(block_spectra, range(0, S, rows), workers)
         return out
 
     def _check_length(self, eps: np.ndarray) -> None:
@@ -547,7 +584,7 @@ class FilterPlan:
             acorr = self.with_order(1).stream(array_source(self.taps[::-1])).paths[0]
         return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
 
-    def sigma_n1(self, sigma_eps2: float) -> float:
+    def sigma_n1(self, sigma_eps2: float, workers: int = 1) -> float:
         """sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) = sqrt(sigma_eps^2 ||w||^2), w = c (*) 1_n, from the power-1 spectra.
 
         w is the window sums of n taps, so it is the sum of the pieces
@@ -565,6 +602,9 @@ class FilterPlan:
         row blocks of rows = max(1, _BLOCK_POINTS // L) segments, and the
         strips of 2 (n - 1) taps around the boundaries as many at a time, so
         no array as long as the filter is made.  One segment has no boundary.
+        A row block and the strips that start with it are one piece of
+        ``_each``, on ``workers`` threads; ``math.fsum`` adds the parts
+        exactly, so their order does not change the result.
         """
         n, M, B, L, taps = self.n, self.M, self.B, self.L, self.taps
         C = self.spectra[0]
@@ -573,25 +613,30 @@ class FilterPlan:
         S = len(C)
         weight = _dirichlet_weights(L, n)
         rows = max(1, _BLOCK_POINTS // L)
-        parts = []
-        for lo in range(0, S, rows):
+        k = n - 1
+        pad = S * B - (M + 1)
+        # the strip of taps k before to k after the first boundary, zero where it
+        # reaches into the pad; those of the other S - 2 boundaries lie within the taps
+        first = B - pad - k
+        # the other strips, a row block of them at a time (2 k < L taps a strip)
+        strips = sliding_window_view(taps[first + B :], 2 * k)[::B] if S > 2 and k else None
+        starts = range(0, S, rows)
+        spectral, cross = [0.0] * len(starts), [0.0] * len(starts)
+
+        def block_parts(lo: int) -> None:
             power = np.square(C[lo : lo + rows].real)
             power += np.square(C[lo : lo + rows].imag)
             power *= weight
-            parts.append(np.sum(power) / L)
-        k = n - 1
+            spectral[lo // rows] = np.sum(power) / L
+            if strips is not None and lo < S - 2:
+                cross[lo // rows] = 2.0 * _strip_cross(strips[lo : lo + rows], k)
+
+        _each(block_parts, starts, workers)
+        parts = spectral + cross
         if S > 1 and k:
-            pad = S * B - (M + 1)
-            # the strip of taps k before to k after the first boundary, zero where it
-            # reaches into the pad; those of the other S - 2 boundaries lie within the taps
-            first = B - pad - k
             lead = np.zeros((1, 2 * k))
             lead[0, max(-first, 0) :] = taps[max(first, 0) : B - pad + k]
             parts.append(2.0 * _strip_cross(lead, k))
-            if S > 2:
-                # the other strips, a row block of them at a time (2 k < L taps a strip)
-                strips = sliding_window_view(taps[first + B :], 2 * k)[::B]
-                parts.extend(2.0 * _strip_cross(strips[lo : lo + rows], k) for lo in range(0, S - 2, rows))
         return math.sqrt(sigma_eps2 * math.fsum(parts))
 
 

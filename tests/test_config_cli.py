@@ -208,6 +208,16 @@ class TestCli:
         assert errors[0] == "code,message"
         assert any("(**)" in ln for ln in errors[1:])
 
+    @pytest.mark.parametrize("command", ["mc", "convergence", "diag"])
+    def test_negative_threads_exit_2_with_errors_csv(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CASE4 + "n_grid = 256,512\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--threads", "-1"]) == 2
+        errors = (tmp_path / "errors.csv").read_text().splitlines()
+        assert errors[0] == "code,message"
+        assert len(errors) == 2 and errors[1].startswith("2,threads = -1 must be >= 0")
+        assert "threads = -1" in capsys.readouterr().err
+        assert not (tmp_path / "z_samples.csv").exists()
+
     def test_mc_runtime_refusal_cites_condition(self):
         # a config built directly skips parse_config, so the run itself refuses xi below the threshold
         cfg = ExperimentConfig(beta=0.8, y_marginal="exponential", xi=0.7, master_seed=1, n=512, replicates=2)

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from scipy.special import ndtri
 from lrdextremes.config import ExperimentConfig, build_problem
 from lrdextremes.errors import DomainError, InfeasibleConfigError
 from lrdextremes.estats import ProcessFrame, decompose_I, reduction_sup, u_ratio, z_statistic
+from lrdextremes import mc, simulate
 from lrdextremes.mc import (
     ReplicatePlan,
     ReplicateResult,
     _problem_and_bundle,
+    _resolve_threads,
     _run_one,
     convergence_study,
     ks_test,
@@ -101,6 +106,71 @@ class TestRunReplicates:
         np.testing.assert_array_equal(r1.z_samples, r2.z_samples)
         assert r1.replicates == r2.replicates
         assert r1.summary == r2.summary
+
+    def test_set_up_threads_keep_the_bytes_and_end_before_the_pool(self, monkeypatch):
+        # p = 2 with M = 325178 > 2^16 taps at n = 2^6: the bundle's spectra and sigma_n1
+        # take 2 row blocks, the window sums 5 chunks, so 3 threads run only for those
+        cfg = small_config(p_override=2, replicates=4, n=2**6, trunc_tol=2.5e-4)
+        assert build_problem(cfg)[0].M == 325178
+        pools, alive = [], []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        def forking_pool(*args, **kwargs):
+            alive.append(threading.active_count())
+            return process_pool(*args, **kwargs)
+
+        process_pool = mc.ProcessPoolExecutor
+        before = threading.active_count()
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", forking_pool)
+        ref = run_replicates(cfg, threads=1)
+        assert pools == [] and alive == []
+        for threads in (2, 3):
+            res = run_replicates(cfg, threads=threads)
+            assert pools and max(pools) == threads
+            assert len(alive) == 1 and alive[0] <= before  # the set-up's threads were joined before the pool started
+            assert res.z_samples.tobytes() == ref.z_samples.tobytes()
+            assert res.replicates == ref.replicates
+            pools.clear()
+            alive.clear()
+
+    def test_one_thread_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
+        cfg = small_config(p_override=2, replicates=2, n=2**6, trunc_tol=2.5e-4)
+        assert len(run_replicates(cfg, threads=1).z_samples) == 2
+
+    @pytest.mark.parametrize("threads", [-1, -3])
+    def test_negative_threads_refused(self, threads):
+        with pytest.raises(DomainError, match=f"threads = {threads} must be >= 0"):
+            run_replicates(small_config(), threads=threads)
+        with pytest.raises(DomainError, match=f"threads = {threads}"):
+            convergence_study(small_config(), n_grid=[2**8, 2**9], R=2, threads=threads)
+
+    def test_zero_threads_counts_the_cores_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _resolve_threads(0) == 1
+        assert [_resolve_threads(k) for k in (1, 2, 7)] == [1, 2, 7]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started on one usable core")
+
+        # one usable core of 64: the run is inline, with no process or thread pool
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
+        assert len(run_replicates(small_config(replicates=3), threads=0).z_samples) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert _resolve_threads(0) == 3
+        # without an affinity call, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_threads(0) == 64
 
     def test_single_replicate_matches_direct_composition(self):
         cfg = small_config(replicates=1)
@@ -198,7 +268,9 @@ class TestRunReplicates:
             assert len(plan.filter.spectra) == p - 1
             assert plan.filter.weights.shape == (n + plan.filter.M,)
             powers = []
-            monkeypatch.setattr(FilterPlan, "_spectrum", lambda self, m: powers.append(m) or spectrum(self, m))
+            monkeypatch.setattr(
+                FilterPlan, "_spectrum", lambda self, m, workers=1: powers.append(m) or spectrum(self, m, workers)
+            )
             res = run_replicates(cfg, threads=1)
             monkeypatch.undo()
             assert powers == transformed

@@ -450,6 +450,50 @@ class TestInPlaceBuilders:
         assert peak < slack
 
 
+class TestSetUpWorkers:
+    """The set-up's chunk loops give the same bytes on any number of threads, and start none for one."""
+
+    def test_the_plan_does_not_depend_on_the_worker_count(self):
+        # n = 2^6, 2^19 + 1 taps: 2049 segments in 3 row blocks of 819, the 2047 inner
+        # boundary strips in 3 blocks, and 9 window-sum chunks, on up to 3 threads that
+        # switch often, so a lost or misplaced write of a piece would change the bytes
+        n = 2**6
+        c = np.random.default_rng(19).uniform(0.05, 1.0, 2**19 + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            plans = [FilterPlan.build(c, n, order=3, workers=k) for k in (1, 2, 3)]
+            sigmas = [plan.sigma_n1(1.0, k) for plan, k in zip(plans, (1, 2, 3))]
+            threaded_sums = window_sums(c[::-1], n, 3, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        S, rows = len(plans[0].spectra[0]), max(1, simulate._BLOCK_POINTS // plans[0].L)
+        assert (S, len(range(0, S, rows)), len(range(0, S - 2, rows))) == (2049, 3, 3)
+        assert -(-plans[0].weights.size // simulate._CHUNK_POINTS) == 9
+        for plan, sigma in zip(plans[1:], sigmas[1:]):
+            assert len(plan.spectra) == 2
+            for spectrum, first in zip(plan.spectra, plans[0].spectra):
+                assert spectrum.tobytes() == first.tobytes()
+            assert plan.weights.tobytes() == plans[0].weights.tobytes()
+            assert sigma.hex() == sigmas[0].hex()
+        assert threaded_sums.tobytes() == plans[0].weights.tobytes()
+
+    def test_one_worker_or_one_piece_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
+        c = np.random.default_rng(4).uniform(0.05, 1.0, 2**19 + 1)
+        # many pieces on one worker
+        FilterPlan.build(c, 2**6, order=3).sigma_n1(1.0)
+        # one piece per loop on many workers: one row block of 32 262 taps, one chunk
+        plan = FilterPlan.build(c[:32262], 2**6, order=3, workers=4)
+        assert len(plan.spectra[0]) == 127 and plan.weights.size <= simulate._CHUNK_POINTS
+        plan.sigma_n1(1.0, workers=4)
+        with pytest.raises(AssertionError, match="thread pool"):
+            FilterPlan.build(c, 2**6, workers=2)
+
+
 # a fresh interpreter that only imports the package, then counts the minor page
 # faults of a coefficient build at M = 2^21 and of one streamed pass of a p = 2
 # plan (n = 2^10: 513 segments, row blocks of 51 windows) after its set-up and
