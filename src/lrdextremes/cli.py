@@ -60,7 +60,7 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def _cmd_scaling(config: ExperimentConfig, out_dir: str, threads: int) -> int:
-    (_, _, mx, ty), bundle = _problem_and_bundle(config, config.n, check_feasible=False)
+    (_, _, mx, ty), bundle = _problem_and_bundle(config, config.n, check_feasible=False, workers=threads)
     verdict = bundle.feasibility
     print(f"case = {bundle.case.name} {CASE_LABELS[bundle.case]}")
     print(f"n = {bundle.n}")

@@ -307,10 +307,12 @@ class InnovationDist:
 
         Each draw takes the generator's next values in turn, so filling
         consecutive pieces gives the bytes of one draw of their total length.
+        A unit scale is not multiplied in: x * 1.0 is x.
         """
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
-            out *= self.sigma_eps
+            if self.sigma_eps != 1.0:
+                out *= self.sigma_eps
         else:
             scale = self.sigma_eps * math.sqrt((self.nu - 2.0) / self.nu)
             np.multiply(rng.standard_t(self.nu, size=out.size), scale, out=out)

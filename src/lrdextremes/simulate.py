@@ -6,24 +6,28 @@ truncated model with no burn-in discard.
 
 Filtering is a uniformly partitioned FFT convolution (sectioned convolution,
 Stockham 1966).  The filter taps are cut into S = ceil((M + 1) / B) segments
-of B taps, with segment length
+of B taps, and each segment meets a window of n + B - 1 innovations in a
+circular convolution of length L, where the n outputs kept never wrap
+around.  The segment and transform lengths are
 
-    B = 4 n     when M + 1 >= 32 n,
-    B = M + 1   otherwise (one segment),
+    L = next_fast_len(5 n - 1), B = L - n + 1   when M + 1 >= 32 n,
+    L = next_fast_len(n + M),   B = M + 1       otherwise (one segment),
 
-and each segment meets a window of n + B - 1 innovations in a circular
-convolution of length L = scipy.fft.next_fast_len(n + B - 1, real=True),
-where the n outputs kept never wrap around.  One segment is the plain
-transform at next_fast_len(n + M), O((n + M) log(n + M)); many segments
-turn one transform far larger than cache into S transforms of about 5 n
-points, O((n + M) log n).  The rule depends only on (n, M).  Its constants
-come from two sweeps of one filter pass at n = 2^8, 2^10, 2^13 (2-core
-x86 box, scipy.fft with one worker): segments of 4 n taps against one
-transform ran 1.35-5.6x faster for M / n >= 32, 1.2-1.8x at M / n = 16
-and 0.88-1.25x at M / n = 8.  An earlier prototype sweep on the same box
-lost at M / n = 16 for some n (0.83-1.35x), so the partition starts at
-M / n = 32, where every sweep won.  Among B = n, 2 n, 4 n, 8 n and 16 n,
-4 n was the fastest at every n above with M / n = 64 and 512.
+with next_fast_len that of scipy.fft for real input.  A partitioned
+segment fills its transform: its window is exactly L inputs, so the
+transform reads the window in place, with no zero-padded copy, and B is
+at least 4 n (at n = 2^13, L = 5 n = 40960 and B = 32769).  One segment
+is the plain transform at next_fast_len(n + M), O((n + M) log(n + M));
+many segments turn one transform far larger than cache into S transforms
+of about 5 n points, O((n + M) log n).  The rule depends only on (n, M).
+Its constants come from two sweeps of one filter pass at n = 2^8, 2^10,
+2^13 (2-core x86 box, scipy.fft with one worker): segments of 4 n taps
+against one transform ran 1.35-5.6x faster for M / n >= 32, 1.2-1.8x at
+M / n = 16 and 0.88-1.25x at M / n = 8.  An earlier prototype sweep on
+the same box lost at M / n = 16 for some n (0.83-1.35x), so the partition
+starts at M / n = 32, where every sweep won.  Among B = n, 2 n, 4 n, 8 n
+and 16 n, 4 n was the fastest at every n above with M / n = 64 and 512
+(B = L - n + 1 adds the taps its transform leaves free: one at n = 2^k >= 4).
 
 A ``FilterPlan`` of order p serves the power-sum paths
 p_m[i] = sum_k c_k^m eps_{i-k}^m, m = 1..p, of one (filter, n), and it is
@@ -73,16 +77,15 @@ them.
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or, for the exact
-lags, the reversed taps followed by zeros) one row block at a time.  The
-padded last row arrives with the last block and its product starts each
-power's sum, so the pass holds the row-block sums until then: S / rows
-spectra of L/2 + 1 complex numbers per filtered power, about 7 MB at the
-cap (n = 2^13).
-Apart from those and the paths it returns, it keeps one row block: its
-buffer, the padded copy rfft makes and the transform, about
-3 * _BLOCK_POINTS floats whatever M is, so no replicate builds its n + M
-innovations as one array.  A one-segment plan reads its whole window of
-n + M inputs as one block, as its one transform needs.
+lags, the reversed taps followed by zeros) one row block at a time.  Each
+block's product is added into one running spectrum of L/2 + 1 complex
+numbers per filtered power, and the padded last row's product is added
+last.  Apart from those and the paths it returns, the pass keeps one row
+block: its buffer and its transform, about 2 * _BLOCK_POINTS floats
+whatever M and n are, so a replicate's memory does not grow with the
+number of row blocks, and no replicate builds its n + M innovations as
+one array.  A one-segment plan reads its whole window of n + M inputs as
+one block, as its one transform needs.
 
 At the cap (M = 2^22, reached for p >= 2) an array as long as the filter
 takes 33.5 MB, so the set-up writes each one it keeps once, in place, from
@@ -135,7 +138,8 @@ M_CAP = 2**22
 DEFAULT_TRUNC_TOL = 1e-3
 
 # the filter is partitioned when M + 1 >= _PARTITION_MIN_PATHS * n, into
-# segments of _SEGMENT_PATHS * n taps (see the module docstring)
+# segments that fill the fast transform length of a window of
+# _SEGMENT_PATHS * n taps (see the module docstring)
 _PARTITION_MIN_PATHS = 32
 _SEGMENT_PATHS = 4
 
@@ -399,10 +403,11 @@ class FilterPlan:
     spectra, the package's one route to them.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
-    module docstring (B = 4 n when M + 1 >= 32 n, else B = M + 1), after
-    S * B - (M + 1) zero taps in front.  Row r of a power's ``(S, L//2+1)``
-    spectrum array is the segment that meets the innovation window
-    eps[r B : r B + n + B - 1], so the padded segment is the last row; its
+    module docstring (L = next_fast_len(5 n - 1) and B = L - n + 1 when
+    M + 1 >= 32 n, else B = M + 1), after S * B - (M + 1) zero taps in
+    front.  Row r of a power's ``(S, L//2+1)`` spectrum array is the
+    segment that meets the innovation window eps[r B : r B + n + B - 1],
+    which is L long when S > 1, so the padded segment is the last row; its
     window runs past the end of eps by as many entries, and the zeros that
     rfft pads there meet only the zero taps.  With S = 1 this is the plain
     transform at next_fast_len(n + M).  A length-one filter (M = 0) is a
@@ -440,8 +445,13 @@ class FilterPlan:
         if n < 1:
             raise DomainError("n must be >= 1")
         M = len(c) - 1
-        B = _SEGMENT_PATHS * n if M + 1 >= _PARTITION_MIN_PATHS * n else M + 1
-        L = sfft.next_fast_len(n + B - 1, real=True)
+        if M + 1 >= _PARTITION_MIN_PATHS * n:
+            # segments fill the transform that holds a window of _SEGMENT_PATHS * n taps
+            L = sfft.next_fast_len((_SEGMENT_PATHS + 1) * n - 1, real=True)
+            B = L - n + 1
+        else:
+            B = M + 1
+            L = sfft.next_fast_len(n + M, real=True)
         return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order, workers)
 
     def with_order(self, order: int, workers: int = 1) -> "FilterPlan":
@@ -496,11 +506,12 @@ class FilterPlan:
         rows * B new inputs after the n - 1 the block shares with the one
         before, in one reused buffer.  For each filtered power m it raises
         the block to the power m, transforms the windows of its full rows
-        in one batched rfft, multiplies them by their spectra and holds the
-        sum of the rows.  The padded last row comes with the last block: its
-        product starts the sum, the held block sums follow in order, and one
-        irfft gives the path.  For order >= 2 the same inputs, raised to the
-        power order and weighted by ``weights``, are summed in chunks of
+        (each exactly L inputs, read in place) in one batched rfft,
+        multiplies them by their spectra and adds the sum of the rows into
+        the power's running spectrum.  The padded last row comes with the
+        last block: its product is added last, and one irfft gives the
+        path.  For order >= 2 the same inputs, raised to the power order
+        and weighted by ``weights``, are summed in chunks of
         ``_CHUNK_POINTS`` counted from input 0, and the chunk sums pairwise.
         These are the transform shapes, rows and summation order of one
         pass over the whole input array, so the results have its bytes.
@@ -511,7 +522,7 @@ class FilterPlan:
         top = self.order if self.order >= 2 else 0
         buf = np.empty(min(rows * B + n - 1, size))
         powered = np.empty_like(buf) if len(self.spectra) >= 2 else None
-        held = [[] for _ in self.spectra]
+        running = [None] * len(self.spectra)  # each filtered power's sum over the full rows so far
         paths = [None] * len(self.spectra)
         if top:
             parts, prod = np.empty(-(-size // _CHUNK_POINTS)), np.empty(min(_CHUNK_POINTS, size))
@@ -531,10 +542,15 @@ class FilterPlan:
                     e = powered[: block.size]
                     _power(block, i + 1, e)
                 if full:
-                    spec = sfft.rfft(sliding_window_view(e[: full * B + n - 1], n + B - 1)[::B], L, axis=-1)
+                    # the windows of the full rows are L = n + B - 1 inputs each: no padded copy
+                    spec = sfft.rfft(sliding_window_view(e[: full * B + n - 1], L)[::B], axis=-1)
                     spec *= C[lo : lo + full]
-                    held[i].append(spec.sum(axis=0))
+                    part = spec.sum(axis=0)
                     del spec  # freed before the next block's transform is allocated
+                    if running[i] is None:
+                        running[i] = part
+                    else:
+                        running[i] += part
                 if hi < S:
                     continue
                 # the last row: inputs (S-1) B .. n+M-1, zero-padded by rfft
@@ -544,8 +560,8 @@ class FilterPlan:
                     continue
                 spec = sfft.rfft(last, L)
                 spec *= C[S - 1]
-                for part in held[i]:
-                    spec += part
+                if running[i] is not None:
+                    spec += running[i]
                 # a copy, so the result does not pin the length-L buffer
                 paths[i] = sfft.irfft(spec, L)[B - 1 : B - 1 + n].copy()
             if top:
@@ -553,7 +569,7 @@ class FilterPlan:
                 for first in range(done - done % _CHUNK_POINTS, end, _CHUNK_POINTS):
                     a, b = max(first, done), min(first + _CHUNK_POINTS, end)
                     piece = prod[a - first : b - first]
-                    np.power(buf[a - base : b - base], top, out=piece)
+                    _power(buf[a - base : b - base], top, piece)
                     piece *= self.weights[a:b]
                     if b == min(first + _CHUNK_POINTS, size):  # the chunk is complete
                         parts[first // _CHUNK_POINTS] = np.sum(prod[: b - first])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lrdextremes
-from lrdextremes import cli
+from lrdextremes import cli, simulate
 from lrdextremes.cli import main
 from lrdextremes.config import ExperimentConfig, build_problem, parse_config
 from lrdextremes.errors import ConfigError, InfeasibleConfigError
@@ -189,6 +189,26 @@ class TestCli:
         assert "feasible = no" in out
         line = next(ln for ln in out.splitlines() if ln.startswith("A_n_K_n"))
         assert float(line.split("=")[1]) == pytest.approx(0.9969, abs=5e-4)
+
+    def test_scaling_builds_its_set_up_on_its_threads(self, tmp_path, capsys, monkeypatch):
+        # beta 0.7 puts M at the 2^22 cap: many row blocks and chunks, so --threads 2 starts
+        # set-up threads, --threads 1 none, and the report is the same bytes
+        pools = []
+
+        class Counting(simulate.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers", args[0] if args else None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Counting)
+        cfg = write_config(tmp_path, MINIMAL_CASE4.replace("beta = 0.8", "beta = 0.7").replace("n = 32768", "n = 8192"))
+        reports = {}
+        for threads in (1, 2):
+            del pools[:]
+            assert main(["scaling", "--config", cfg, "--out", str(tmp_path), "--threads", str(threads)]) == 0
+            reports[threads] = capsys.readouterr().out
+            assert (len(pools) > 0) == (threads > 1) and all(k == 2 for k in pools)
+        assert "sigma_n1 = " in reports[1] and reports[2] == reports[1]
 
     def test_mc_reproducible_files(self, tmp_path):
         text = MINIMAL_CASE4.replace("n = 32768", "n = 512").replace("R = 400", "R = 10")

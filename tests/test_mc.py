@@ -256,11 +256,11 @@ class TestRunReplicates:
 
     @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
     def test_run_transforms_the_taps_once_per_power(self, n, segments, monkeypatch):
-        # M = 32262: partitioned at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
+        # M = 32533: 127 segments of 257 taps at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
         spectrum = FilterPlan._spectrum
         for p, transformed in [(2, [1]), (3, [1, 2])]:
             # the top power p is summed through its window sums: c**p is never transformed
-            cfg = small_config(p_override=p, replicates=2, n=n, trunc_tol=1e-3)
+            cfg = small_config(p_override=p, replicates=2, n=n, trunc_tol=9.95e-4)
             problem, bundle = _problem_and_bundle(cfg, n)
             plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
             assert len(bundle.filter_plan.spectra[0]) == segments
@@ -336,11 +336,12 @@ def counted_target(base):
 
 
 class TestReplicateKernel:
-    # M = 32262 at trunc_tol 1e-3: partitioned at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
+    # M = 32533 at trunc_tol 9.95e-4: 127 segments of 257 taps at n = 2^6 (M + 1 >= 32 n), one
+    # segment at n = 2^10
     @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
     @pytest.mark.parametrize("y_marginal,xi", [("exponential", 0.9), ("pareto:6", 0.97), ("identity", 0.9)])
     def test_run_one_matches_the_public_route(self, y_marginal, xi, n, segments):
-        cfg = small_config(y_marginal=y_marginal, xi=xi, n=n, trunc_tol=1e-3)
+        cfg = small_config(y_marginal=y_marginal, xi=xi, n=n, trunc_tol=9.95e-4)
         problem, bundle = _problem_and_bundle(cfg, n)
         plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
         assert len(plan.filter.spectra[0]) == segments
@@ -360,8 +361,8 @@ class TestReplicateKernel:
             assert dec.z == z_statistic(ty.Q(frame.u_sorted), bundle)
 
     def test_a_replicate_holds_no_innovation_array(self):
-        # a partitioned p = 2 plan: the pass holds one row block (its buffer, the padded copy rfft
-        # makes and the transform, about 3 * _BLOCK_POINTS floats whatever M is), never the n + M
+        # a partitioned p = 2 plan: the pass holds one row block (its buffer and its transform,
+        # about 2 * _BLOCK_POINTS floats whatever M is) and one running spectrum, never the n + M
         # innovations, so the replicate peaks below half of one (n + M)-float array above its result
         n, M = 2**8, 2**21
         cm = CoefficientModel.build(0.7, SvConstant(1.0), M)

@@ -160,13 +160,17 @@ class TestMovingAverage:
 
     @pytest.mark.parametrize(
         "n,M,segments",
-        [(1, 30, 1), (1, 31, 8), (1, 3000, 751), (64, 2046, 1), (64, 2047, 8), (64, 3000, 12), (64, 2**18 + 5, 1025)],
+        [(1, 30, 1), (1, 31, 8), (1, 3000, 751), (64, 2046, 1), (64, 2047, 8), (64, 3000, 12), (64, 2**18 + 5, 1021)],
     )
     def test_partition_rule(self, n, M, segments):
-        # segments of 4 n taps once M + 1 >= 32 n, else one segment of M + 1 taps
+        # once M + 1 >= 32 n, segments of at least 4 n taps that fill their transform (B = 4 at
+        # n = 1, 257 at n = 64), else one segment of M + 1 taps
         plan = FilterPlan.build(np.ones(M + 1), n)
         assert len(plan.spectra[0]) == segments
-        assert plan.B == (4 * n if segments > 1 else M + 1)
+        if segments > 1:
+            assert plan.B + n - 1 == plan.L and plan.B >= 4 * n
+        else:
+            assert plan.B == M + 1
 
     @pytest.mark.parametrize(
         "n,M",
@@ -176,9 +180,10 @@ class TestMovingAverage:
             (1024 - 200, 200),  # n + M is a fast length: L = n + M exactly
             (1025 - 200, 200),  # one above: L > n + M
             (1, 31),  # n = 1 with M + 1 = 32 n
-            (64, 32 * 64 - 1),  # M + 1 = 32 n: segments of B = 4 n fill the taps exactly
+            (64, 32 * 64 - 1),  # M + 1 = 32 n: the shortest partitioned filter
             (64, 32 * 64 - 2),  # M + 1 = 32 n - 1: one segment
-            (64, 3000),  # M + 1 not a multiple of B = 256
+            (64, 8 * 257 - 1),  # segments of B = 257 fill the taps exactly
+            (64, 3000),  # M + 1 not a multiple of B = 257
             (64, 2**18 + 5),  # more windows than one row block
         ],
     )
@@ -194,22 +199,32 @@ class TestMovingAverage:
 
 
 def product_apply(plan, eps, m=1):
-    """``FilterPlan.apply`` with a fresh array for every spectrum product: the plain formula the in-place one matches."""
+    """``FilterPlan.apply`` with a fresh array for every spectrum product: the plain formula the in-place one matches.
+
+    The row blocks' sums are added in order, and the padded last row's product last.
+    """
     e = eps if m == 1 else eps**m
     if plan.M == 0:
         return plan.spectra[m - 1] * e
     n, B, L, C = plan.n, plan.B, plan.L, plan.spectra[m - 1]
     last = len(C) - 1
-    spec = sfft.rfft(e[last * B :], L) * C[last]
-    windows, C = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
+    windows, full = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
     rows = max(1, simulate._BLOCK_POINTS // L)
+    spec = None
     for lo in range(0, last, rows):
-        spec += (sfft.rfft(windows[lo : lo + rows], L, axis=-1) * C[lo : lo + rows]).sum(axis=0)
+        part = (sfft.rfft(windows[lo : lo + rows], L, axis=-1) * full[lo : lo + rows]).sum(axis=0)
+        spec = part if spec is None else spec + part
+    product = sfft.rfft(e[last * B :], L) * C[last]
+    spec = product if spec is None else spec + product
     return sfft.irfft(spec, L)[B - 1 : B - 1 + n]
 
 
 class TestInPlaceKernels:
     """The in-place forms of the replicate kernels give the bytes of the plain formulas."""
+
+    def test_unit_innovations_are_the_standard_draw(self):
+        expected = np.random.default_rng(99).standard_normal(5000)
+        assert gen_innovations(InnovationDist.gaussian(1.0), 5000, 99).tobytes() == expected.tobytes()
 
     def test_innovations_match_the_scaled_draw(self):
         rng = np.random.default_rng(99)
@@ -247,9 +262,10 @@ class TestStream:
             read(pieces[lo:hi], lo)
         assert pieces.tobytes() == gen_innovations(dist, 5000, 99).tobytes()
 
-    # one segment (M = 0 a pointwise product); partitioned with S = 1025 segments > 819 rows a block;
-    # S = 79 (55 pad taps) in blocks of 1, 2, 3 and 100 rows, where the padded row comes alone, with
-    # others, or in the only block; S = 80 with no pad taps
+    # one segment (M = 0 a pointwise product); partitioned with S = 1021 segments > 819 rows a block;
+    # S = 77 segments of 65 taps (4 pad taps) in blocks of 1, 2, 3 and 100 rows, where the padded row
+    # comes alone (1 and 2), with others (3) or in the only block (100); S = 79 (15 pad taps), the
+    # padded row alone in a block of 3; S = 80 with no pad taps
     GEOMETRIES = [
         (64, 1000, None),
         (200, 50, None),
@@ -260,6 +276,7 @@ class TestStream:
         (16, 5000, 3),
         (16, 5000, 100),
         (16, 64 * 80 - 1, 3),
+        (16, 65 * 80 - 1, 3),
     ]
 
     @pytest.mark.parametrize("n,M,rows", GEOMETRIES)
@@ -279,6 +296,19 @@ class TestStream:
             assert sums.top_total is None
         else:
             assert np.float64(sums.top_total).tobytes() == np.float64(whole_array_top_total(plan, eps, p)).tobytes()
+
+    def test_peak_does_not_grow_with_the_row_blocks(self, monkeypatch):
+        # n = 2^6 (L = 320, B = 257) in row blocks of 2 windows: 150 and 1500 row blocks, both
+        # past one chunk of the top total.  A pass of order 3 holds one row block, one running
+        # spectrum per filtered power and one chunk, so its traced peak is the same for both;
+        # holding a sum per row block would add 2 * 1350 spectra, 6.9 MB
+        dist, peaks = InnovationDist.gaussian(1.0), []
+        for S in (300, 3000):
+            plan = FilterPlan.build(np.random.default_rng(S).uniform(0.05, 1.0, S * 257), 2**6, 3)
+            assert (len(plan.spectra[0]), plan.L) == (S, 320)
+            monkeypatch.setattr(simulate, "_BLOCK_POINTS", 2 * plan.L)
+            peaks.append(peak_over_result(lambda: plan.stream(innovation_source(dist, 7)))[0])
+        assert peaks[1] < peaks[0] + (plan.L // 2 + 1) * 16
 
     @pytest.mark.parametrize("rows", [None, 2])
     def test_autocovariances_stream_the_zero_extended_taps(self, rows, monkeypatch):
@@ -391,7 +421,8 @@ def peak_over_result(build):
 class TestInPlaceBuilders:
     """The set-up arrays are written in place, byte for byte equal to the one-pass formulas."""
 
-    # (n, M): one segment; partitioned with 55 zero taps in front; with none; S = 4097 > 3276 rows a block
+    # (n, M): one segment; partitioned (B = 65) with 4 zero taps in front; with 15; with none, and
+    # S = 4033 > 3276 rows a block
     GEOMETRIES = [(64, 1000), (16, 5000), (16, 64 * 80 - 1), (16, 2**18)]
 
     @pytest.mark.parametrize("n,M", GEOMETRIES)
@@ -405,8 +436,9 @@ class TestInPlaceBuilders:
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 100])
     def test_spectra_do_not_depend_on_the_row_block(self, rows, monkeypatch):
-        # S = 79 segments: blocks that end on the padded row alone, with it, and one block for all
-        c = np.random.default_rng(5).uniform(0.05, 1.0, 5001)
+        # S = 79 segments of 65 taps: blocks that end on the padded row alone, with it, and one block
+        # for all
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5080)
         plan = FilterPlan.build(c, 16)
         assert len(plan.spectra[0]) == 79 and plan.L == 80
         monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
@@ -454,11 +486,11 @@ class TestSetUpWorkers:
     """The set-up's chunk loops give the same bytes on any number of threads, and start none for one."""
 
     def test_the_plan_does_not_depend_on_the_worker_count(self):
-        # n = 2^6, 2^19 + 1 taps: 2049 segments in 3 row blocks of 819, the 2047 inner
+        # n = 2^6, 526 500 taps: 2049 segments of 257 in 3 row blocks of 819, the 2047 inner
         # boundary strips in 3 blocks, and 9 window-sum chunks, on up to 3 threads that
         # switch often, so a lost or misplaced write of a piece would change the bytes
         n = 2**6
-        c = np.random.default_rng(19).uniform(0.05, 1.0, 2**19 + 1)
+        c = np.random.default_rng(19).uniform(0.05, 1.0, 526_500)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -486,8 +518,8 @@ class TestSetUpWorkers:
         c = np.random.default_rng(4).uniform(0.05, 1.0, 2**19 + 1)
         # many pieces on one worker
         FilterPlan.build(c, 2**6, order=3).sigma_n1(1.0)
-        # one piece per loop on many workers: one row block of 32 262 taps, one chunk
-        plan = FilterPlan.build(c[:32262], 2**6, order=3, workers=4)
+        # one piece per loop on many workers: one row block of 32 600 taps, one chunk
+        plan = FilterPlan.build(c[:32600], 2**6, order=3, workers=4)
         assert len(plan.spectra[0]) == 127 and plan.weights.size <= simulate._CHUNK_POINTS
         plan.sigma_n1(1.0, workers=4)
         with pytest.raises(AssertionError, match="thread pool"):
@@ -496,7 +528,7 @@ class TestSetUpWorkers:
 
 # a fresh interpreter that only imports the package, then counts the minor page
 # faults of a coefficient build at M = 2^21 and of one streamed pass of a p = 2
-# plan (n = 2^10: 513 segments, row blocks of 51 windows) after its set-up and
+# plan (n = 2^10: 512 segments, row blocks of 51 windows) after its set-up and
 # one untimed pass of the same shapes
 FAULTS_SCRIPT = """
 import json, resource
@@ -661,10 +693,21 @@ class TestSigmaN1:
             oracle = math.sqrt(2.3 * float(np.sum(w * w)))
             assert sigma_n1_exact(c, 2.3, n) == pytest.approx(oracle, rel=1e-10)
 
-    # (n, M): one segment; partitioned with 55 zero taps in front, past the n - 1 = 15 taps
-    # before the first boundary (B = 64); with none; 4095 boundaries, more than the 3276 of
-    # one row block; n = 1 (no overlap), M = 0 and n > M + 1 (one segment each)
-    PLAN_GEOMETRIES = [(64, 1000), (16, 5000), (16, 64 * 80 - 1), (16, 2**18), (1, 300), (1, 0), (7, 0), (50, 10)]
+    # (n, M): one segment; partitioned (B = 65) with 4 zero taps in front; with 15, as many as
+    # the n - 1 taps before the first boundary; with 55, past them; with none, and 4032
+    # boundaries, more than the 3276 of one row block; n = 1 (no overlap), M = 0 and n > M + 1
+    # (one segment each)
+    PLAN_GEOMETRIES = [
+        (64, 1000),
+        (16, 5000),
+        (16, 64 * 80 - 1),
+        (16, 5079),
+        (16, 2**18),
+        (1, 300),
+        (1, 0),
+        (7, 0),
+        (50, 10),
+    ]
 
     @pytest.mark.parametrize("n,M", PLAN_GEOMETRIES)
     def test_plan_sigma_matches_the_window_sums(self, n, M):
@@ -676,7 +719,7 @@ class TestSigmaN1:
     @pytest.mark.parametrize("rows", [1, 2, 3, 77, 78, 100])
     def test_plan_sigma_does_not_depend_on_the_row_block(self, rows, monkeypatch):
         # S = 79 segments and 78 boundaries: blocks that end before, on and past the last boundary
-        c = np.random.default_rng(5).uniform(0.05, 1.0, 5001)
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5080)
         plan = FilterPlan.build(c, 16)
         assert len(plan.spectra[0]) == 79 and plan.L == 80
         oracle = math.sqrt(0.7 * math.fsum(window_sums(c, 16) ** 2))
