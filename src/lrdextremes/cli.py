@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, _marginal_refusal, build_problem, parse_config
+from .config import ExperimentConfig, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
     _problem_and_bundle,
@@ -27,6 +27,7 @@ from .mc import (
     write_summary_csv,
     write_z_samples_csv,
 )
+from .model import _marginal_refusal
 from .scaling import CASE_LABELS, check_condition_Dr, karamata_K, power_rank_integral
 from .simulate import derive_seed, dump_path_csv, simulate_path
 
@@ -122,7 +123,7 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
         try:
             dr = check_condition_Dr(mx, ty, r)
             print(f"D_{r} = {dr!r}")
-        except (LrdExtremesError, NotImplementedError) as exc:
+        except LrdExtremesError as exc:
             print(f"D_{r} = unavailable ({exc})")
     if (refusal := _marginal_refusal(mx, dist)) is not None:
         print(f"median_u_ratio = unavailable ({refusal})")

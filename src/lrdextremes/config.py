@@ -22,6 +22,7 @@ from .model import (
     ExponentialTarget,
     SvConstant,
     SvLogPower,
+    _marginal_refusal,
 )
 from .scaling import xi_feasibility
 from .simulate import build_coefficient_model
@@ -127,24 +128,6 @@ def _marginals(x_marginal: str, y_marginal: str, s: float):
     """The X marginal (a Gaussian one of standard deviation s) and the target Y marginal."""
     mx = _spec("x_marginal", x_marginal, s)
     return mx, _spec("y_marginal", y_marginal, mx)
-
-
-def _marginal_refusal(mx, dist) -> str | None:
-    """Why no replicate can run on this X marginal under these innovations, or None when replicates can."""
-    if isinstance(mx, ParetoMarginal):
-        return (
-            "declared Pareto X marginal: no linear process of this model has it "
-            "(use 'gaussian' with gaussian innovations, whose X marginal is exact)"
-        )
-    if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
-        # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
-        return (
-            f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
-            f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
-            "the Frechet domain and F(X) is not uniform in the tail "
-            f"(there is no exact X marginal for {dist.kind} innovations yet)"
-        )
-    return None
 
 
 def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:

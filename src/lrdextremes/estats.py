@@ -168,7 +168,8 @@ class TailGrid:
     """Quantile-spaced grid for the smooth part of the reduction supremum.
 
     Holds the points and F, F^(1..p) at them; they depend only on the X
-    marginal and p, so a replicate study computes them once.
+    marginal and p, so a replicate study computes them once, and no
+    replicate writes into them.
     """
 
     points: np.ndarray = field(repr=False)
@@ -178,28 +179,28 @@ class TailGrid:
     @classmethod
     def build(cls, mx: MarginalX, p: int) -> "TailGrid":
         pts = np.asarray(mx.Q(np.linspace(TAIL_GRID_EPS, 1.0 - TAIL_GRID_EPS, TAIL_GRID_SIZE)), dtype=float)
-        derivs = tuple(np.asarray(mx.F_deriv(r, pts), dtype=float) for r in range(1, p + 1))
-        return cls(points=pts, F=np.asarray(mx.F(pts), dtype=float), derivs=derivs)
+        return cls(points=pts, F=np.asarray(mx.F(pts), dtype=float), derivs=tuple(mx.F_derivs(p, pts)))
 
 
-def _smooth_part(mx: MarginalX, t: np.ndarray, y) -> np.ndarray | None:
-    """sum_r (-1)^(r-1) F^(r)(t) Y_{n,r}, summed in r order, or None when p = 0.
+def _add_smooth_part(values, derivs, y) -> None:
+    """Add sum_r (-1)^(r-1) F^(r)(t) Y_{n,r} to each array of ``values``, given F^(1..p)(t) in ``derivs``.
 
-    Each term is rounded once, (sign F^(r)) * Y_{n,r}, and added as it comes.
-    The first term stands for 0 + term: the two differ only at -0.0, which
-    no caller can tell apart, since it adds the sum to count - n F(t) and
-    that is never -0.0.
+    The sum is taken in r order, each term rounded once, F^(r) * (+-Y_{n,r}),
+    and added as it comes; ``derivs`` is only read.  The first term stands
+    for 0 + term: the two differ only at -0.0, and adding either to a value,
+    a count minus n F(t) that is never -0.0, gives the same result.  Nothing
+    is added when p = 0.
     """
     smooth = None
-    for r, (term, y_r) in enumerate(zip(mx.F_derivs(len(y), t), y), start=1):
-        if r % 2 == 0:
-            np.negative(term, out=term)
-        term *= y_r
+    for r, (d, y_r) in enumerate(zip(derivs, y), start=1):
+        term = d * (y_r if r % 2 else -y_r)
         if smooth is None:
             smooth = term
         else:
             smooth += term
-    return smooth
+    if smooth is not None:
+        for v in values:
+            v += smooth
 
 
 def _extremes(v: np.ndarray) -> tuple:
@@ -236,33 +237,21 @@ def reduction_sup_sorted(xs, F_xs, y, tail: TailGrid, mx: MarginalX, sigma_n1: f
     n = xs.size
     counts = np.arange(n + 1.0)
     nF = n * np.asarray(F_xs, dtype=float)
-    smooth = _smooth_part(mx, xs, y)
     right = np.subtract(counts[1:], nF)
     left = np.subtract(counts[:-1], nF, out=nF)
-    if smooth is not None:
-        right += smooth
-        left += smooth
-    nF_t, smooth_t = n * tail.F, np.zeros(tail.points.size)
-    for r, y_r in enumerate(y, start=1):
-        smooth_t += (-1.0) ** (r - 1) * tail.derivs[r - 1] * y_r
-    ext = [
-        _extremes(v)
-        for v in (
-            right,
-            left,
-            (np.searchsorted(xs, tail.points, side="right") - nF_t) + smooth_t,
-            (np.searchsorted(xs, tail.points, side="left") - nF_t) + smooth_t,
-        )
-    ]
+    _add_smooth_part((right, left), mx.F_derivs(len(y), xs), y)
+    nF_t = n * tail.F
+    right_t = np.searchsorted(xs, tail.points, side="right") - nF_t
+    left_t = np.searchsorted(xs, tail.points, side="left") - nF_t
+    _add_smooth_part((right_t, left_t), tail.derivs, y)
+    ext = [_extremes(v) for v in (right, left, right_t, left_t)]
     # max |v| = max(max v, -min v); np.max keeps a NaN
     sup = float(np.max([m for pair in ext for m in pair]))
     gaps = _midpoint_gaps(right, left, ext[0], ext[1], sup, mx.turning_gaps(xs, y))
     if gaps.size:
         mids = 0.5 * (xs[gaps] + xs[gaps + 1])
         mid = counts[gaps + 1] - n * np.asarray(mx.F(mids), dtype=float)
-        smooth_m = _smooth_part(mx, mids, y)
-        if smooth_m is not None:
-            mid += smooth_m
+        _add_smooth_part((mid,), mx.F_derivs(len(y), mids), y)
         sup = float(np.max([sup, *_extremes(mid)]))
     return ReductionSupResult(value=sup / sigma_n1, grid_size=2 * n - 1 + tail.points.size)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
 
-from .config import ExperimentConfig, _marginal_refusal, build_problem
+from .config import ExperimentConfig, build_problem
 from .errors import DomainError, InfeasibleConfigError
 from .estats import (
     MAX_REDUCTION_ORDER,
@@ -26,6 +26,7 @@ from .estats import (
     reduction_sup_sorted,
     u_ratio,
 )
+from .model import _marginal_refusal
 from .scaling import (
     ScalingBundle,
     check_condition_Dr,

@@ -1,15 +1,15 @@
 """Declarative model pieces: coefficients, innovations, marginals, MDA cases.
 
-Marginal distributions expose F, f and Q together with their
-maximum-domain-of-attraction tag and one slowly varying function ``L``, the
-part of the tail that the normalizing constant A_n reads: L2 in
-``f(Q(1-y)) ~ y^(1+1/alpha) L2(1/y)`` for a Frechet tag, L3 in the von
-Mises form ``f(Q(1-y)) ~ y L3(1/y)`` for a Gumbel tag.  The
-density-quantile exists only in upper-tail form, ``fQ_upper(t) =
-f(Q(1 - t))``, beside ``Q_upper(t) = Q(1 - t)``: both take the tail
-probability t itself, since 1 - t keeps only t's leading digits, and none
-below t = 2^-54, where it rounds to 1.  All types are immutable after
-construction and safe to share between processes.
+Marginal distributions expose F, its derivatives F^(1..p) (``F_derivs``)
+and Q together with their maximum-domain-of-attraction tag and one slowly
+varying function ``L``, the part of the tail that the normalizing constant
+A_n reads: L2 in ``f(Q(1-y)) ~ y^(1+1/alpha) L2(1/y)`` for a Frechet tag,
+L3 in the von Mises form ``f(Q(1-y)) ~ y L3(1/y)`` for a Gumbel tag, with
+f = F^(1).  The density-quantile exists only in upper-tail form,
+``fQ_upper(t) = f(Q(1 - t))``, beside ``Q_upper(t) = Q(1 - t)``: both take
+the tail probability t itself, since 1 - t keeps only t's leading digits,
+and none below t = 2^-54, where it rounds to 1.  All types are immutable
+after construction and safe to share between processes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfcx, ndtr, ndtri
 
-from .errors import ClampWarning, DomainError, StateError
+from .errors import ClampWarning, DomainError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -362,8 +362,9 @@ class MdaCase(enum.Enum):
 
 
 class MarginalX:
-    """Interface: cdf F, density f, quantile Q, upper-tail density-quantile fQ_upper.
+    """Interface: cdf F, its derivatives F^(1..p), quantile Q, and the upper-tail forms Q_upper, fQ_upper.
 
+    ``F_derivs`` is the one definition of F^(r); the density f is F^(1).
     ``L`` is the slowly varying part of the tail that A_n reads: L2 for a
     Frechet tag, L3 for a Gumbel tag, None where the marginal has none.
     """
@@ -374,27 +375,26 @@ class MarginalX:
     def F(self, x):
         raise NotImplementedError
 
-    def f(self, x):
-        raise NotImplementedError
-
     def Q(self, y):
         raise NotImplementedError
 
     def Q_upper(self, t):
-        """Q(1 - t) from the upper-tail probability t; the generic form rounds 1 - t."""
-        return self.Q(1.0 - np.asarray(t, dtype=float))
+        """Q(1 - t) from the upper-tail probability t."""
+        raise NotImplementedError
 
     def fQ_upper(self, t):
         """f(Q(1 - t)) from the upper-tail probability t."""
-        return self.f(self.Q_upper(t))
-
-    def F_deriv(self, r: int, x):
-        """r-th derivative of F; only analytic variants support r >= 2."""
-        raise StateError(f"{type(self).__name__} does not provide analytic derivatives")
+        raise NotImplementedError
 
     def F_derivs(self, p: int, x) -> list:
         """F^(1), ..., F^(p) at x, as arrays the caller may overwrite."""
-        return [np.array(self.F_deriv(r, x), dtype=float) for r in range(1, p + 1)]
+        raise NotImplementedError
+
+    def F_deriv(self, r: int, x):
+        """F^(r) at x: F itself at r = 0, else the last of ``F_derivs(r, x)``."""
+        if r < 0:
+            raise DomainError("derivative order must be >= 0")
+        return self.F(x) if r == 0 else self.F_derivs(r, x)[-1]
 
     def turning_gaps(self, xs, y) -> TurningGaps | None:
         """Gaps of the sorted sample ``xs`` on which the reduction remainder may turn.
@@ -522,10 +522,6 @@ class GaussianMarginal(MarginalX):
     def F(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.s)
 
-    def f(self, x):
-        z = np.asarray(x, dtype=float) / self.s
-        return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
-
     def Q(self, y):
         return self.s * ndtri(_check_prob_open(y))
 
@@ -537,40 +533,23 @@ class GaussianMarginal(MarginalX):
         z = ndtri(_check_prob_open(t))
         return np.exp(-0.5 * z * z) / (_SQRT2PI * self.s)
 
-    def von_mises_integral(self, y):
-        """V(y) = int_{1-y}^1 (1-v)/f(Q(v)) dv, exact via the Mills ratio."""
-        y = _check_prob_open(y)
-        z = ndtri(1.0 - y)
-        phi = np.exp(-0.5 * z * z) / _SQRT2PI
-        # 1 - z*sqrt(pi/2)*erfcx(z/sqrt(2)) equals 1 - z*(1-Phi(z))/phi(z)
-        bracket = 1.0 - z * math.sqrt(math.pi / 2.0) * erfcx(z / math.sqrt(2.0))
-        return self.s * phi * bracket
-
     def _L(self, u):
+        # 1 / (u V(1/u)), with the von Mises integral V(y) = int_{1-y}^1 (1-v)/f(Q(v)) dv
+        # exact via the Mills ratio: 1 - z*sqrt(pi/2)*erfcx(z/sqrt(2)) equals 1 - z*(1-Phi(z))/phi(z)
         u = np.asarray(u, dtype=float)
-        return 1.0 / (u * self.von_mises_integral(1.0 / u))
-
-    def F_deriv(self, r: int, x):
-        if r < 0:
-            raise DomainError("derivative order must be >= 0")
-        if r == 0:
-            return self.F(x)
-        z = np.asarray(x, dtype=float) / self.s
+        z = ndtri(1.0 - _check_prob_open(1.0 / u))
         phi = np.exp(-0.5 * z * z) / _SQRT2PI
-        # phi^(m)(z) = (-1)^m He_m(z) phi(z) with probabilists' Hermite He_m
-        m = r - 1
-        coeffs = np.zeros(m + 1)
-        coeffs[m] = 1.0
-        he = np.polynomial.hermite_e.hermeval(z, coeffs) if m else 1.0  # He_0 = 1
-        return (-1.0) ** m * he * phi / self.s**r
+        bracket = 1.0 - z * math.sqrt(math.pi / 2.0) * erfcx(z / math.sqrt(2.0))
+        return 1.0 / (u * (self.s * phi * bracket))
 
     def F_derivs(self, p: int, x) -> list:
-        # F_deriv's operations for each r, in its order, on one z and one phi array;
-        # at r = 1 its (1.0 * phi) / s is phi / s, since 1.0 * phi is phi
+        # F^(r)(t) = phi^(r-1)(z) / s^r at z = t/s, with phi^(m)(z) = (-1)^m He_m(z) phi(z)
+        # (probabilists' Hermite He_m), on one z and one phi array for every r
         if p == 0:
             return []
         z = np.asarray(x, dtype=float) / self.s
-        phi = z * -0.5
+        # an array even for a scalar x, so the steps below can write into it
+        phi = np.asarray(z * -0.5)
         phi *= z
         np.exp(phi, out=phi)
         phi /= _SQRT2PI
@@ -648,13 +627,6 @@ class ParetoMarginal(MarginalX):
         x = np.asarray(x, dtype=float)
         return np.where(x >= self.x_m, 1.0 - (np.maximum(x, self.x_m) / self.x_m) ** -self.alpha, 0.0)
 
-    def f(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = x >= self.x_m
-        return np.where(
-            inside, (self.alpha / self.x_m) * (np.maximum(x, self.x_m) / self.x_m) ** (-self.alpha - 1.0), 0.0
-        )
-
     def Q(self, y):
         y = _check_prob_open(y)
         return self.x_m * (1.0 - y) ** (-1.0 / self.alpha)
@@ -665,17 +637,34 @@ class ParetoMarginal(MarginalX):
     def fQ_upper(self, t):
         return (self.alpha / self.x_m) * _check_prob_open(t) ** (1.0 + 1.0 / self.alpha)
 
-    def F_deriv(self, r: int, x):
-        if r < 0:
-            raise DomainError("derivative order must be >= 0")
-        if r == 0:
-            return self.F(x)
+    def F_derivs(self, p: int, x) -> list:
+        # F^(r)(x) = (-1)^(r-1) alpha (alpha + 1) ... (alpha + r - 1) / x_m^r (x/x_m)^(-alpha-r) on [x_m, inf)
         x = np.asarray(x, dtype=float)
-        rising = math.prod(self.alpha + i for i in range(r))
-        out = (-1.0) ** (r - 1) * rising / self.x_m**r * (np.maximum(x, self.x_m) / self.x_m) ** (
-            -self.alpha - r
+        ratio = np.maximum(x, self.x_m) / self.x_m
+        out = []
+        for r in range(1, p + 1):
+            rising = math.prod(self.alpha + i for i in range(r))
+            d = (-1.0) ** (r - 1) * rising / self.x_m**r * ratio ** (-self.alpha - r)
+            out.append(np.where(x >= self.x_m, d, 0.0))
+        return out
+
+
+def _marginal_refusal(mx, dist) -> str | None:
+    """Why no replicate can run on this X marginal under these innovations, or None when replicates can."""
+    if isinstance(mx, ParetoMarginal):
+        return (
+            "declared Pareto X marginal: no linear process of this model has it "
+            "(use 'gaussian' with gaussian innovations, whose X marginal is exact)"
         )
-        return np.where(x >= self.x_m, out, 0.0)
+    if isinstance(mx, GaussianMarginal) and dist.kind != "gaussian":
+        # at q = 1e-4 under t_5, F_gauss(X) exceeds 1 - q at about 8 q (beta 0.8, n = 2^13)
+        return (
+            f"Gaussian X marginal under {dist.kind} innovations: a linear process with t_{dist.nu:g} "
+            f"innovations has a regularly varying tail of index {dist.nu:g}, so X lies in "
+            "the Frechet domain and F(X) is not uniform in the tail "
+            f"(there is no exact X marginal for {dist.kind} innovations yet)"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -817,22 +806,18 @@ class LogParetoTarget(TargetMarginalY):
         return out if out.ndim else float(out)
 
     def cum_Q(self, u):
-        # the base is Frechet, so a Pareto marginal: Q_Y(v) = alpha*log(x_m) - log(1-v) above u0
+        # the base is Frechet, so a Pareto marginal: Q_Y(v) = alpha*log(x_m) - log(1-v) above u0,
+        # a shifted unit exponential quantile
         arr = np.asarray(u, dtype=float)
         a = self.base.mda.alpha
         q0 = a * math.log(self.base.Q(self.u0))
         s0 = self._slope0()
         cshift = a * math.log(self.base.x_m)
-
-        def p_exp(v):
-            t = 1.0 - v
-            safe = np.where(t > 0.0, t, 1.0)
-            return np.where(t > 0.0, 1.0 - safe * (1.0 - np.log(safe)), 1.0)
-
+        exp = ExponentialTarget()
         below = q0 * arr - s0 * (self.u0 * arr - 0.5 * arr**2)
         p_u0 = q0 * self.u0 - 0.5 * s0 * self.u0**2
         vv = np.maximum(arr, self.u0)
-        above = p_u0 + cshift * (vv - self.u0) + p_exp(vv) - p_exp(self.u0)
+        above = p_u0 + cshift * (vv - self.u0) + exp.cum_Q(vv) - exp.cum_Q(self.u0)
         out = np.where(arr > self.u0, above, below)
         return out if out.ndim else float(out)
 

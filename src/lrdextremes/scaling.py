@@ -147,6 +147,15 @@ def big_A(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
     return u**e * (e * (sv_eval(L_Y, u) / sv_eval(L_X, u)))
 
 
+def _density_quantile_ratio(mx: MarginalX, ty: TargetMarginalY):
+    """u -> f(Q(1 - u)) / f_Y(Q_Y(1 - u)), the integrand of K_n and of the power-rank integral."""
+
+    def integrand(u):
+        return mx.fQ_upper(u) / ty.fQ_upper(u)
+
+    return integrand
+
+
 def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: float = QUAD_EPSREL) -> float:
     """K_n = int_{1-k_n/n}^{1-1/n} f(Q(y))/f_Y(Q_Y(y)) dy by adaptive quadrature.
 
@@ -156,15 +165,13 @@ def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: flo
     """
     if not 1 <= k_n < n:
         raise DomainError("need 1 <= k_n < n")
-
-    def integrand(u):
-        return mx.fQ_upper(u) / ty.fQ_upper(u)
-
     lo, hi = 1.0 / n, k_n / n
     points = None
     if lo < ENDPOINT_SPLIT < hi:
         points = [ENDPOINT_SPLIT]
-    val, err = _gauss_kronrod(integrand, lo, hi, epsabs=0.0, epsrel=epsrel, limit=500, points=points)
+    val, err = _gauss_kronrod(
+        _density_quantile_ratio(mx, ty), lo, hi, epsabs=0.0, epsrel=epsrel, limit=500, points=points
+    )
     if not math.isfinite(val) or (val != 0 and err / abs(val) > 100 * epsrel):
         raise NumericError(f"Karamata integral did not converge (value {val}, error {err})")
     return float(val)
@@ -232,11 +239,7 @@ def power_rank_integral(mx: MarginalX, ty: TargetMarginalY, epsrel: float = 1e-8
     as in ``check_condition_Dr``: the quadrature refines towards u = 0,
     where 1 - u keeps only u's leading digits.
     """
-
-    def integrand(u):
-        return mx.fQ_upper(u) / ty.fQ_upper(u)
-
-    val = _quad_pieces(integrand, [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0], epsrel)
+    val = _quad_pieces(_density_quantile_ratio(mx, ty), [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0], epsrel)
     if not math.isfinite(val):
         raise NumericError("power-rank integrand is not integrable for this configuration")
     return float(val)
@@ -246,10 +249,9 @@ def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int, epsrel: float
     """D_r = int_{1/2}^1 F^(r)(Q(y))/f_YQ_Y(y) dy for r = 1, ..., p.
 
     Finite values verify the derivative-weighted integrability hypothesis;
-    divergence raises NumericError.  Requires analytic derivatives of F.
-    The integrand is taken at the upper-tail probability u = 1 - y itself:
-    the quadrature refines towards u = 0, where 1 - u rounds to 1 and would
-    lose u's digits.
+    divergence raises NumericError.  The integrand is taken at the
+    upper-tail probability u = 1 - y itself: the quadrature refines towards
+    u = 0, where 1 - u rounds to 1 and would lose u's digits.
     """
     if r < 1:
         raise DomainError("r must be >= 1")

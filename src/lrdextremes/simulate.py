@@ -122,8 +122,8 @@ from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
     _CHUNK_POINTS,
     _gauss_kronrod,
+    _marginal_refusal,
     CoefficientModel,
-    GaussianMarginal,
     InnovationDist,
     MarginalX,
     SlowlyVaryingFn,
@@ -716,20 +716,20 @@ def simulate_path(
 ) -> PathPair:
     """Generate one stationary PathPair, deterministic in the seed.
 
-    For Gaussian innovations the declared marginal must be Gaussian with
-    s^2 = sigma_eps^2 * sum c_k^2 (relative deviation <= 1e-6).
+    The declared X marginal must be one the path has: ``_marginal_refusal``
+    refuses any other, as it does for replicates, so it is the Gaussian of
+    Gaussian innovations, with s^2 = sigma_eps^2 * sum c_k^2 (relative
+    deviation <= 1e-6).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if dist.kind == "gaussian":
-        if not isinstance(mx, GaussianMarginal):
-            raise ConfigError("Gaussian innovations require a Gaussian X marginal")
-        s_expected = dist.sigma_eps * math.sqrt(coeffs.total_square_sum)
-        if abs(mx.s - s_expected) > 1e-6 * s_expected:
-            raise ConfigError(
-                f"marginal std {mx.s!r} inconsistent with model value {s_expected!r} "
-                "(sigma_eps^2 * sum c_k^2)"
-            )
+    if (refusal := _marginal_refusal(mx, dist)) is not None:
+        raise ConfigError(refusal)
+    s_expected = dist.sigma_eps * math.sqrt(coeffs.total_square_sum)
+    if abs(mx.s - s_expected) > 1e-6 * s_expected:
+        raise ConfigError(
+            f"marginal std {mx.s!r} inconsistent with model value {s_expected!r} (sigma_eps^2 * sum c_k^2)"
+        )
     x = FilterPlan.build(coeffs.c, n).stream(innovation_source(dist, seed)).paths[0]
     y = subordinate(mx, ty, x)
     return PathPair(x=x, y=np.atleast_1d(y), seed=seed, spec_hash=config_hash(coeffs, dist, mx, ty, n))

@@ -37,7 +37,7 @@ R = 4
 master_seed = 99
 """
 
-# declared X marginals that mc and convergence refuse under student_t:6,1 innovations:
+# declared X marginals that mc, convergence and simulate refuse under student_t:6,1 innovations:
 # xi = 0.95 clears the Case 2 threshold, so only the Pareto marginal itself is refused,
 # and a t_6 linear process lies in the Frechet domain, not in the Gaussian's
 PARETO_X = CASE2_ANALYTIC.replace("xi = 0.5", "xi = 0.95")
@@ -264,10 +264,14 @@ class TestCli:
         "command,size,text,refusal",
         [
             pytest.param("mc", "n = 512", PARETO_X, "declared Pareto X marginal", id="mc-n = 512"),
+            pytest.param("simulate", "n = 512", PARETO_X, "declared Pareto X marginal", id="simulate-n = 512"),
             pytest.param(
                 "convergence", "n_grid = 256,512", PARETO_X, "declared Pareto X marginal", id="convergence-n_grid = 256,512"
             ),
             pytest.param("mc", "n = 512", GAUSSIAN_X, GAUSSIAN_UNDER_T, id="gaussian_x_student_t-mc-n = 512"),
+            pytest.param(
+                "simulate", "n = 512", GAUSSIAN_X, GAUSSIAN_UNDER_T, id="gaussian_x_student_t-simulate-n = 512"
+            ),
             pytest.param(
                 "convergence",
                 "n_grid = 256,512",
@@ -293,6 +297,7 @@ class TestCli:
         assert errors[0] == "code,message"
         assert any(ln.startswith(f"2,{refusal}") for ln in errors[1:])
         assert not (tmp_path / "z_samples.csv").exists()
+        assert not (tmp_path / "path.csv").exists()
 
     def test_diag_shares_the_replicate_kernel(self, tmp_path, capsys):
         text = MINIMAL_CASE4.replace("n = 32768", "n = 512").replace("R = 400", "R = 12")

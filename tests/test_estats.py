@@ -187,8 +187,8 @@ class TestReductionSup:
         res = reduction_sup(np.array([x1]), eps, np.array([1.0]), 1, mx, sigma_n1=1.0)
         # brute force on a dense grid; the step extremes sit at the sample point
         grid = np.linspace(-8.0, 8.0, 2_000_001)
-        vals = (grid >= x1).astype(float) - mx.F(grid) + mx.f(grid) * x1
-        vals_left = (grid > x1).astype(float) - mx.F(grid) + mx.f(grid) * x1
+        vals = (grid >= x1).astype(float) - mx.F(grid) + mx.F_deriv(1, grid) * x1
+        vals_left = (grid > x1).astype(float) - mx.F(grid) + mx.F_deriv(1, grid) * x1
         brute = max(np.max(np.abs(vals)), np.max(np.abs(vals_left)))
         assert res.value == pytest.approx(brute, abs=1e-5)
         assert res.value >= brute - 1e-12

@@ -307,10 +307,6 @@ class CountedGaussian(GaussianMarginal):
         self.counts["F"] += np.size(x)
         return super().F(x)
 
-    def F_deriv(self, r, x):
-        self.counts[f"F{r}"] += np.size(x)
-        return super().F_deriv(r, x)
-
     def F_derivs(self, p, x):
         for r in range(1, p + 1):
             self.counts[f"F{r}"] += np.size(x)

@@ -141,7 +141,7 @@ class TestGaussianMarginal:
         m = GaussianMarginal(s)
         y = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(m.F(m.Q(y)) - y)) < 1e-8
-        np.testing.assert_allclose(m.fQ_upper(1.0 - y), m.f(m.Q(y)), rtol=1e-12)
+        np.testing.assert_allclose(m.fQ_upper(1.0 - y), m.F_deriv(1, m.Q(y)), rtol=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         m = GaussianMarginal(1.7)
@@ -153,13 +153,24 @@ class TestGaussianMarginal:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_all_derivatives_have_f_deriv_bits(self, p):
-        # one z and one phi array for every order, and the same operations as F_deriv
-        m = GaussianMarginal(1.7)
-        xs = np.concatenate([np.random.default_rng(p).normal(0.0, 4.0, 4001), [0.0, -0.0, 1e-300, 60.0, -60.0]])
+        # against the closed form F^(r)(t) = (-1)^(r-1) He_(r-1)(z) phi(z) / s^r, z = t/s, taken
+        # point by point through math and the recurrence He_(m+1)(z) = z He_m(z) - m He_(m-1)(z)
+        s = 1.7
+        m = GaussianMarginal(s)
+        xs = np.concatenate([np.random.default_rng(p).normal(0.0, 4.0, 401), [0.0, -0.0, 1e-300, 60.0, -60.0]])
         got = m.F_derivs(p, xs)
         assert len(got) == p
-        for r, d in enumerate(got, start=1):
-            assert d.tobytes() == np.asarray(m.F_deriv(r, xs), dtype=float).tobytes()
+        for i, t in enumerate(xs.tolist()):
+            z = t / s
+            phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            he_prev, he = 0.0, 1.0  # He_(-1) stands in as 0, He_0 = 1
+            for r in range(1, p + 1):
+                want = (-1.0) ** (r - 1) * he * phi / s**r
+                assert got[r - 1][i] == pytest.approx(want, rel=1e-13, abs=1e-300)
+                he_prev, he = he, z * he - (r - 1) * he_prev
+        # the accessor takes the last of them, a scalar point included
+        assert m.F_deriv(p, xs).tobytes() == got[-1].tobytes()
+        assert float(m.F_deriv(p, float(xs[0]))) == got[-1][0]
 
     def test_turning_gaps(self):
         m = GaussianMarginal(2.0)

@@ -406,7 +406,7 @@ class TestConditionDr:
         # 1 - t is exact at these t, so both routes see the same point
         for mx in (GaussianMarginal(1.3), ParetoMarginal(3.0, 2.0)):
             assert mx.Q_upper(t) == pytest.approx(mx.Q(1.0 - t), rel=1e-13)
-            assert mx.fQ_upper(t) == pytest.approx(mx.f(mx.Q(1.0 - t)), rel=1e-13)
+            assert mx.fQ_upper(t) == pytest.approx(mx.F_deriv(1, mx.Q(1.0 - t)), rel=1e-13)
         # closed forms: alpha0 t^(1 + 1/alpha0), t, and the Gaussian density at Phi^-1(t)
         gauss = math.exp(-0.5 * ndtri(t) ** 2) / (1.3 * math.sqrt(2.0 * math.pi))
         closed_forms = [

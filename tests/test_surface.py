@@ -256,7 +256,6 @@ REPLICATE_KERNELS = [
     ("estats.py", "u_ratio"),
     # the marginal functions a replicate of the reference workloads evaluates
     ("model.py", "GaussianMarginal.F"),
-    ("model.py", "GaussianMarginal.F_deriv"),
     ("model.py", "GaussianMarginal.F_derivs"),
     ("model.py", "GaussianMarginal.turning_gaps"),
     ("model.py", "ExponentialTarget.Q"),
@@ -330,9 +329,11 @@ def test_replicate_kernels_call_no_blas(module, kernel):
 
 
 # the set-up of a study, which runs in the same process before its replicates, and
-# the exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums
+# the exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums.
+# The feasibility quadratures of D_r read F^(r) through GaussianMarginal.F_deriv
 SETUP_KERNELS = [
     ("scaling.py", "make_bundle"),
+    ("model.py", "GaussianMarginal.F_deriv"),
     ("simulate.py", "FilterPlan.sigma_n1"),
     ("simulate.py", "FilterPlan.build"),
     ("simulate.py", "FilterPlan.with_order"),
@@ -469,3 +470,56 @@ def test_every_export_has_a_caller():
     assert not uncalled, f"exported names with no caller in the package or perfbench/: {uncalled}"
     stale = sorted(set(EXPORTS_WITHOUT_CALLER) - set(package_exports()))
     assert not stale, f"EXPORTS_WITHOUT_CALLER names that the package no longer exports: {stale}"
+
+
+# public methods of model's X-marginal and target classes that nothing outside their class
+# hierarchy reads, each kept for a named reason
+MARGINAL_METHODS_WITHOUT_READER: dict[str, str] = {}
+
+
+def class_family(tree: ast.Module, root: str) -> list[ast.ClassDef]:
+    """The module's top-level classes that derive from ``root`` by bases defined in it, ``root`` first."""
+    family, names = [], {root}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (
+            node.name == root or any(isinstance(b, ast.Name) and b.id in names for b in node.bases)
+        ):
+            family.append(node)
+            names.add(node.name)
+    return family
+
+
+def attribute_reads(tree: ast.Module, skip: set[str]) -> set[str]:
+    """Attrs of the ``Attribute`` nodes outside the top-level classes named in ``skip``."""
+    return {
+        node.attr
+        for top in tree.body
+        if not (isinstance(top, ast.ClassDef) and top.name in skip)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_marginal_method_has_a_reader():
+    # a method is read as ``obj.name``: by the package outside its family's own classes, or by
+    # perfbench/.  The scan goes by name, so a read of any attribute of that name counts
+    model = ast.parse((PACKAGE / "model.py").read_text(), filename="model.py")
+    paths = (*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=path.name) for path in paths}
+    methods, unread = [], []
+    for root in ("MarginalX", "TargetMarginalY"):
+        family = class_family(model, root)
+        assert len(family) > 1, f"no subclasses of {root} found; the scan no longer matches model.py"
+        skip = {cls.name for cls in family}
+        read = set()
+        for path, tree in trees.items():
+            read |= attribute_reads(tree, skip if path == PACKAGE / "model.py" else set())
+        for cls in family:
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    methods.append(f"{cls.name}.{item.name}")
+                    if item.name not in read and methods[-1] not in MARGINAL_METHODS_WITHOUT_READER:
+                        unread.append(methods[-1])
+    assert not unread, f"marginal methods that nothing outside their class hierarchy reads: {unread}"
+    stale = sorted(set(MARGINAL_METHODS_WITHOUT_READER) - set(methods))
+    assert not stale, f"MARGINAL_METHODS_WITHOUT_READER names methods that model.py no longer defines: {stale}"
