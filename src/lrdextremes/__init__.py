@@ -74,11 +74,11 @@ from .scaling import (
 )
 from .simulate import (
     PathPair,
-    autocovariance_model,
     build_coefficient_model,
     derive_seed,
     dump_path_csv,
     gen_innovations,
+    model_lags,
     moving_average,
     sigma_n1_exact,
     simulate_path,

@@ -2,7 +2,9 @@
 
 The linear process is realized with a truncated filter of length M + 1 and
 exactly M pre-sample innovations, so the path is stationary under the
-truncated model with no burn-in discard.
+truncated model with no burn-in discard.  ``truncation_length`` bounds only
+the neglected *marginal* variance and ignores n, so the partial-sum
+variance falls further short of the model's as n grows (``model_lags``).
 
 Filtering is a uniformly partitioned FFT convolution (sectioned convolution,
 Stockham 1966).  The filter taps are cut into S = ceil((M + 1) / B) segments
@@ -72,8 +74,9 @@ follows the spectra.  The exact autocovariances rho_k at the lags
 one-segment plan reads them off its spectrum, and a partitioned one streams
 the reversed taps through its power-1 pass, O((n + M) log n).  A study's
 set-up does not need them; ``sigma_n1_exact`` sums them for the smaller
-sizes of an n grid, and tests check sigma_{n,1} and the spectra against
-them.
+sizes of an n grid.  The untruncated model's lags 0..kmax <= M are the
+plan's at kmax + 1 plus the tail past the taps (``model_lags``), vectorized
+for a constant L0: 0.16 s for 2^15 lags at the cap (2-core x86 box).
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or, for the exact
@@ -735,37 +738,33 @@ def simulate_path(
     return PathPair(x=x, y=np.atleast_1d(y), seed=seed, spec_hash=config_hash(coeffs, dist, mx, ty, n))
 
 
-def autocovariance_model(beta: float, L0: SlowlyVaryingFn | None, M: int, k: int, sigma_eps2: float = 1.0) -> float:
-    """Theoretical lag-k autocovariance of the untruncated model.
+def model_lags(coeffs: CoefficientModel, sigma_eps2: float, kmax: int) -> np.ndarray:
+    """rho_k = sigma_eps^2 sum_{j>=0} c_j c_{j+k} of the untruncated model at the lags k = 0..kmax <= M.
 
-    Sums c_j c_{j+k} exactly for j <= M - k and adds the analytic tail
-    integral over j > M - k (closed incomplete-beta form for constant L0,
-    quadrature otherwise).  This is the model quantity rho_k whose scaled
-    limit is the beta-function constant; the truncated-path lags are
-    ``FilterPlan.autocovariances``.
+    The taps' part is the plan's at kmax + 1 (``FilterPlan.autocovariances``);
+    the tail j > M - k integrates t^-beta L0(t) (t+k)^-beta L0(t+k) from the
+    midpoint a = M - k + 1/2, in closed form over every lag at once for a
+    constant L0 (L0^2 a^(1-2beta) / (2beta-1) at k = 0), else per lag.
     """
-    if L0 is None:
-        L0 = SvConstant(1.0)
-    if k < 1 or k > M:
-        raise DomainError("need 1 <= k <= M")
-    j = np.arange(1, M - k + 1, dtype=float)
-    partial = float(k**-beta * L0._eval(np.array([float(k)]))[0]) + float(
-        np.sum(j**-beta * L0._eval(j) * (j + k) ** -beta * L0._eval(j + k))
-    )
-    a = M - k + 0.5  # midpoint continuation of the discrete sum
+    beta, L0, M = coeffs.beta, coeffs.L0, coeffs.M
+    if not 0 <= kmax <= M:
+        raise DomainError(f"need 0 <= kmax <= M = {M}, got kmax = {kmax}")
+    tail = np.empty(kmax + 1)
     if isinstance(L0, SvConstant):
-        x = k / (k + a)
-        tail = L0.c**2 * k ** (1.0 - 2.0 * beta) * beta_fn(2.0 * beta - 1.0, 1.0 - beta) * betainc(
-            2.0 * beta - 1.0, 1.0 - beta, x
-        )
+        # k + a = M + 1/2 at every lag
+        tail[0] = (M + 0.5) ** (1.0 - 2.0 * beta) / (2.0 * beta - 1.0)
+        k, b = np.arange(1.0, kmax + 1), (2.0 * beta - 1.0, 1.0 - beta)
+        tail[1:] = k ** (1.0 - 2.0 * beta) * beta_fn(*b) * betainc(*b, k / (M + 0.5))
+        tail *= L0.c**2
     else:
-        # map (a, inf) to (0, 1] by x = a/t
-        def integrand(t):
-            x = a / t
-            return a / t**2 * x**-beta * L0._eval(x) * (x + k) ** -beta * L0._eval(x + k)
+        for k in range(kmax + 1):
 
-        tail, _ = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
-    return sigma_eps2 * (partial + float(tail))
+            def integrand(t, a=M - k + 0.5, k=k):
+                x = a / t  # (a, inf) mapped to (0, 1]
+                return a / t**2 * x**-beta * L0._eval(x) * (x + k) ** -beta * L0._eval(x + k)
+
+            tail[k] = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)[0]
+    return FilterPlan.build(coeffs.c, kmax + 1).autocovariances(sigma_eps2) + sigma_eps2 * tail
 
 
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):

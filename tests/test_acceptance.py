@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one ``[criterion N] PASS/FAIL`` line (visible with -rA or
--s).  The Monte Carlo criteria pin master_seed = 2026004; the underlying
-distributional claims hold across the large majority of seed families, and
-the seed is fixed so the suite is deterministic.
+-s).  The Monte Carlo criteria pin master_seed = 2026004, so the suite is
+deterministic.  How often a criterion fails on the true model was measured
+at other master seeds, with the same configs, bands and R: criterion 2
+fails at 14 of seeds 1-40, criterion 3 at 1 of 40 (seed 17), and criteria
+7 and 8 at none of seeds 13-40.
 """
 
 import itertools
@@ -21,16 +23,15 @@ from lrdextremes.model import (
     InnovationDist,
     ParetoMarginal,
     ParetoTarget,
-    SvConstant,
 )
 from lrdextremes.scaling import iid_contrast, iid_scale, karamata_product
 from lrdextremes.simulate import (
     FilterPlan,
     array_source,
-    autocovariance_model,
     build_coefficient_model,
     derive_seed,
     gen_innovations,
+    model_lags,
     moving_average,
     sigma_n1_exact,
 )
@@ -236,7 +237,7 @@ def test_criterion_6_covariance_constant():
     # independent gamma-function oracle for the Beta value
     B = math.exp(math.lgamma(0.5) + math.lgamma(0.25) - math.lgamma(0.75))
     assert B == pytest.approx(5.2441, abs=2e-4)
-    rho = autocovariance_model(beta, SvConstant(1.0), 10**5, 10**4)
+    rho = model_lags(build_coefficient_model(beta, M=10**5), 1.0, 10**4)[10**4]
     val = rho * (10**4) ** (2 * beta - 1)
     ok = abs(val / B - 1.0) <= 0.05
     report(6, ok, f"rho_k k^0.5 = {val:.4f} vs B = {B:.4f} (rel dev {val / B - 1.0:+.4f})")

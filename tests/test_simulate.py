@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
+from scipy.special import beta as beta_fn, betainc
 
 from lrdextremes import simulate
 from lrdextremes.errors import ConfigError, DomainError, TruncationWarning
 from lrdextremes.model import (
+    _gauss_kronrod,
     CoefficientModel,
     GaussianMarginal,
     IdentityTarget,
@@ -32,12 +35,12 @@ from lrdextremes.simulate import (
     M_CAP,
     FilterPlan,
     array_source,
-    autocovariance_model,
     build_coefficient_model,
     derive_seed,
     dump_path_csv,
     gen_innovations,
     innovation_source,
+    model_lags,
     moving_average,
     sigma_n1_exact,
     simulate_path,
@@ -50,6 +53,33 @@ def lag_oracle(c, sigma_eps2, k):
     """Scalar oracle for the truncated model's lag k: sigma_eps^2 * sum_j c_j c_{j+k}, summed exactly."""
     c = np.asarray(c, dtype=float)
     return sigma_eps2 * math.fsum(c[: c.size - k] * c[k:])
+
+
+def model_lag_oracle(beta, L0, M, k, sigma_eps2=1.0):
+    """Scalar oracle for the untruncated model's lag k, 1 <= k <= M, O(M) per lag.
+
+    Sums c_j c_{j+k} directly for j <= M - k and adds the tail integral over
+    j > M - k from the midpoint M - k + 1/2: the closed incomplete-beta form
+    for a constant L0, quadrature otherwise.
+    """
+    j = np.arange(1, M - k + 1, dtype=float)
+    partial = float(k**-beta * L0._eval(np.array([float(k)]))[0]) + float(
+        np.sum(j**-beta * L0._eval(j) * (j + k) ** -beta * L0._eval(j + k))
+    )
+    a = M - k + 0.5
+    if isinstance(L0, SvConstant):
+        x = k / (k + a)
+        tail = L0.c**2 * k ** (1.0 - 2.0 * beta) * beta_fn(2.0 * beta - 1.0, 1.0 - beta) * betainc(
+            2.0 * beta - 1.0, 1.0 - beta, x
+        )
+    else:
+        # map (a, inf) to (0, 1] by x = a/t
+        def integrand(t):
+            x = a / t
+            return a / t**2 * x**-beta * L0._eval(x) * (x + k) ** -beta * L0._eval(x + k)
+
+        tail, _ = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
+    return sigma_eps2 * (partial + float(tail))
 
 
 def direct_convolution(c, eps):
@@ -656,19 +686,74 @@ class TestAutocovariance:
         assert higher.with_order(1).weights is None
 
     def test_model_tail_correction_consistent(self):
-        # enlarging M must not change the tail-corrected value; a constant L0 takes the
-        # closed incomplete-beta tail, a log-power one the quadrature
-        for L0 in (SvConstant(1.0), SvLogPower(1.0, 0.5)):
-            a = autocovariance_model(0.75, L0, 2 * 10**4, 10)
-            b = autocovariance_model(0.75, L0, 2 * 10**6, 10)
-            assert a == pytest.approx(b, rel=1e-6)
+        # enlarging M must not change the tail-corrected values at lags 0 and 10; a constant
+        # L0 takes the closed incomplete-beta tail, a log-power one the quadrature.  The tail
+        # from the midpoint M - k + 1/2 misses the sum by O(M^(-2beta-1)), about 1e-12 of
+        # rho_k here; one from M - k would miss by about 1e-7
+        for L0 in (SvConstant(1.5), SvLogPower(1.0, 0.5)):
+            a, b = (model_lags(build_coefficient_model(0.75, L0, M=M), 1.0, 10)[[0, 10]] for M in (2 * 10**4, 2 * 10**6))
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
 
     def test_model_vs_truncated_direction(self):
-        # the truncated sum omits positive mass, so the model value is larger
+        # the truncated sum omits positive mass, so the model value is larger at every lag
         cm = build_coefficient_model(0.75, M=10**4)
-        trunc = lag_oracle(cm.c, 1.0, 100)
-        model = autocovariance_model(0.75, SvConstant(1.0), 10**4, 100)
-        assert model > trunc
+        rho = model_lags(cm, 1.0, 100)
+        assert np.all(rho > FilterPlan.build(cm.c, 101).autocovariances(1.0))
+        assert rho[100] > lag_oracle(cm.c, 1.0, 100)
+
+
+class TestModelLags:
+    # (L0, beta, M, kmax, rtol): kmax = M on a one-segment plan, 1000 on a partitioned one
+    # (M + 1 >= 32 * 1001); the log-power tail is one quadrature per lag
+    ORACLE_CASES = [
+        (SvConstant(1.0), 0.75, 10**5, 10**5, 1e-14),
+        (SvConstant(1.0), 0.75, 10**5, 1000, 1e-14),
+        (SvConstant(1.0), 0.8, 32262, 32262, 1e-14),
+        (SvConstant(1.0), 0.8, 32262, 1000, 1e-14),
+        (SvLogPower(1.0, 0.5), 0.75, 10**4, 128, 1e-9),
+    ]
+
+    @pytest.mark.parametrize("L0,beta,M,kmax,rtol", ORACLE_CASES)
+    def test_matches_scalar_oracle(self, L0, beta, M, kmax, rtol):
+        rho = model_lags(build_coefficient_model(beta, L0, M=M), 1.3, kmax)
+        assert rho.shape == (kmax + 1,)
+        for k in (1, 10, 100, kmax // 2, kmax):
+            assert rho[k] == pytest.approx(model_lag_oracle(beta, L0, M, k, 1.3), rel=rtol, abs=0.0), k
+
+    @pytest.mark.parametrize("kmax", [-1, 4097])
+    def test_refuses_lags_outside_the_taps(self, kmax):
+        with pytest.raises(DomainError, match="kmax"):
+            model_lags(build_coefficient_model(0.8, M=4096), 1.0, kmax)
+
+
+class TestTruncationFindings:
+    """What the default truncation leaves out of the model, read from ``model_lags``."""
+
+    @pytest.mark.parametrize("beta", [0.8, 0.9, 0.95])
+    def test_neglected_marginal_variance_within_tol(self, beta):
+        cm = build_coefficient_model(beta)
+        rho0 = model_lags(cm, 1.0, 0)[0]
+        assert (rho0 - cm.total_square_sum) / rho0 <= simulate.DEFAULT_TRUNC_TOL
+
+    def test_cap_fraction_matches_its_warning(self):
+        with pytest.warns(TruncationWarning) as record:
+            cm = build_coefficient_model(0.7)
+        assert cm.M == M_CAP
+        printed = float(re.search(r"neglected variance fraction ([0-9.e+-]+)\)", str(record[0].message)).group(1))
+        rho0 = model_lags(cm, 1.0, 0)[0]
+        assert (rho0 - cm.total_square_sum) / rho0 == pytest.approx(printed, rel=0.01)
+
+    def test_partial_sum_variance_drifts_below_the_model(self):
+        # the marginal bound ignores n: the truncated filter's partial-sum variance falls
+        # further below the model's as n grows (about 0.986 at 2^10 and 0.955 at 2^13)
+        cm = build_coefficient_model(0.8)
+        assert cm.M == 32262
+        rho = model_lags(cm, 1.0, 2**13 - 1)
+        ratios = []
+        for n in (2**10, 2**13):
+            model = n * rho[0] + 2.0 * np.sum((n - np.arange(1.0, n)) * rho[1:n])
+            ratios.append(sigma_n1_exact(cm.c, 1.0, n) ** 2 / model)
+        assert ratios[1] < ratios[0] < 1.0
 
 
 class TestSigmaN1:

@@ -328,8 +328,9 @@ def test_replicate_kernels_call_no_blas(module, kernel):
     assert_no_blas(module, kernel, "REPLICATE_KERNELS")
 
 
-# the set-up of a study, which runs in the same process before its replicates, and
-# the exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums.
+# the set-up of a study, which runs in the same process before its replicates, the
+# exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums,
+# and the untruncated model's lags built on them (model_lags).
 # The feasibility quadratures of D_r read F^(r) through GaussianMarginal.F_deriv
 SETUP_KERNELS = [
     ("scaling.py", "make_bundle"),
@@ -339,6 +340,7 @@ SETUP_KERNELS = [
     ("simulate.py", "FilterPlan.with_order"),
     ("simulate.py", "FilterPlan._spectrum"),
     ("simulate.py", "FilterPlan.autocovariances"),
+    ("simulate.py", "model_lags"),
     ("simulate.py", "window_sums"),
     ("model.py", "CoefficientModel.build"),
     ("model.py", "_square_sum"),
@@ -422,7 +424,7 @@ EXPORTS_WITHOUT_CALLER = {
     "z_statistic": "the independent route to Z_n that the decomposition tests compare with",
     "trend_nonincreasing": "the acceptance criteria judge their trends with it",
     "karamata_product": "the acceptance criteria check A_n K_n -> 1 with it",
-    "autocovariance_model": "the theoretical autocovariance, kept for the LRD-at-experiment-size check",
+    "model_lags": "acceptance criterion 6 reads the untruncated rho_k from it, and a circulant-embedding generator would build on it",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
 }
