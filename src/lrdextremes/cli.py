@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lrdextremes",
         description="Simulation and verification of extreme-value sums of subordinated LRD moving averages",
     )
-    parser.add_argument("command", choices=["simulate", "scaling", "mc", "convergence", "diag"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory (default: config out_dir or '.')")
     parser.add_argument(
@@ -98,8 +98,6 @@ def _cmd_mc(config: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def _cmd_convergence(config: ExperimentConfig, out_dir: str, threads: int) -> int:
-    if not config.n_grid:
-        raise ConfigError("convergence requires the 'n_grid' key")
     rows = convergence_study(config, threads=threads)
     path = os.path.join(out_dir, "convergence.csv")
     write_convergence_csv(rows, path)
@@ -141,20 +139,20 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
     return EXIT_OK
 
 
+# command -> (handler, the size key it needs, whether it refuses configurations
+# outside the theorem's hypotheses when it parses them)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "scaling": _cmd_scaling,
-    "mc": _cmd_mc,
-    "convergence": _cmd_convergence,
-    "diag": _cmd_diag,
+    "simulate": (_cmd_simulate, "n", False),
+    "scaling": (_cmd_scaling, "n", False),
+    "mc": (_cmd_mc, "n", True),
+    "convergence": (_cmd_convergence, "n_grid", True),
+    "diag": (_cmd_diag, "n", False),
 }
-
-# commands that must refuse configurations outside the theorem's hypotheses
-_FEASIBILITY_COMMANDS = {"mc", "convergence"}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, size_key, require_feasible = _COMMANDS[args.command]
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -166,7 +164,7 @@ def main(argv=None) -> int:
     errors: list[tuple[int, str]] = []
 
     try:
-        config = parse_config(text, require_feasible=args.command in _FEASIBILITY_COMMANDS)
+        config = parse_config(text, require_feasible=require_feasible)
     except ConfigError as exc:
         out_dir = out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
@@ -178,13 +176,14 @@ def main(argv=None) -> int:
     out_dir = out_dir or config.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    if args.command in ("simulate", "scaling", "diag") and config.n is None:
-        write_errors_csv([(EXIT_INFEASIBLE, f"{args.command} requires the 'n' key")], os.path.join(out_dir, "errors.csv"))
-        print(f"error: {args.command} requires the 'n' key", file=sys.stderr)
+    if getattr(config, size_key) is None:
+        message = f"{args.command} requires the {size_key!r} key"
+        write_errors_csv([(EXIT_INFEASIBLE, message)], os.path.join(out_dir, "errors.csv"))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     try:
-        return _COMMANDS[args.command](config, out_dir, _resolve_threads(args.threads))
+        return handler(config, out_dir, _resolve_threads(args.threads))
     except (NumericError, ArithmeticError) as exc:
         write_errors_csv([(EXIT_NUMERIC, str(exc))], os.path.join(out_dir, "errors.csv"))
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ key, whose absence is an error rather than an implicit time-based seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 
 from .errors import ConfigError, DomainError
@@ -25,35 +25,18 @@ from .model import (
     _marginal_refusal,
 )
 from .scaling import xi_feasibility
-from .simulate import build_coefficient_model
-
-KNOWN_KEYS = {
-    "beta",
-    "L0",
-    "innovation",
-    "x_marginal",
-    "y_marginal",
-    "xi",
-    "n",
-    "n_grid",
-    "R",
-    "p_override",
-    "master_seed",
-    "trunc_tol",
-    "out_dir",
-}
-
-REQUIRED_KEYS = ("beta", "y_marginal", "xi", "master_seed")
+from .simulate import DEFAULT_TRUNC_TOL, build_coefficient_model
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description, primitives only (picklable, hashable).
 
-    The dataclass checks nothing.  ``parse_config`` validates the text it
-    reads; a directly built config is validated by ``build_problem``, which
-    refuses a malformed spec by key, and a run refuses its xi and marginals
-    with ``parse_config``'s text.
+    The dataclass itself checks nothing.  ``parse_config`` and
+    ``build_problem`` refuse a value outside its key's range, and a k_n
+    outside [2, n-1], with the same text by the rows of ``_KEYS``;
+    ``build_problem`` also refuses a malformed spec by key, and a run
+    refuses its xi and marginals with ``parse_config``'s text.
     """
 
     beta: float
@@ -67,13 +50,66 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] | None = None
     replicates: int = 100
     p_override: int | None = None
-    trunc_tol: float = 1e-3
+    trunc_tol: float = DEFAULT_TRUNC_TOL
     out_dir: str | None = None
 
     def as_dict(self) -> dict:
         d = asdict(self)
         d["n_grid"] = ",".join(str(v) for v in self.n_grid) if self.n_grid else ""
         return {k: ("" if v is None else v) for k, v in d.items()}
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+# key -> (field, conversion, check, refusal), in the order a config's
+# violations are reported; a key is required when its field has no default
+_KEYS = {
+    "beta": ("beta", float, lambda b: 0.5 < b < 1.0, "beta must lie in (1/2, 1) (got {})"),
+    "y_marginal": ("y_marginal", str, None, None),
+    "xi": ("xi", float, lambda x: 0.0 < x < 1.0, "xi must lie in (0, 1) (got {})"),
+    "n": ("n", int, lambda v: v >= 4, "n must be >= 4 (got {})"),
+    "R": ("replicates", int, lambda v: v >= 1, "R must be >= 1 (got {})"),
+    "p_override": ("p_override", int, lambda v: v >= 1, "p_override must be >= 1 (got {})"),
+    "master_seed": ("master_seed", int, lambda v: v >= 0, "master_seed must be a nonnegative integer (got {})"),
+    "trunc_tol": ("trunc_tol", float, lambda v: 0.0 < v < 0.1, "trunc_tol must lie in (0, 0.1) (got {})"),
+    "n_grid": (
+        "n_grid",
+        lambda text: tuple(int(v.strip()) for v in text.split(",") if v.strip()),
+        lambda g: len(g) > 0 and all(b > a for a, b in zip(g, g[1:])),
+        "must be a strictly increasing comma-separated list",
+    ),
+    "L0": ("l0", str, None, None),
+    "innovation": ("innovation", str, None, None),
+    "x_marginal": ("x_marginal", str, None, None),
+    "out_dir": ("out_dir", str, None, None),
+}
+
+
+def _checked(values: dict) -> tuple[dict, list[str]]:
+    """The typed field values that their rows accept, and every refusal.
+
+    The rows refuse in row order, then each experiment size of an accepted
+    n_grid and n whose k_n = ceil(n^xi) leaves [2, n-1] at an accepted xi.
+    A field that is absent or None is not checked.
+    """
+    held, violations = {}, []
+    for key, (field, _, check, refusal) in _KEYS.items():
+        value = values.get(field)
+        if value is None or check is None or check(value):
+            held[field] = value
+        else:
+            violations.append(f"key {key!r}: " + refusal.format(value))
+    xi = held.get("xi")
+    for nn in (*(held.get("n_grid") or ()), held.get("n")):
+        if xi is not None and nn is not None and not 2 <= (k_n := math.ceil(nn**xi)) <= nn - 1:
+            violations.append(f"k_n = ceil({nn}^{xi}) = {k_n} must lie in [2, n-1]")
+    return held, violations
+
+
+def _refuse(violations: list[str]) -> None:
+    if violations:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations), violations)
 
 
 # key -> kind -> (fewest numbers, most numbers, form, constructor); a
@@ -150,7 +186,7 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             violations.append(f"unknown key {key!r}")
             continue
         if key in raw:
@@ -158,50 +194,21 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
             continue
         raw[key] = value
 
-    for key in REQUIRED_KEYS:
-        if key not in raw:
+    for key, (field, *_) in _KEYS.items():
+        if key not in raw and _DEFAULTS[field] is MISSING:
             violations.append(f"missing required key {key!r}")
     if "n" not in raw and "n_grid" not in raw:
         violations.append("one of 'n' or 'n_grid' is required")
 
-    def grab(key, conv, default=None, check=None, describe=""):
-        if key not in raw:
-            return default
-        try:
-            val = conv(raw[key])
-        except (ValueError, DomainError) as exc:
-            violations.append(f"key {key!r}: {exc}")
-            return default
-        if check is not None and not check(val):
-            violations.append(f"key {key!r}: {describe} (got {raw[key]})")
-            return default
-        return val
-
-    beta = grab("beta", float, check=lambda b: 0.5 < b < 1.0, describe="beta must lie in (1/2, 1)")
-    xi = grab("xi", float, check=lambda x: 0.0 < x < 1.0, describe="xi must lie in (0, 1)")
-    n = grab("n", int, check=lambda v: v >= 4, describe="n must be >= 4")
-    replicates = grab("R", int, default=100, check=lambda v: v >= 1, describe="R must be >= 1")
-    p_override = grab("p_override", int, check=lambda v: v >= 1, describe="p_override must be >= 1")
-    master_seed = grab("master_seed", int, check=lambda v: v >= 0, describe="master_seed must be a nonnegative integer")
-    trunc_tol = grab(
-        "trunc_tol", float, default=1e-3, check=lambda v: 0.0 < v < 0.1, describe="trunc_tol must lie in (0, 0.1)"
-    )
-    out_dir = raw.get("out_dir")
-
-    n_grid = None
-    if "n_grid" in raw:
-        try:
-            n_grid = tuple(int(v.strip()) for v in raw["n_grid"].split(",") if v.strip())
-            if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-                violations.append("key 'n_grid': must be a strictly increasing comma-separated list")
-                n_grid = None
-        except ValueError as exc:
-            violations.append(f"key 'n_grid': {exc}")
-
-    l0 = raw.get("L0", "constant:1")
-    innovation = raw.get("innovation", "gaussian:1")
-    x_marginal = raw.get("x_marginal", "gaussian")
-    y_marginal = raw.get("y_marginal", "")
+    values = {}
+    for key, (field, convert, _, _) in _KEYS.items():
+        if key in raw:
+            try:
+                values[field] = convert(raw[key])
+            except ValueError as exc:
+                violations.append(f"key {key!r}: {exc}")
+    held, refused = _checked(values)
+    violations += refused
 
     def realize(build, *args):
         try:
@@ -209,53 +216,35 @@ def parse_config(text: str, require_feasible: bool = True) -> ExperimentConfig:
         except ConfigError as exc:
             violations.extend(exc.violations)
 
-    realize(_spec, "L0", l0)
-    dist = realize(_spec, "innovation", innovation)
+    given = {**_DEFAULTS, **values}
+    realize(_spec, "L0", given["l0"])
+    dist = realize(_spec, "innovation", given["innovation"])
     # no MDA tag and no refusal depends on the Gaussian X's scale, so s = 1 stands in for it
-    marginals = realize(_marginals, x_marginal, y_marginal, 1.0) if "y_marginal" in raw else None
+    marginals = realize(_marginals, given["x_marginal"], given["y_marginal"], 1.0) if "y_marginal" in raw else None
     mx, ty = marginals or (None, None)
 
-    # extreme-count bounds per experiment size
-    if xi is not None:
-        for nn in list(n_grid or []) + ([n] if n is not None else []):
-            k_n = math.ceil(nn**xi)
-            if not 2 <= k_n <= nn - 1:
-                violations.append(f"k_n = ceil({nn}^{xi}) = {k_n} must lie in [2, n-1]")
-
     if require_feasible and mx is not None:
+        beta, xi = held.get("beta"), held.get("xi")
         if beta is not None and xi is not None and (refusal := xi_feasibility(mx.mda, ty.mda, beta, xi).refusal):
             violations.append(refusal)
         if dist is not None and (refusal := _marginal_refusal(mx, dist)):
             violations.append(refusal)
 
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations), violations)
-
-    return ExperimentConfig(
-        beta=beta,
-        y_marginal=y_marginal,
-        xi=xi,
-        master_seed=master_seed,
-        l0=l0,
-        innovation=innovation,
-        x_marginal=x_marginal,
-        n=n,
-        n_grid=n_grid,
-        replicates=replicates,
-        p_override=p_override,
-        trunc_tol=trunc_tol,
-        out_dir=out_dir,
-    )
+    _refuse(violations)
+    return ExperimentConfig(**values)
 
 
 @lru_cache(maxsize=8)
 def build_problem(config: ExperimentConfig):
     """Realize the configuration as (coeffs, innovation, mx, ty) objects.
 
-    Every X marginal is in closed form, so nothing is drawn here.  The
-    specs are read by the parser that ``parse_config`` uses, so a directly
-    built config with a malformed spec is refused here, by key.
+    A directly built config is first refused by the rows of ``_KEYS`` and
+    the k_n bound, every violation at once with ``parse_config``'s text,
+    before any array is built.  Every X marginal is in closed form, so
+    nothing is drawn here.  The specs are read by the parser that
+    ``parse_config`` uses, so a malformed spec is refused here, by key.
     """
+    _refuse(_checked(vars(config))[1])
     coeffs = build_coefficient_model(config.beta, _spec("L0", config.l0), config.trunc_tol)
     dist = _spec("innovation", config.innovation)
     mx, ty = _marginals(config.x_marginal, config.y_marginal, dist.sigma_eps * math.sqrt(coeffs.total_square_sum))

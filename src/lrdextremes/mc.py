@@ -391,28 +391,12 @@ def write_summary_csv(result: McRunResult, path) -> None:
             fh.write(f"{key},{_fmt(val)}\n")
 
 
-CONVERGENCE_COLUMNS = (
-    "n",
-    "k_n",
-    "ks_d",
-    "ks_p",
-    "z_mean",
-    "z_var",
-    "med_abs_i2",
-    "med_abs_i3",
-    "med_u_ratio_dev",
-    "med_reduction_sup",
-    "iid_contrast",
-    "lrd_scale",
-    "iid_scale",
-)
-
-
 def write_convergence_csv(rows: list[dict], path) -> None:
+    """One line per row of ``convergence_study``; the header is its rows' keys, in their order."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CONVERGENCE_COLUMNS) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in CONVERGENCE_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def write_errors_csv(errors: list[tuple[int, str]], path) -> None:

@@ -880,7 +880,7 @@ class CoefficientModel:
             raise DomainError("coefficient vector must have length M + 1")
 
     @classmethod
-    def build(cls, beta: float, L0: SlowlyVaryingFn | None = None, M: int | None = None) -> "CoefficientModel":
+    def build(cls, beta: float, L0: SlowlyVaryingFn, M: int) -> "CoefficientModel":
         """c_1..c_M written chunk by chunk into the one array that is kept.
 
         Each chunk of ``_CHUNK_POINTS`` coefficients writes k^-beta straight
@@ -889,10 +889,6 @@ class CoefficientModel:
         below 2^53, so the only other arrays are that arange, k and L0(k),
         one chunk each.
         """
-        if L0 is None:
-            L0 = SvConstant(1.0)
-        if M is None:
-            raise DomainError("M is required; use simulate.build_coefficient_model to derive it from a tolerance")
         c = np.empty(M + 1)
         c[0] = 1.0
         steps = np.arange(min(_CHUNK_POINTS, M), dtype=float)

@@ -28,9 +28,11 @@ from .model import (
 )
 from .simulate import FilterPlan
 
-# quadrature defaults: absolute/relative tolerances and the endpoint split
+# quadrature tolerances: absolute, relative for K_n, relative for the
+# power-rank and D_r integrals; and the endpoint split
 QUAD_EPSABS = 1e-8
 QUAD_EPSREL = 1e-6
+PIECES_EPSREL = 1e-8
 ENDPOINT_SPLIT = 1e-12
 
 # conventional star labels of the four feasibility conditions on xi
@@ -156,7 +158,7 @@ def _density_quantile_ratio(mx: MarginalX, ty: TargetMarginalY):
     return integrand
 
 
-def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: float = QUAD_EPSREL) -> float:
+def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> float:
     """K_n = int_{1-k_n/n}^{1-1/n} f(Q(y))/f_Y(Q_Y(y)) dy by adaptive quadrature.
 
     Evaluated after the substitution u = 1 - y, on the upper-tail forms at
@@ -170,9 +172,9 @@ def karamata_K(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int, epsrel: flo
     if lo < ENDPOINT_SPLIT < hi:
         points = [ENDPOINT_SPLIT]
     val, err = _gauss_kronrod(
-        _density_quantile_ratio(mx, ty), lo, hi, epsabs=0.0, epsrel=epsrel, limit=500, points=points
+        _density_quantile_ratio(mx, ty), lo, hi, epsabs=0.0, epsrel=QUAD_EPSREL, limit=500, points=points
     )
-    if not math.isfinite(val) or (val != 0 and err / abs(val) > 100 * epsrel):
+    if not math.isfinite(val) or (val != 0 and err / abs(val) > 100 * QUAD_EPSREL):
         raise NumericError(f"Karamata integral did not converge (value {val}, error {err})")
     return float(val)
 
@@ -212,7 +214,7 @@ def iid_contrast(n: int, k_n: int, alpha: float) -> float:
     return (n / k_n) ** (0.5 + 1.0 / alpha)
 
 
-def _quad_pieces(fn, edges, epsrel: float) -> float:
+def _quad_pieces(fn, edges) -> float:
     """Adaptive quadrature piecewise over [edges[0], edges[-1]].
 
     Each piece is a group of ``_gauss_kronrod_groups``: integrated to its
@@ -223,7 +225,7 @@ def _quad_pieces(fn, edges, epsrel: float) -> float:
     directly.  The first non-finite piece, in edge order, raises.
     """
     pieces = [[a, b] for a, b in zip(edges[:-1], edges[1:])]
-    values, _ = _gauss_kronrod_groups(fn, pieces, epsabs=QUAD_EPSABS * 1e-4, epsrel=epsrel, limit=1000)
+    values, _ = _gauss_kronrod_groups(fn, pieces, epsabs=QUAD_EPSABS * 1e-4, epsrel=PIECES_EPSREL, limit=1000)
     total = 0.0
     for (a, b), val in zip(pieces, values):
         if not math.isfinite(val):
@@ -232,20 +234,20 @@ def _quad_pieces(fn, edges, epsrel: float) -> float:
     return total
 
 
-def power_rank_integral(mx: MarginalX, ty: TargetMarginalY, epsrel: float = 1e-8) -> float:
+def power_rank_integral(mx: MarginalX, ty: TargetMarginalY) -> float:
     """int_0^1 f(Q(y))/f_Y(Q_Y(y)) dy; nonzero value certifies power rank 1.
 
     The integrand is taken at the upper-tail probability u = 1 - y itself,
     as in ``check_condition_Dr``: the quadrature refines towards u = 0,
     where 1 - u keeps only u's leading digits.
     """
-    val = _quad_pieces(_density_quantile_ratio(mx, ty), [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0], epsrel)
+    val = _quad_pieces(_density_quantile_ratio(mx, ty), [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0])
     if not math.isfinite(val):
         raise NumericError("power-rank integrand is not integrable for this configuration")
     return float(val)
 
 
-def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int, epsrel: float = 1e-8) -> float:
+def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int) -> float:
     """D_r = int_{1/2}^1 F^(r)(Q(y))/f_YQ_Y(y) dy for r = 1, ..., p.
 
     Finite values verify the derivative-weighted integrability hypothesis;
@@ -259,7 +261,7 @@ def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int, epsrel: float
     def integrand(u):
         return mx.F_deriv(r, mx.Q_upper(u)) / ty.fQ_upper(u)
 
-    val = _quad_pieces(integrand, [0.0, 1e-6, 0.5], epsrel)
+    val = _quad_pieces(integrand, [0.0, 1e-6, 0.5])
     if not math.isfinite(val) or abs(val) > 1e12:
         raise NumericError(f"condition integral D_{r} appears divergent (value {val})")
     return float(val)

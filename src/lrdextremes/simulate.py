@@ -119,7 +119,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
-from scipy.special import beta as beta_fn, betainc, zeta
+from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, gammaincc, zeta
 
 from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
@@ -131,6 +131,7 @@ from .model import (
     MarginalX,
     SlowlyVaryingFn,
     SvConstant,
+    SvLogPower,
     TargetMarginalY,
     subordinate,
 )
@@ -190,9 +191,15 @@ class PathPair:
 def truncation_length(beta: float, L0: SlowlyVaryingFn | None = None, tol: float = DEFAULT_TRUNC_TOL) -> int:
     """Smallest M with neglected variance sum_{k>M} c_k^2 <= tol * total.
 
-    Uses the integral bound sum_{k>M} k^-2beta <= M^(1-2beta)/(2beta-1)
-    scaled by L0(M)^2, against the running partial sum of the total (which
-    only makes the choice of M conservative).  Capped at 2^22.
+    A constant L0 = C takes the integral bound sum_{k>M} k^-2beta <=
+    M^(1-2beta)/(2beta-1), scaled by C^2, against the closed-form total.  A
+    log-power L0 = C (ln t)^B is scanned against the running partial sum of
+    the total (which only makes the choice of M conservative), with the
+    tail bound int_M^inf C^2 (ln t)^2B t^-2beta dt: for B <= 0, L0 falls,
+    and L0(M)^2 M^(1-2beta)/(2beta-1) bounds it; for B > 0 it is exactly
+    C^2 (2beta-1)^-(2B+1) Gamma(2B+1, (2beta-1) ln M), a bound once c_k^2
+    falls, for ln M >= max(1, B/beta).  Capped at 2^22, with a warning that
+    prints the neglected fraction that the bound gives at the cap.
     """
     if not 0.5 < beta < 1.0:
         raise DomainError("beta must lie in (1/2, 1)")
@@ -200,6 +207,14 @@ def truncation_length(beta: float, L0: SlowlyVaryingFn | None = None, tol: float
         raise DomainError("tol must be a variance fraction in (0, 1)")
     if L0 is None:
         L0 = SvConstant(1.0)
+
+    def capped(length, fraction):
+        warnings.warn(
+            f"{length} exceeds the cap 2^22; capped (neglected variance fraction {fraction:.2e})",
+            TruncationWarning,
+            stacklevel=3,
+        )
+        return M_CAP
 
     if isinstance(L0, SvConstant):
         total = 1.0 + L0.c**2 * float(zeta(2.0 * beta))
@@ -209,17 +224,24 @@ def truncation_length(beta: float, L0: SlowlyVaryingFn | None = None, tol: float
 
         M = int(math.ceil((tol * total * (2.0 * beta - 1.0) / L0.c**2) ** (1.0 / (1.0 - 2.0 * beta))))
         M = max(M, 1)
-        if M > M_CAP:
-            warnings.warn(
-                f"truncation length {M} exceeds the cap 2^22; capped (neglected "
-                f"variance fraction {tail_bound(M_CAP) / total:.2e})",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            return M_CAP
-        return M
+        return capped(f"truncation length {M}", tail_bound(M_CAP) / total) if M > M_CAP else M
+    if not isinstance(L0, SvLogPower):
+        raise DomainError(f"no tail bound for the slowly varying part {L0!r}; give M")
 
-    # general L0: grow the partial sum in blocks until the bound clears
+    if L0.b > 0:
+        a, s = 2.0 * L0.b + 1.0, 2.0 * beta - 1.0
+        first = math.exp(max(1.0, L0.b / beta))
+
+        def tail_bound(k):
+            return L0.c**2 * s**-a * gamma_fn(a) * gammaincc(a, s * np.log(k))
+
+    else:
+        first = 1.0
+
+        def tail_bound(k):
+            return L0._eval(k) ** 2 * k ** (1.0 - 2.0 * beta) / (2.0 * beta - 1.0)
+
+    # grow the partial sum in blocks until the bound clears
     partial = 1.0
     M = 1
     block = 4096
@@ -227,19 +249,14 @@ def truncation_length(beta: float, L0: SlowlyVaryingFn | None = None, tol: float
         k = np.arange(M, min(M + block, M_CAP) + 1, dtype=float)
         ck2 = k ** (-2.0 * beta) * L0._eval(k) ** 2
         csum = partial + np.cumsum(ck2)
-        bounds = L0._eval(k) ** 2 * k ** (1.0 - 2.0 * beta) / (2.0 * beta - 1.0)
-        ok = bounds <= tol * csum
+        ok = (tail_bound(k) <= tol * csum) & (k >= first)
         if np.any(ok):
             return int(k[np.argmax(ok)])
         partial = float(csum[-1])
         M = int(k[-1]) + 1
         if M > M_CAP:
-            warnings.warn(
-                "truncation length exceeds the cap 2^22; capped",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            return M_CAP
+            bound = float(tail_bound(float(M_CAP)))
+            return capped("truncation length", bound / (partial + bound))
         block = min(2 * block, 2**20)
 
 

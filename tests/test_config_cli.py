@@ -10,6 +10,7 @@ import pytest
 
 import lrdextremes
 from lrdextremes import cli, simulate
+from lrdextremes import config as config_module
 from lrdextremes.cli import main
 from lrdextremes.config import ExperimentConfig, build_problem, parse_config
 from lrdextremes.errors import ConfigError, InfeasibleConfigError
@@ -157,6 +158,106 @@ class TestParseConfig:
         cfg = ExperimentConfig(**{**fields, field: spec})
         with pytest.raises(ConfigError, match=f"^key '{key}': "):
             build_problem(cfg)
+
+    # config text -> parse_config's whole violation list, text and order
+    BASE = "beta = 0.8\ny_marginal = exponential\nxi = 0.9\nn = 512\nmaster_seed = 7\n"
+    VIOLATIONS = {
+        "out_of_range": (
+            "beta = 1.5\ny_marginal = exponential\nxi = 1.5\nn = 3\nR = 0\np_override = 0\nmaster_seed = -1\n"
+            "trunc_tol = 0.5\n",
+            [
+                "key 'beta': beta must lie in (1/2, 1) (got 1.5)",
+                "key 'xi': xi must lie in (0, 1) (got 1.5)",
+                "key 'n': n must be >= 4 (got 3)",
+                "key 'R': R must be >= 1 (got 0)",
+                "key 'p_override': p_override must be >= 1 (got 0)",
+                "key 'master_seed': master_seed must be a nonnegative integer (got -1)",
+                "key 'trunc_tol': trunc_tol must lie in (0, 0.1) (got 0.5)",
+            ],
+        ),
+        "non_numeric": (
+            "beta = abc\ny_marginal = exponential\nxi = abc\nn = abc\nR = abc\np_override = abc\nmaster_seed = abc\n"
+            "trunc_tol = abc\nn_grid = 256,x\n",
+            [
+                "key 'beta': could not convert string to float: 'abc'",
+                "key 'xi': could not convert string to float: 'abc'",
+                "key 'n': invalid literal for int() with base 10: 'abc'",
+                "key 'R': invalid literal for int() with base 10: 'abc'",
+                "key 'p_override': invalid literal for int() with base 10: 'abc'",
+                "key 'master_seed': invalid literal for int() with base 10: 'abc'",
+                "key 'trunc_tol': could not convert string to float: 'abc'",
+                "key 'n_grid': invalid literal for int() with base 10: 'x'",
+            ],
+        ),
+        "missing": (
+            "R = 2\n",
+            [
+                "missing required key 'beta'",
+                "missing required key 'y_marginal'",
+                "missing required key 'xi'",
+                "missing required key 'master_seed'",
+                "one of 'n' or 'n_grid' is required",
+            ],
+        ),
+        "lines": (
+            BASE + "beta = 0.7\ngamma = 1\nno equals sign\n",
+            ["duplicate key 'beta'", "unknown key 'gamma'", "line 8: expected 'key = value', got 'no equals sign'"],
+        ),
+        "unordered_n_grid": (
+            BASE.replace("n = 512", "n_grid = 512,256"),
+            ["key 'n_grid': must be a strictly increasing comma-separated list"],
+        ),
+        "L0": (BASE + "L0 = logpower:1\n", ["key 'L0': logpower needs 'logpower:C,B', got 'logpower:1'"]),
+        "innovation": (
+            BASE + "innovation = student_t:abc\n",
+            ["key 'innovation': student_t needs 'student_t:NU[,SIGMA]', got 'student_t:abc'"],
+        ),
+        "x_marginal": (
+            BASE + "x_marginal = pareto:4,x\n",
+            ["key 'x_marginal': pareto needs 'pareto:ALPHA[,XM]', got 'pareto:4,x'"],
+        ),
+        "y_marginal": (
+            BASE.replace("exponential", "pareto:abc"),
+            ["key 'y_marginal': pareto needs 'pareto:ALPHA0', got 'pareto:abc'"],
+        ),
+        "k_n": (
+            BASE.replace("n = 512", "n = 5").replace("xi = 0.9", "xi = 0.99"),
+            ["k_n = ceil(5^0.99) = 5 must lie in [2, n-1]"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(VIOLATIONS))
+    def test_violation_battery(self, name):
+        text, violations = self.VIOLATIONS[name]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == violations
+
+    # the out-of-range battery's refusal of each key
+    REFUSED = {v.split("'")[1]: v for v in VIOLATIONS["out_of_range"][1]}
+
+    @pytest.mark.parametrize(
+        "fields,violations",
+        [
+            pytest.param({"trunc_tol": 0.5}, [REFUSED["trunc_tol"]], id="trunc_tol"),
+            pytest.param({"master_seed": -1}, [REFUSED["master_seed"]], id="master_seed"),
+            pytest.param({"p_override": 0}, [REFUSED["p_override"]], id="p_override"),
+            pytest.param({"n": 3}, [REFUSED["n"]], id="n"),
+            pytest.param({"xi": 1.5}, [REFUSED["xi"]], id="xi"),
+            pytest.param({"n": 5, "xi": 0.99}, VIOLATIONS["k_n"][1], id="k_n"),
+            pytest.param({"n": 3, "trunc_tol": 0.5}, [REFUSED["n"], REFUSED["trunc_tol"]], id="two"),
+        ],
+    )
+    def test_build_problem_refuses_a_directly_built_config_with_the_parsers_text(self, fields, violations, monkeypatch):
+        # every violation at once, before any coefficient is built
+        def no_coefficients(*args, **kwargs):
+            raise AssertionError("build_problem built coefficients for a refused config")
+
+        monkeypatch.setattr(config_module, "build_coefficient_model", no_coefficients)
+        cfg = ExperimentConfig(**{**dict(beta=0.8, y_marginal="exponential", xi=0.9, master_seed=1, n=512), **fields})
+        with pytest.raises(ConfigError) as err:
+            build_problem(cfg)
+        assert err.value.violations == violations
 
     def test_logpareto_requires_frechet_base(self):
         text = MINIMAL_CASE4.replace("y_marginal = exponential", "y_marginal = logpareto:0.5")
@@ -382,6 +483,16 @@ class TestCli:
         assert code == 2
         errors = (tmp_path / "errors.csv").read_text().splitlines()
         assert any(ln.startswith(f"2,key '{key}'") for ln in errors[1:])
+
+    def test_mc_refuses_a_config_without_n_before_any_set_up(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("mc started a run on a config without n")
+
+        monkeypatch.setattr(cli, "run_replicates", no_run)
+        cfg = write_config(tmp_path, SMALL_CASE4.replace("n = 512", "n_grid = 256,512"))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert (tmp_path / "errors.csv").read_text().splitlines() == ["code,message", "2,mc requires the 'n' key"]
+        assert "mc requires the 'n' key" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["mc", "--config", "/nonexistent/x.cfg"]) == 2

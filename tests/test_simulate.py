@@ -29,6 +29,7 @@ from lrdextremes.model import (
     ParetoTarget,
     SvConstant,
     SvLogPower,
+    SvNumeric,
 )
 from lrdextremes.estats import multilinear_sums
 from lrdextremes.simulate import (
@@ -119,6 +120,11 @@ class TestTruncationLength:
         for bad in (0.0, -1e-3, 1.0, 2.0):
             with pytest.raises(DomainError):
                 truncation_length(0.75, tol=bad)
+
+    def test_l0_without_a_tail_bound_is_refused(self):
+        # the bound frozen at L0(M) holds only for a falling L0, so no other slowly varying part is guessed at
+        with pytest.raises(DomainError, match="no tail bound"):
+            truncation_length(0.75, SvNumeric(np.sqrt))
 
     def test_cap_warns(self):
         with pytest.warns(TruncationWarning):
@@ -738,6 +744,31 @@ class TestTruncationFindings:
     def test_cap_fraction_matches_its_warning(self):
         with pytest.warns(TruncationWarning) as record:
             cm = build_coefficient_model(0.7)
+        assert cm.M == M_CAP
+        printed = float(re.search(r"neglected variance fraction ([0-9.e+-]+)\)", str(record[0].message)).group(1))
+        rho0 = model_lags(cm, 1.0, 0)[0]
+        assert (rho0 - cm.total_square_sum) / rho0 == pytest.approx(printed, rel=0.01)
+
+    # (beta, B, tol) of the grid whose M stays below the cap: a falling log-power L0 (B < 0)
+    # frozen at M, or a rising one (B > 0) integrated from M
+    LOG_POWER_GRID = [
+        (beta, B, tol)
+        for beta in (0.75, 0.8, 0.9, 0.95)
+        for B in (-0.5, 0.5, 1.0)
+        for tol in (1e-3, 1e-2)
+        if (beta, B, tol) not in {(0.75, 0.5, 1e-3), (0.75, 1.0, 1e-3), (0.75, 1.0, 1e-2), (0.8, 1.0, 1e-3)}
+    ]
+
+    @pytest.mark.parametrize("beta,B,tol", LOG_POWER_GRID)
+    def test_log_power_neglected_marginal_variance_within_tol(self, beta, B, tol):
+        cm = build_coefficient_model(beta, SvLogPower(1.0, B), tol)
+        assert cm.M < M_CAP
+        rho0 = model_lags(cm, 1.0, 0)[0]
+        assert (rho0 - cm.total_square_sum) / rho0 <= tol
+
+    def test_log_power_cap_fraction_matches_its_warning(self):
+        with pytest.warns(TruncationWarning) as record:
+            cm = build_coefficient_model(0.6, SvLogPower(1.0, 0.5))
         assert cm.M == M_CAP
         printed = float(re.search(r"neglected variance fraction ([0-9.e+-]+)\)", str(record[0].message)).group(1))
         rho0 = model_lags(cm, 1.0, 0)[0]
