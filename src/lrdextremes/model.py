@@ -297,11 +297,6 @@ class InnovationDist:
     def variance(self) -> float:
         return self.sigma_eps**2
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(count)
-        self.fill(out, rng)
-        return out
-
     def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
         """Write the next ``out.size`` draws of ``rng`` into ``out``.
 

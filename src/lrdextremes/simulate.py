@@ -74,9 +74,10 @@ follows the spectra.  The exact autocovariances rho_k at the lags
 one-segment plan reads them off its spectrum, and a partitioned one streams
 the reversed taps through its power-1 pass, O((n + M) log n).  A study's
 set-up does not need them; ``sigma_n1_exact`` sums them for the smaller
-sizes of an n grid.  The untruncated model's lags 0..kmax <= M are the
-plan's at kmax + 1 plus the tail past the taps (``model_lags``), vectorized
-for a constant L0: 0.16 s for 2^15 lags at the cap (2-core x86 box).
+sizes of an n grid.  The untruncated model's lags 0..kmax <= M are those
+of a plan that serves at least ``_LAG_PLAN_MIN_LAGS`` lags, plus the tail
+past the taps (``model_lags``), vectorized for a constant L0: 0.16 s for
+2^15 lags at the cap (2-core x86 box).
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or, for the exact
@@ -146,6 +147,11 @@ DEFAULT_TRUNC_TOL = 1e-3
 # _SEGMENT_PATHS * n taps (see the module docstring)
 _PARTITION_MIN_PATHS = 32
 _SEGMENT_PATHS = 4
+
+# the plan of ``model_lags`` serves at least this many lags, so a small kmax on a
+# long filter keeps segments of about 4 * 2^13 taps: at the cap, a plan at
+# kmax + 1 = 1 would cut the taps into 2^20 segments of 4
+_LAG_PLAN_MIN_LAGS = 2**13
 
 # innovations (or taps, when a plan transforms its segments) per batched
 # segment transform, about 2 MB: the block depends only on the FFT length,
@@ -285,8 +291,9 @@ def gen_innovations(dist: InnovationDist, count: int, seed: int) -> np.ndarray:
     """Deterministic i.i.d. innovation vector for the given seed."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return dist.sample(count, rng)
+    out = np.empty(count)
+    dist.fill(out, np.random.default_rng(seed))
+    return out
 
 
 def innovation_source(dist: InnovationDist, seed: int):
@@ -415,7 +422,7 @@ class FilterPlan:
     from the window sums ``weights`` of c**order, with no filter pass for
     that power (module docstring).  A source is a seeded draw
     (``innovation_source``) or an array, with zeros past its end
-    (``array_source``); ``apply(eps, m)`` is the pass on an array.
+    (``array_source``).
     ``sigma_n1`` takes sigma_{n,1} from the power-1 spectra and the taps
     around the segment boundaries, with no further transform of the taps,
     so the taps are transformed here only, once per filtered power.
@@ -430,9 +437,7 @@ class FilterPlan:
     which is L long when S > 1, so the padded segment is the last row; its
     window runs past the end of eps by as many entries, and the zeros that
     rfft pads there meet only the zero taps.  With S = 1 this is the plain
-    transform at next_fast_len(n + M).  A length-one filter (M = 0) is a
-    pointwise product and needs no FFT, so its ``spectra`` hold the scalars
-    c_0**m.
+    transform at next_fast_len(n + M).
 
     ``_spectrum(m)`` builds a power's spectra a block of rows at a time: it
     raises the block's segments (rows reversed, the pad zeros in front of
@@ -489,8 +494,6 @@ class FilterPlan:
         return replace(self, spectra=spectra, order=order, weights=weights)
 
     def _spectrum(self, m: int, workers: int = 1):
-        if self.M == 0:
-            return float(self.taps[0]) ** m
         B, L, taps = self.B, self.L, self.taps
         S = -(-(self.M + 1) // B)
         pad = S * B - (self.M + 1)
@@ -511,10 +514,6 @@ class FilterPlan:
 
         _each(block_spectra, range(0, S, rows), workers)
         return out
-
-    def _check_length(self, eps: np.ndarray) -> None:
-        if len(eps) != self.n + self.M:
-            raise DomainError(f"innovation vector has length {len(eps)}, expected n + M = {self.n + self.M}")
 
     def stream(self, source) -> PowerSums:
         """The filtered paths p_1..p_f, f = max(order-1, 1), and for order >= 2 the total of p_order, in one pass.
@@ -574,11 +573,7 @@ class FilterPlan:
                 if hi < S:
                     continue
                 # the last row: inputs (S-1) B .. n+M-1, zero-padded by rfft
-                last = e[(S - 1 - lo) * B :]
-                if M == 0:
-                    paths[i] = C * last
-                    continue
-                spec = sfft.rfft(last, L)
+                spec = sfft.rfft(e[(S - 1 - lo) * B :], L)
                 spec *= C[S - 1]
                 if running[i] is not None:
                     spec += running[i]
@@ -596,13 +591,6 @@ class FilterPlan:
             done = end
         return PowerSums(tuple(paths), float(np.sum(parts)) if top else None)
 
-    def apply(self, eps: np.ndarray, m: int = 1) -> np.ndarray:
-        """p_m[1..n] of the innovation array ``eps``: the pass on ``array_source(eps)``."""
-        self._check_length(eps)
-        if not 1 <= m <= len(self.spectra):
-            raise DomainError(f"a plan of order {self.order} filters the powers 1..{len(self.spectra)}, not {m}")
-        return self.stream(array_source(eps)).paths[m - 1]
-
     def autocovariances(self, sigma_eps2: float) -> np.ndarray:
         """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M), the package's one route to the lags.
 
@@ -614,7 +602,7 @@ class FilterPlan:
         its output i is sum_{k>=i} c_k c_{k-i}.
         """
         C = self.spectra[0]
-        if self.M > 0 and len(C) == 1:
+        if len(C) == 1:
             acorr = sfft.irfft(C[0].real**2 + C[0].imag**2, self.L)
         else:
             acorr = self.with_order(1).stream(array_source(self.taps[::-1])).paths[0]
@@ -644,8 +632,6 @@ class FilterPlan:
         """
         n, M, B, L, taps = self.n, self.M, self.B, self.L, self.taps
         C = self.spectra[0]
-        if M == 0:
-            return math.sqrt(sigma_eps2 * (n * C**2))
         S = len(C)
         weight = _dirichlet_weights(L, n)
         rows = max(1, _BLOCK_POINTS // L)
@@ -717,7 +703,10 @@ def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     n = len(eps) - M
     if n < 1:
         raise DomainError(f"innovation vector too short: need more than {M} entries")
-    return FilterPlan.build(c, n).apply(eps)
+    if len(c) == 1:
+        # one tap scales eps, exactly and with no transform
+        return c[0] * eps
+    return FilterPlan.build(c, n).stream(array_source(eps)).paths[0]
 
 
 def config_hash(coeffs: CoefficientModel, dist: InnovationDist, mx: MarginalX, ty: TargetMarginalY, n: int) -> str:
@@ -758,10 +747,11 @@ def simulate_path(
 def model_lags(coeffs: CoefficientModel, sigma_eps2: float, kmax: int) -> np.ndarray:
     """rho_k = sigma_eps^2 sum_{j>=0} c_j c_{j+k} of the untruncated model at the lags k = 0..kmax <= M.
 
-    The taps' part is the plan's at kmax + 1 (``FilterPlan.autocovariances``);
-    the tail j > M - k integrates t^-beta L0(t) (t+k)^-beta L0(t+k) from the
-    midpoint a = M - k + 1/2, in closed form over every lag at once for a
-    constant L0 (L0^2 a^(1-2beta) / (2beta-1) at k = 0), else per lag.
+    The taps' part is that of a plan at min(max(kmax, _LAG_PLAN_MIN_LAGS), M) + 1
+    (``FilterPlan.autocovariances``); the tail j > M - k integrates
+    t^-beta L0(t) (t+k)^-beta L0(t+k) from the midpoint a = M - k + 1/2, in
+    closed form over every lag at once for a constant L0
+    (L0^2 a^(1-2beta) / (2beta-1) at k = 0), else per lag.
     """
     beta, L0, M = coeffs.beta, coeffs.L0, coeffs.M
     if not 0 <= kmax <= M:
@@ -781,7 +771,8 @@ def model_lags(coeffs: CoefficientModel, sigma_eps2: float, kmax: int) -> np.nda
                 return a / t**2 * x**-beta * L0._eval(x) * (x + k) ** -beta * L0._eval(x + k)
 
             tail[k] = _gauss_kronrod(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)[0]
-    return FilterPlan.build(coeffs.c, kmax + 1).autocovariances(sigma_eps2) + sigma_eps2 * tail
+    plan = FilterPlan.build(coeffs.c, min(max(kmax, _LAG_PLAN_MIN_LAGS), M) + 1)
+    return plan.autocovariances(sigma_eps2)[: kmax + 1] + sigma_eps2 * tail
 
 
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):

@@ -31,6 +31,7 @@ from lrdextremes.simulate import (
     build_coefficient_model,
     derive_seed,
     gen_innovations,
+    innovation_source,
     model_lags,
     moving_average,
     sigma_n1_exact,
@@ -214,8 +215,7 @@ def test_criterion_5_variance_bookkeeping():
     plan = FilterPlan.build(cm.c, n)
     sums = np.empty(2000)
     for r in range(2000):
-        eps = gen_innovations(dist, n + cm.M, derive_seed(555, r))
-        sums[r] = float(np.sum(plan.apply(eps)))
+        sums[r] = float(np.sum(plan.stream(innovation_source(dist, derive_seed(555, r))).paths[0]))
     mc_var = float(np.var(sums, ddof=1))
     exact = sigma_n1_exact(cm.c, 1.0, n) ** 2
     var_ok = abs(mc_var / exact - 1.0) <= 0.10

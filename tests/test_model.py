@@ -43,6 +43,7 @@ from lrdextremes.model import (
     _qk21,
 )
 from lrdextremes.scaling import check_condition_Dr, power_rank_integral
+from lrdextremes.simulate import gen_innovations
 
 # high-precision values computed with an independent mpmath oracle
 # (root-solve of ncdf(x) = 0.975, and 1/sqrt(2*pi))
@@ -95,14 +96,12 @@ class TestInnovations:
         InnovationDist.student_t(4.5)  # fine
 
     def test_student_t_unit_variance_scaling(self):
-        rng = np.random.default_rng(11)
-        s = InnovationDist.student_t(6.0, 1.0).sample(200_000, rng)
+        s = gen_innovations(InnovationDist.student_t(6.0, 1.0), 200_000, 11)
         assert np.var(s) == pytest.approx(1.0, rel=0.05)
         assert abs(np.mean(s)) < 0.02
 
     def test_gaussian_scale(self):
-        rng = np.random.default_rng(12)
-        s = InnovationDist.gaussian(2.0).sample(100_000, rng)
+        s = gen_innovations(InnovationDist.gaussian(2.0), 100_000, 12)
         assert np.std(s) == pytest.approx(2.0, rel=0.02)
 
 

@@ -235,13 +235,11 @@ class TestMovingAverage:
 
 
 def product_apply(plan, eps, m=1):
-    """``FilterPlan.apply`` with a fresh array for every spectrum product: the plain formula the in-place one matches.
+    """The pass on the array ``eps`` with a fresh array for every spectrum product: the plain formula the in-place one matches.
 
     The row blocks' sums are added in order, and the padded last row's product last.
     """
     e = eps if m == 1 else eps**m
-    if plan.M == 0:
-        return plan.spectra[m - 1] * e
     n, B, L, C = plan.n, plan.B, plan.L, plan.spectra[m - 1]
     last = len(C) - 1
     windows, full = sliding_window_view(e, n + B - 1)[: last * B : B], C[:last]
@@ -276,8 +274,9 @@ class TestInPlaceKernels:
         c = rng.uniform(0.05, 1.0, M + 1)
         eps = rng.standard_normal(n + M)
         plan = FilterPlan.build(c, n, 3)
+        paths = plan.stream(array_source(eps)).paths
         for m in (1, 2):
-            assert plan.apply(eps, m).tobytes() == product_apply(plan, eps, m).tobytes()
+            assert paths[m - 1].tobytes() == product_apply(plan, eps, m).tobytes()
 
 
 def whole_array_top_total(plan, eps, m):
@@ -298,7 +297,7 @@ class TestStream:
             read(pieces[lo:hi], lo)
         assert pieces.tobytes() == gen_innovations(dist, 5000, 99).tobytes()
 
-    # one segment (M = 0 a pointwise product); partitioned with S = 1021 segments > 819 rows a block;
+    # one segment (M = 0 too); partitioned with S = 1021 segments > 819 rows a block;
     # S = 77 segments of 65 taps (4 pad taps) in blocks of 1, 2, 3 and 100 rows, where the padded row
     # comes alone (1 and 2), with others (3) or in the only block (100); S = 79 (15 pad taps), the
     # padded row alone in a block of 3; S = 80 with no pad taps
@@ -324,10 +323,11 @@ class TestStream:
         dist = InnovationDist.gaussian(1.3)
         eps = gen_innovations(dist, n + M, 7)
         sums = plan.stream(innovation_source(dist, 7))
+        from_array = plan.stream(array_source(eps)).paths
         assert len(sums.paths) == max(p - 1, 1)
         for m, path in enumerate(sums.paths, start=1):
             assert path.tobytes() == product_apply(plan, eps, m).tobytes()
-            assert plan.apply(eps, m).tobytes() == path.tobytes()
+            assert from_array[m - 1].tobytes() == path.tobytes()
         if p == 1:
             assert sums.top_total is None
         else:
@@ -398,8 +398,6 @@ class TestWindowSums:
     def test_a_plan_serves_only_its_powers(self):
         plan = FilterPlan.build(np.ones(10), 4, 3)
         eps = np.ones(13)
-        with pytest.raises(DomainError):
-            plan.apply(eps, 3)
         with pytest.raises(DomainError):
             multilinear_sums(plan.stream(array_source(eps)), 2)
         with pytest.raises(DomainError):
@@ -709,14 +707,16 @@ class TestAutocovariance:
 
 
 class TestModelLags:
-    # (L0, beta, M, kmax, rtol): kmax = M on a one-segment plan, 1000 on a partitioned one
-    # (M + 1 >= 32 * 1001); the log-power tail is one quadrature per lag
+    # (L0, beta, M, kmax, rtol): kmax = M, and 1000 below M = 10^6, on a one-segment plan (the
+    # lag plan serves at least _LAG_PLAN_MIN_LAGS lags); 1000 at M = 10^6 on a partitioned one;
+    # the log-power tail is one quadrature per lag
     ORACLE_CASES = [
         (SvConstant(1.0), 0.75, 10**5, 10**5, 1e-14),
         (SvConstant(1.0), 0.75, 10**5, 1000, 1e-14),
         (SvConstant(1.0), 0.8, 32262, 32262, 1e-14),
         (SvConstant(1.0), 0.8, 32262, 1000, 1e-14),
         (SvLogPower(1.0, 0.5), 0.75, 10**4, 128, 1e-9),
+        (SvConstant(1.0), 0.75, 10**6, 1000, 1e-14),
     ]
 
     @pytest.mark.parametrize("L0,beta,M,kmax,rtol", ORACLE_CASES)
@@ -725,6 +725,22 @@ class TestModelLags:
         assert rho.shape == (kmax + 1,)
         for k in (1, 10, 100, kmax // 2, kmax):
             assert rho[k] == pytest.approx(model_lag_oracle(beta, L0, M, k, 1.3), rel=rtol, abs=0.0), k
+
+    def test_a_small_kmax_keeps_the_segments_of_the_lag_plan(self, monkeypatch):
+        # at kmax + 1 = 1 the partition rule would cut the 2^22 + 1 taps into 2^20 segments of
+        # 4; the lag plan serves at least _LAG_PLAN_MIN_LAGS lags, in 127 segments of 33280 taps
+        cm = build_coefficient_model(0.8, M=M_CAP)
+        build, built = FilterPlan.build.__func__, []
+
+        def recording_build(cls, *args, **kwargs):
+            built.append(build(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(FilterPlan, "build", classmethod(recording_build))
+        rho = model_lags(cm, 1.0, 0)
+        assert rho.shape == (1,)
+        assert len(built) == 1 and len(built[0].spectra[0]) <= 128
+        np.testing.assert_allclose(rho[0], model_lags(cm, 1.0, 2**13)[0], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kmax", [-1, 4097])
     def test_refuses_lags_outside_the_taps(self, kmax):

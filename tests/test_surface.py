@@ -20,7 +20,9 @@ would make a one-worker run use more than one core, and BLAS's partial sums
 depend on their count.
 A study in a fresh interpreter loads no ``scipy.integrate``, nor the
 subpackages it would bring.  Last, every name the package re-exports must have a caller in the package
-or in ``perfbench/``, unless an allowlist names the reason it stays.
+or in ``perfbench/``, and every public method of the marginals, ``InnovationDist``,
+``CoefficientModel``, ``FilterPlan`` and ``ProcessFrame`` a reader there, unless an
+allowlist names the reason it stays.
 """
 
 import ast
@@ -234,7 +236,8 @@ def test_package_calls_no_blas(module):
 
 
 # the code every replicate runs, as (module, qualified name); the whole-array
-# entries (gen_innovations, sample, apply) are the calls of perfbench's traced replicate.
+# entries (gen_innovations, moving_average, array_source) are the calls of perfbench's
+# traced replicate.
 # The module scan above already covers them; these lists also pin that each kernel
 # is still defined under its name
 REPLICATE_KERNELS = [
@@ -243,8 +246,8 @@ REPLICATE_KERNELS = [
     ("model.py", "InnovationDist.fill"),
     ("simulate.py", "FilterPlan.stream"),
     ("simulate.py", "gen_innovations"),
-    ("model.py", "InnovationDist.sample"),
-    ("simulate.py", "FilterPlan.apply"),
+    ("simulate.py", "moving_average"),
+    ("simulate.py", "array_source"),
     ("estats.py", "multilinear_sums"),
     ("estats.py", "reduction_sup_sorted"),
     ("estats.py", "ProcessFrame.from_path"),
@@ -474,9 +477,18 @@ def test_every_export_has_a_caller():
     assert not stale, f"EXPORTS_WITHOUT_CALLER names that the package no longer exports: {stale}"
 
 
-# public methods of model's X-marginal and target classes that nothing outside their class
-# hierarchy reads, each kept for a named reason
-MARGINAL_METHODS_WITHOUT_READER: dict[str, str] = {}
+# the classes whose public methods must each have a reader, by module, each scanned with the
+# classes derived from it there; True marks a root that must have such classes (the X marginals
+# and the Y targets)
+READ_METHOD_CLASSES = {
+    "model.py": {"MarginalX": True, "TargetMarginalY": True, "InnovationDist": False, "CoefficientModel": False},
+    "simulate.py": {"FilterPlan": False},
+    "estats.py": {"ProcessFrame": False},
+}
+
+# public methods of those classes that nothing outside their class hierarchy reads, each kept
+# for a named reason
+METHODS_WITHOUT_READER: dict[str, str] = {}
 
 
 def class_family(tree: ast.Module, root: str) -> list[ast.ClassDef]:
@@ -502,26 +514,27 @@ def attribute_reads(tree: ast.Module, skip: set[str]) -> set[str]:
     }
 
 
-def test_every_marginal_method_has_a_reader():
+def test_every_public_method_has_a_reader():
     # a method is read as ``obj.name``: by the package outside its family's own classes, or by
-    # perfbench/.  The scan goes by name, so a read of any attribute of that name counts
-    model = ast.parse((PACKAGE / "model.py").read_text(), filename="model.py")
+    # perfbench/.  The scan goes by name, so a read of any attribute of that name counts; tests
+    # do not count, so a method that only tests call shows here
     paths = (*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=path.name) for path in paths}
     methods, unread = [], []
-    for root in ("MarginalX", "TargetMarginalY"):
-        family = class_family(model, root)
-        assert len(family) > 1, f"no subclasses of {root} found; the scan no longer matches model.py"
-        skip = {cls.name for cls in family}
-        read = set()
-        for path, tree in trees.items():
-            read |= attribute_reads(tree, skip if path == PACKAGE / "model.py" else set())
-        for cls in family:
-            for item in cls.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                    methods.append(f"{cls.name}.{item.name}")
-                    if item.name not in read and methods[-1] not in MARGINAL_METHODS_WITHOUT_READER:
-                        unread.append(methods[-1])
-    assert not unread, f"marginal methods that nothing outside their class hierarchy reads: {unread}"
-    stale = sorted(set(MARGINAL_METHODS_WITHOUT_READER) - set(methods))
-    assert not stale, f"MARGINAL_METHODS_WITHOUT_READER names methods that model.py no longer defines: {stale}"
+    for module, roots in READ_METHOD_CLASSES.items():
+        for root, hierarchy in roots.items():
+            family = class_family(trees[PACKAGE / module], root)
+            assert len(family) >= (2 if hierarchy else 1), f"{root} or its subclasses not found in {module}; update READ_METHOD_CLASSES"
+            skip = {cls.name for cls in family}
+            read = set()
+            for path, tree in trees.items():
+                read |= attribute_reads(tree, skip if path == PACKAGE / module else set())
+            for cls in family:
+                for item in cls.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        methods.append(f"{cls.name}.{item.name}")
+                        if item.name not in read and methods[-1] not in METHODS_WITHOUT_READER:
+                            unread.append(methods[-1])
+    assert not unread, f"public methods that nothing outside their class hierarchy reads: {unread}"
+    stale = sorted(set(METHODS_WITHOUT_READER) - set(methods))
+    assert not stale, f"METHODS_WITHOUT_READER names methods that the scanned classes no longer define: {stale}"
