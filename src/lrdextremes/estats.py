@@ -324,35 +324,30 @@ class Decomposition:
     z: float
 
 
-def _stieltjes_y_minus_en(ty: TargetMarginalY, pts: np.ndarray, q: np.ndarray, i_lo: int, n: int) -> float:
-    """int_(pts[0], pts[-1]] (y - E_n(y)) dQ_Y(y), exactly, given q = Q_Y(pts) and E_n(pts[0]) = i_lo/n.
-
-    ``pts`` holds the ends and the jumps of E_n between them.  Between
-    consecutive jumps the integrand is affine in y, so each segment
-    contributes (b - e) Q_Y(b) - (a - e) Q_Y(a) - int_a^b Q_Y.
-    """
-    evals = (i_lo + np.arange(len(pts) - 1)) / n
-    a, b = pts[:-1], pts[1:]
-    anti = np.diff(np.asarray(ty.cum_Q(pts), dtype=float))
-    return float(np.sum((b - evals) * q[1:] - (a - evals) * q[:-1] - anti))
-
-
 def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
-    """Exact Stieltjes evaluation of the decomposition Z_n = I1 + I2 + I3.
+    """Closed-form evaluation of the decomposition Z_n = I1 + I2 + I3.
 
     With alpha_n(y) = sigma_{n,1}^-1 n (E_n(y) - y) the uniform empirical
-    process, I1 = -A_n int_(1-k_n/n, 1-1/n] alpha_n(y) dQ_Y(y) drives the
-    normal limit; I2 covers (1-1/n, 1] where the final segment uses the
-    boundary limit (y-1) Q_Y(y) -> 0; I3 is the residual z - I1 - I2, equal
-    to A_n sigma_{n,1}^-1 n int_{U_{n-k_n:n}}^{1-k_n/n} (1 - k_n/n - E_n(y)) dQ_Y(y),
-    oriented (negative when the order statistic exceeds 1 - k_n/n).
+    process, I1 = -A_n int_(lo, hi] alpha_n(y) dQ_Y(y), lo = 1 - k_n/n and
+    hi = 1 - 1/n, drives the normal limit, and I2 is the same integral over
+    (hi, 1].  E_n is constant between its jumps, so summation by parts over
+    the order statistics gives both in closed form.  With scale =
+    A_n sigma_{n,1}^-1 n, i_lo = #{U <= lo}, i_hi = #{U <= hi} and
+    q_i = Q_Y(U_{i+1:n}):
 
-    Q_Y is evaluated once at each point: at 1 - k_n/n and 1 - 1/n, and,
-    through ``frame.top_y``, at the top k_n order statistics and every
-    order statistic above 1 - k_n/n.  I1, I2 and Z_n read their values off
-    that one array.  Only the limit piece of I2 evaluates Q_Y(last) again,
-    in scalar form, which for some targets rounds differently from the
-    array form (numpy's scalar and array ``**`` differ in the last bit).
+        I1 = scale [Q_Y(hi)(hi - i_hi/n) - Q_Y(lo)(lo - i_lo/n) + (1/n) sum_{i_lo <= i < i_hi} q_i - int_lo^hi Q_Y]
+        I2 = scale [(1/n) sum_{i >= i_hi} q_i - Q_Y(hi)(hi - i_hi/n) - int_hi^1 Q_Y]
+
+    (I2's boundary term (U_{n:n} - 1) Q_Y(U_{n:n}) cancels).  I3 is the
+    residual z - I1 - I2, so the three sum to Z_n by construction; it
+    equals A_n sigma_{n,1}^-1 n int_{U_{n-k_n:n}}^{lo} (lo - E_n(y)) dQ_Y(y),
+    oriented (negative when the order statistic exceeds lo).
+
+    Q_Y is evaluated once at each point: at lo and hi, and, through
+    ``frame.top_y``, at the top k_n order statistics and every order
+    statistic above lo.  I1, I2 and Z_n read their values off that one
+    array.  Both integrals come from one call of ``ty.cum_Q`` at lo, hi and
+    1, the only points a replicate evaluates it at.
     """
     if bundle.k_n < 2:
         raise DomainError("k_n must be >= 2 for a nondegenerate integration range")
@@ -370,17 +365,12 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     q = frame.top_y(n - j)  # q[i - j] = Q_Y(us[i]) for i >= j
     q_lo, q_hi = np.asarray(ty.Q(np.array([lo, hi])), dtype=float)
 
-    pts = np.concatenate([[lo], us[i_lo:i_hi], [hi]])
-    qs = np.concatenate([[q_lo], q[i_lo - j : i_hi - j], [q_hi]])
-    i1 = scale * _stieltjes_y_minus_en(ty, pts, qs, i_lo, n)
-
-    # (1-1/n, 1]: proper segments up to the largest U, then the limit piece
-    last, q_last = (float(us[-1]), q[-1]) if us[-1] > hi else (hi, q_hi)
-    pts = np.concatenate([[hi], us[i_hi:], [last]])
-    qs = np.concatenate([[q_hi], q[i_hi - j :], [q_last]])
-    body = _stieltjes_y_minus_en(ty, pts, qs, i_hi, n)
-    tail = -(last - 1.0) * float(ty.Q(last)) - ty.integral_Q(last, 1.0)
-    i2 = scale * (body + tail)
+    cum_lo, cum_hi, cum_1 = np.asarray(ty.cum_Q(np.array([lo, hi, 1.0])), dtype=float)
+    at_hi = q_hi * (hi - i_hi / n)
+    mid_sum = float(np.sum(q[i_lo - j : i_hi - j])) / n
+    top_sum = float(np.sum(q[i_hi - j :])) / n
+    i1 = scale * float(at_hi - q_lo * (lo - i_lo / n) + mid_sum - (cum_hi - cum_lo))
+    i2 = scale * float(top_sum - at_hi - (cum_1 - cum_hi))
 
     z = _frame_z(q[n - k_n - j :], bundle)
     return Decomposition(i1=i1, i2=i2, i3=z - i1 - i2, z=z)

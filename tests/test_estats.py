@@ -26,11 +26,14 @@ from lrdextremes.estats import (
     z_statistic,
 )
 from lrdextremes.model import (
+    CLAMP_EPS,
     ExponentialTarget,
     GaussianMarginal,
     IdentityTarget,
     InnovationDist,
+    LogParetoTarget,
     MdaCase,
+    ParetoMarginal,
     ParetoTarget,
     TurningGaps,
 )
@@ -447,6 +450,49 @@ def i3_direct(frame: ProcessFrame, bundle: ScalingBundle) -> float:
     return sign * bundle.A_n / bundle.sigma_n1 * n * val
 
 
+def segment_sum(ty, pts, e0: int, n: int) -> float:
+    """int_(pts[0], pts[-1]] (y - E_n(y)) dQ_Y(y) segment by segment, with E_n = e0/n on the first segment.
+
+    Each segment (a, b] between consecutive points holds no jump of E_n, so it
+    contributes (b - e) Q_Y(b) - (a - e) Q_Y(a) - (cum_Q(b) - cum_Q(a)); the
+    terms are summed with math.fsum.
+    """
+    pts = np.asarray(pts, dtype=float)
+    q = np.asarray(ty.Q(pts), dtype=float)
+    cum = np.asarray(ty.cum_Q(pts), dtype=float)
+    terms = []
+    for s in range(len(pts) - 1):
+        a, b, e = pts[s], pts[s + 1], (e0 + s) / n
+        terms += [(b - e) * q[s + 1], -(a - e) * q[s], -(cum[s + 1] - cum[s])]
+    return math.fsum(terms)
+
+
+def i1_i2_oracle(frame: ProcessFrame, bundle: ScalingBundle) -> tuple[float, float]:
+    """I1 and I2 as sums over the segments between the jumps of E_n.
+
+    I1 integrates over (1 - k_n/n, 1 - 1/n], I2 over (1 - 1/n, U_{n:n}] and then
+    the limit piece (U_{n:n}, 1], where E_n = 1 and (y - 1) Q_Y(y) -> 0 at 1.
+    """
+    n, ty, us = frame.n, frame.ty, frame.u_sorted
+    scale = bundle.A_n / bundle.sigma_n1 * n
+    lo, hi = 1.0 - bundle.k_n / n, 1.0 - 1.0 / n
+    i_lo = int(np.searchsorted(us, lo, side="right"))
+    i_hi = int(np.searchsorted(us, hi, side="right"))
+    i1 = segment_sum(ty, np.concatenate([[lo], us[i_lo:i_hi], [hi]]), i_lo, n)
+    top = np.concatenate([[hi], us[i_hi:]])
+    last = top[-1]
+    limit = -(last - 1.0) * float(ty.Q(last)) - (float(ty.cum_Q(1.0)) - float(ty.cum_Q(last)))
+    i2 = math.fsum([segment_sum(ty, top, i_hi, n), limit])
+    return scale * i1, scale * i2
+
+
+def frame_at(u_values, ty) -> ProcessFrame:
+    """Frame whose F values are ``u_values`` (sorted), clamped as ``from_path`` clamps them."""
+    F = np.sort(np.asarray(u_values, dtype=float))
+    u = np.clip(F, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return ProcessFrame(x_sorted=F, F_sorted=F, u_sorted=u, n=F.size, sigma_n1=1.0, mx=GaussianMarginal(1.0), ty=ty)
+
+
 def tiny_case4_setup(n=512, seed_r=0, xi=0.9):
     cm = build_coefficient_model(0.8, tol=0.01)
     mx = GaussianMarginal(math.sqrt(cm.total_square_sum))
@@ -521,6 +567,47 @@ class TestDecomposition:
         frame = ProcessFrame.from_path(moving_average(cm.c, eps), mx, ty, bundle.sigma_n1)
         dec = decompose_I(frame, bundle)
         assert dec.i3 == pytest.approx(i3_direct(frame, bundle), rel=1e-8, abs=1e-10)
+
+    # n = 64, k_n = 16: lo = 1 - k_n/n = 0.75 and hi = 1 - 1/n = 63/64, n - k_n = 48
+    ORACLE_LAYOUTS = {
+        "spread": lambda rng: (np.arange(64) + rng.uniform(size=64)) / 64,
+        "none_above_hi": lambda rng: rng.uniform(0.0, 63 / 64, size=64),
+        "i_lo_below_n_minus_k": lambda rng: np.concatenate([rng.uniform(0.0, 0.75, 40), rng.uniform(0.75, 1.0, 24)]),
+        "i_lo_above_n_minus_k": lambda rng: np.concatenate([rng.uniform(0.0, 0.75, 56), rng.uniform(0.75, 1.0, 8)]),
+        "at_lo_and_hi": lambda rng: np.concatenate([rng.uniform(0.0, 1.0, 62), [0.75, 63 / 64]]),
+        "clamped_top": lambda rng: np.concatenate([rng.uniform(0.0, 1.0, 63), [1.0]]),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(ORACLE_LAYOUTS))
+    @pytest.mark.parametrize(
+        "ty",
+        [ExponentialTarget(), ParetoTarget(6.0), LogParetoTarget(ParetoMarginal(4.0)), IdentityTarget(GaussianMarginal(1.0))],
+        ids=["exponential", "pareto:6", "logpareto", "identity"],
+    )
+    def test_i1_i2_match_segment_sums(self, ty, layout):
+        frame = frame_at(self.ORACLE_LAYOUTS[layout](np.random.default_rng(11)), ty)
+        bundle = ScalingBundle(
+            case=MdaCase.CASE4, n=64, k_n=16, xi=0.75, p=1, sigma_n1=8.0, A_n=0.5, d_np=1.0, mu_n=0.0
+        )
+        us, n_minus_k = frame.u_sorted, 48
+        i_lo = int(np.searchsorted(us, 0.75, side="right"))
+        i_hi = int(np.searchsorted(us, 63 / 64, side="right"))
+        # each layout is the case its name says
+        assert {
+            "spread": i_hi < 64,
+            "none_above_hi": i_hi == 64,
+            "i_lo_below_n_minus_k": i_lo < n_minus_k,
+            "i_lo_above_n_minus_k": i_lo > n_minus_k,
+            "at_lo_and_hi": 0.75 in us and 63 / 64 in us,
+            "clamped_top": us[-1] == 1.0 - CLAMP_EPS,
+        }[layout]
+        dec = decompose_I(frame, bundle)
+        i1, i2 = i1_i2_oracle(frame, bundle)
+        assert dec.i1 == pytest.approx(i1, rel=0.0, abs=1e-12)
+        assert dec.i2 == pytest.approx(i2, rel=0.0, abs=1e-12)
+        if layout == "none_above_hi":
+            hi, scale = 63 / 64, bundle.A_n / bundle.sigma_n1 * 64
+            assert dec.i2 == pytest.approx(scale * (float(ty.Q(hi)) / 64 - ty.integral_Q(hi, 1.0)), rel=0.0, abs=1e-12)
 
     def test_degenerate_range_rejected(self):
         frame, bundle = tiny_case4_setup()

@@ -318,7 +318,7 @@ class CountedGaussian(GaussianMarginal):
 
 
 def counted_target(base):
-    """Subclass of the target dataclass ``base`` that counts the points it evaluates Q_Y at."""
+    """Subclass of the target dataclass ``base`` that counts the points it evaluates Q_Y and cum_Q at."""
 
     @dataclasses.dataclass(frozen=True)
     class Counted(base):
@@ -327,6 +327,10 @@ def counted_target(base):
         def Q(self, u):
             self.counts["Q"] += np.size(u)
             return super().Q(u)
+
+        def cum_Q(self, u):
+            self.counts["cum_Q"] += np.size(u)
+            return super().cum_Q(u)
 
     return Counted
 
@@ -397,10 +401,14 @@ class TestReplicateKernel:
             # each F^(r) at the same points
             assert n <= counted_x.counts["F"] <= n + 64
             assert [counted_x.counts[f"F{m}"] for m in range(1, p + 1)] == [counted_x.counts["F"]] * p
-            # the decomposition grids: [lo, U's in (lo, hi], hi] for I1 and [hi, U's above hi, last] for I2
+            # the closed-form decomposition: Q_Y at lo = 1 - k_n/n, hi = 1 - 1/n and the top
+            # max(k_n, n - i_lo) order statistics, which Z_n, I1 and I2 share; cum_Q only at lo,
+            # hi and 1, for the two integrals int_lo^hi Q_Y and int_hi^1 Q_Y
             us = np.sort(mx.F(moving_average(coeffs.c, gen_innovations(dist, n + coeffs.M, seed))))
             i_lo = int(np.searchsorted(us, 1.0 - k_n / n, side="right"))
-            assert q_counts["Q"] <= k_n + (n - i_lo + 4)
+            assert q_counts["Q"] <= max(k_n, n - i_lo) + 2
+            if target != "identity":
+                assert counted_y.counts["cum_Q"] <= 4
 
 
 class TestConvergenceStudy:

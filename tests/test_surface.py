@@ -254,7 +254,6 @@ REPLICATE_KERNELS = [
     ("estats.py", "ProcessFrame.top_y"),
     ("estats.py", "ProcessFrame.u_order"),
     ("estats.py", "decompose_I"),
-    ("estats.py", "_stieltjes_y_minus_en"),
     ("estats.py", "_frame_z"),
     ("estats.py", "u_ratio"),
     # the marginal functions a replicate of the reference workloads evaluates
