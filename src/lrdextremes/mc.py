@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
@@ -174,9 +174,9 @@ class ReplicatePlan:
     window sums of c**p that give the top power's total as one weighted sum
     per replicate.  A replicate streams its seeded innovations through the
     plan's one pass, which returns the path, the power sums below p and that
-    total, so no replicate builds its n + M innovations as one array.  The
-    spectra of c come from the bundle's plan, so a run transforms the taps
-    once per filtered power and never transforms c**p.
+    total, so no replicate builds its n + M innovations as one array.  It is
+    the run's one filter plan, so a run transforms the taps once per
+    filtered power and never transforms c**p.
     ``tail`` is its tail grid, or None when ``_reduction_skip_reason``
     gives a reason not to compute it.  The plan is built on ``workers``
     threads, with the same bytes at every count.
@@ -190,7 +190,7 @@ class ReplicatePlan:
         reduced = _reduction_skip_reason(bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
         tail = TailGrid.build(problem[2], bundle.p) if reduced else None
-        return cls(filter=bundle.filter_plan.with_order(order, workers), tail=tail)
+        return cls(filter=FilterPlan.build(problem[0].c, bundle.n, order, workers), tail=tail)
 
 
 def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
@@ -290,10 +290,8 @@ def run_replicates(
     echo = config.as_dict()
     echo["n"] = n
     echo["R"] = R
-    # the result does not keep the filter plan alive: its spectra and taps are the run's largest arrays
-    kept = replace(bundle, filter_plan=None)
     return McRunResult(
-        z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=kept
+        z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=bundle
     )
 
 

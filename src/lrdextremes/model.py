@@ -688,10 +688,6 @@ class TargetMarginalY:
         """Vectorized antiderivative P(u) = int_0^u Q_Y(v) dv, in closed form."""
         raise NotImplementedError
 
-    def integral_Q(self, lo: float, hi: float) -> float:
-        """int_lo^hi Q_Y(u) du with 0 <= lo <= hi <= 1; finite when E|Y| is."""
-        return float(self.cum_Q(hi) - self.cum_Q(lo))
-
 
 @dataclass(frozen=True)
 class ParetoTarget(TargetMarginalY):

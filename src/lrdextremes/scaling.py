@@ -26,7 +26,7 @@ from .model import (
     TargetMarginalY,
     sv_eval,
 )
-from .simulate import FilterPlan
+from .simulate import sigma_n1_exact
 
 # quadrature tolerances: absolute, relative for K_n, relative for the
 # power-rank and D_r integrals; and the endpoint split
@@ -185,10 +185,10 @@ def karamata_product(mx: MarginalX, ty: TargetMarginalY, n: int, k_n: int) -> fl
 
 
 def centering(ty: TargetMarginalY, n: int, k_n: int) -> float:
-    """mu_n = n * int_{1-k_n/n}^1 Q_Y(y) dy (closed form where available)."""
+    """mu_n = n * int_{1-k_n/n}^1 Q_Y(y) dy, a difference of the closed-form antiderivative ``cum_Q``."""
     if not 1 <= k_n <= n:
         raise DomainError("need 1 <= k_n <= n")
-    return n * ty.integral_Q(1.0 - k_n / n, 1.0)
+    return n * float(ty.cum_Q(1.0) - ty.cum_Q(1.0 - k_n / n))
 
 
 def iid_scale(n: int, k_n: int, alpha: float) -> float:
@@ -271,9 +271,8 @@ def check_condition_Dr(mx: MarginalX, ty: TargetMarginalY, r: int) -> float:
 class ScalingBundle:
     """All deterministic constants needed to normalize one experiment size.
 
-    ``filter_plan`` is the power-1 ``FilterPlan`` at n that ``sigma_n1``
-    came from, set by ``make_bundle`` so that a run's replicates filter
-    with the same spectra.
+    It holds no array of the filter's length, so a run's result keeps it
+    as it is.
     """
 
     case: MdaCase
@@ -287,7 +286,6 @@ class ScalingBundle:
     mu_n: float
     spec_hash: str = ""
     feasibility: Feasibility | None = field(default=None, repr=False)
-    filter_plan: FilterPlan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k_n < self.n:
@@ -314,9 +312,9 @@ def make_bundle(
 
     With ``check_feasible`` the xi threshold of the case is enforced;
     disable it for purely diagnostic bundles outside the theorem's domain.
-    The verdict is kept on the bundle either way.  The filter plan and
-    sigma_{n,1} are built on ``workers`` threads, with the same bytes at
-    every count.
+    The verdict is kept on the bundle either way.  sigma_{n,1} comes from
+    ``sigma_n1_exact``, its one route, on ``workers`` threads, with the
+    same bytes at every count; the bundle transforms no taps.
     """
     if not 0.0 < xi < 1.0:
         raise ConfigError(f"xi = {xi} must lie in (0, 1)")
@@ -328,18 +326,16 @@ def make_bundle(
     if k_n >= n:
         raise ConfigError(f"k_n = ceil(n^xi) = {k_n} must be < n = {n}")
     pp = p if p is not None else select_p(beta)
-    plan = FilterPlan.build(c, n, workers=workers)
     return ScalingBundle(
         case=case,
         n=n,
         k_n=k_n,
         xi=xi,
         p=pp,
-        sigma_n1=plan.sigma_n1(sigma_eps2, workers),
+        sigma_n1=sigma_n1_exact(c, sigma_eps2, n, workers),
         A_n=big_A(mx, ty, n, k_n),
         d_np=d_np(n, pp, beta, L0),
         mu_n=centering(ty, n, k_n),
         spec_hash=spec_hash,
         feasibility=verdict,
-        filter_plan=plan,
     )

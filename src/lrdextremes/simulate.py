@@ -52,32 +52,27 @@ OpenBLAS's own threads, so a run with one worker would not be one core,
 and OpenBLAS splits a sum by its thread count, so the sum's bits would
 depend on that count.  The package starts threads of its own in one
 place, ``_each``, and only when given more than one worker: a pool run's
-set-up builds the segment spectra, the sigma_{n,1} row blocks and
-boundary strips, and the window sums a piece per thread, on as many
+set-up builds the segment spectra and the window sums (of c for
+sigma_{n,1}, of c**p for the top power) a piece per thread, on as many
 threads as the run has worker processes.  Each piece writes its own slice
-with the operations it would run alone, and sigma_{n,1} adds its parts by
-``math.fsum``, which is exact, so the bytes do not depend on the worker
-count.  The threads are joined before the set-up returns, so none is
-alive when the process pool forks; a one-worker run, and a loop of one
+with the operations it would run alone, so the bytes do not depend on the
+worker count.  The threads are joined before the set-up returns, so none
+is alive when the process pool forks; a one-worker run, and a loop of one
 piece, starts no thread.
 
-A replicate study builds the power-1 plan once, in its scaling bundle, and
-raises it to order p in its replicate plan, so the taps are transformed
-once per filtered power and run, and c**p is not transformed at all.  The
-bundle's sigma_{n,1} comes from the same spectra (``FilterPlan.sigma_n1``):
+A replicate study builds its plan of order p once, in its replicate plan,
+so the taps are transformed once per filtered power and run, and c**p is
+not transformed at all.  sigma_{n,1} has one route, ``sigma_n1_exact``:
 sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
-sigma_{n,1}^2 = sigma_eps^2 ||w||^2; Parseval gives the part of ||w||^2 that
-each segment makes alone from its spectrum, and sums over the n - 1 taps on
-either side of each segment boundary give the overlaps, so no filter pass
-follows the spectra.  The exact autocovariances rho_k at the lags
-0..min(n-1, M) have one route too, ``FilterPlan.autocovariances``: a
-one-segment plan reads them off its spectrum, and a partitioned one streams
-the reversed taps through its power-1 pass, O((n + M) log n).  A study's
-set-up does not need them; ``sigma_n1_exact`` sums them for the smaller
-sizes of an n grid.  The untruncated model's lags 0..kmax <= M are those
-of a plan that serves at least ``_LAG_PLAN_MIN_LAGS`` lags, plus the tail
-past the taps (``model_lags``), vectorized for a constant L0: 0.16 s for
-2^15 lags at the cap (2-core x86 box).
+sigma_{n,1}^2 = sigma_eps^2 ||w||^2, with ||w||^2 summed by numpy's
+pairwise tree (``_square_sum``) and no transform.  The exact
+autocovariances rho_k at the lags 0..min(n-1, M) have one route too,
+``FilterPlan.autocovariances``, which streams the reversed taps through
+the plan's power-1 pass.  A study's set-up does not need them.  The
+untruncated model's lags 0..kmax <= M are those of a plan that serves at
+least ``_LAG_PLAN_MIN_LAGS`` lags, plus the tail past the taps
+(``model_lags``), vectorized for a constant L0: 0.16 s for 2^15 lags at
+the cap (2-core x86 box).
 
 Every filtering goes through one pass, ``FilterPlan.stream``, which reads
 its n + M inputs from a source (a seeded draw, an array, or, for the exact
@@ -96,11 +91,13 @@ takes 33.5 MB, so the set-up writes each one it keeps once, in place, from
 chunk- or block-sized pieces: the coefficients (``CoefficientModel.build``,
 chunks of ``_CHUNK_POINTS``), each power's segment spectra
 (``FilterPlan._spectrum``, blocks of about ``_BLOCK_POINTS`` taps) and the
-window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS``).  These
-builders make no other array as long as the filter.  Each piece goes
-through the elementwise operations, transform length and summation tree
-of one pass over the whole array, so the results are the same bytes; the
-same holds for the row blocks of ``FilterPlan.stream``.
+window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS``);
+``sigma_n1_exact`` builds the window sums of c the same way and squares
+them a leaf of ``_square_sum`` at a time.  These builders make no other
+array as long as the filter.  Each piece goes through the elementwise
+operations, transform length and summation tree of one pass over the
+whole array, so the results are the same bytes; the same holds for the
+row blocks of ``FilterPlan.stream``.
 
 Importing this module raises glibc's mmap and trim thresholds once, before
 the package allocates (``_raise_mmap_threshold``), so those pieces and a
@@ -127,6 +124,7 @@ from .model import (
     _CHUNK_POINTS,
     _gauss_kronrod,
     _marginal_refusal,
+    _square_sum,
     CoefficientModel,
     InnovationDist,
     MarginalX,
@@ -422,12 +420,9 @@ class FilterPlan:
     from the window sums ``weights`` of c**order, with no filter pass for
     that power (module docstring).  A source is a seeded draw
     (``innovation_source``) or an array, with zeros past its end
-    (``array_source``).
-    ``sigma_n1`` takes sigma_{n,1} from the power-1 spectra and the taps
-    around the segment boundaries, with no further transform of the taps,
-    so the taps are transformed here only, once per filtered power.
-    ``autocovariances`` gives the exact lags 0..min(n-1, M) from the same
-    spectra, the package's one route to them.
+    (``array_source``).  The taps are transformed here only, once per
+    filtered power.  ``autocovariances`` gives the exact lags
+    0..min(n-1, M) from the power-1 pass, the package's one route to them.
 
     The taps are cut into ``S`` segments of ``B`` taps by the rule of the
     module docstring (L = next_fast_len(5 n - 1) and B = L - n + 1 when
@@ -444,15 +439,15 @@ class FilterPlan:
     the last) to the power m into a ``(rows, L)`` buffer whose last L - B
     columns are zero, with rows = max(1, _BLOCK_POINTS // L),
     and writes the block's rfft into the preallocated ``(S, L//2+1)``
-    array.  ``with_order`` builds the window sums of the reversed taps
-    raised to ``order`` with ``window_sums``, which takes the power chunk
-    by chunk.  Neither makes another array as long as the filter.
+    array.  ``build`` takes the window sums of the reversed taps raised to
+    ``order`` with ``window_sums``, which takes the power chunk by chunk.
+    Neither makes another array as long as the filter.
 
-    ``build``, ``with_order`` and ``sigma_n1`` take a worker count (1 by
-    default): the row blocks, strips and chunks of those loops then run on
-    as many threads (``_each``), joined before the call returns, so a pool
-    run's set-up uses the run's workers before its process pool forks.  The
-    plan is the same bytes at every count; the count is not kept on it.
+    ``build`` takes a worker count (1 by default): the row blocks and
+    chunks of those loops then run on as many threads (``_each``), joined
+    before the call returns, so a pool run's set-up uses the run's workers
+    before its process pool forks.  The plan is the same bytes at every
+    count; the count is not kept on it.
     """
 
     n: int
@@ -469,6 +464,8 @@ class FilterPlan:
         c = np.asarray(c, dtype=float)
         if n < 1:
             raise DomainError("n must be >= 1")
+        if order < 1:
+            raise DomainError("filter order must be >= 1")
         M = len(c) - 1
         if M + 1 >= _PARTITION_MIN_PATHS * n:
             # segments fill the transform that holds a window of _SEGMENT_PATHS * n taps
@@ -477,21 +474,11 @@ class FilterPlan:
         else:
             B = M + 1
             L = sfft.next_fast_len(n + M, real=True)
-        return cls(n=n, M=M, B=B, L=L, taps=c, spectra=()).with_order(order, workers)
-
-    def with_order(self, order: int, workers: int = 1) -> "FilterPlan":
-        """This plan raised or lowered to ``order``; the spectra it holds are kept, not recomputed."""
-        if order < 1:
-            raise DomainError("filter order must be >= 1")
-        filtered = max(order - 1, 1)
-        kept = self.spectra[:filtered]
-        spectra = kept + tuple(self._spectrum(m, workers) for m in range(len(kept) + 1, filtered + 1))
-        if order == self.order:
-            weights = self.weights
-        else:
-            # eps[j] meets the taps M-j .. M-j+n-1: windows of n reversed taps
-            weights = window_sums(self.taps[::-1], self.n, order, workers) if order >= 2 else None
-        return replace(self, spectra=spectra, order=order, weights=weights)
+        plan = cls(n=n, M=M, B=B, L=L, taps=c, spectra=(), order=order)
+        spectra = tuple(plan._spectrum(m, workers) for m in range(1, max(order - 1, 1) + 1))
+        # eps[j] meets the taps M-j .. M-j+n-1: windows of n reversed taps
+        weights = window_sums(c[::-1], n, order, workers) if order >= 2 else None
+        return replace(plan, spectra=spectra, weights=weights)
 
     def _spectrum(self, m: int, workers: int = 1):
         B, L, taps = self.B, self.L, self.taps
@@ -594,101 +581,13 @@ class FilterPlan:
     def autocovariances(self, sigma_eps2: float) -> np.ndarray:
         """sigma_eps^2 * sum_j c_j c_{j+k} at the lags k = 0..min(n-1, M), the package's one route to the lags.
 
-        ``sigma_n1_exact`` sums them for the sizes of a grid below the plan's
-        n.  One segment reads them off its own spectrum as irfft(|C|^2, L): a
-        circular autocorrelation of length L >= n + M does not wrap on lags
-        below n.  Several segments stream the reversed taps followed by
-        n - 1 zeros, [c_M, ..., c_0, 0, ...], through the power-1 pass;
-        its output i is sum_{k>=i} c_k c_{k-i}.
+        The reversed taps followed by n - 1 zeros, [c_M, ..., c_0, 0, ...],
+        go through the power-1 pass (of the plan at order 1, whatever its
+        order); its output i is sum_{k>=i} c_k c_{k-i}.
         """
-        C = self.spectra[0]
-        if len(C) == 1:
-            acorr = sfft.irfft(C[0].real**2 + C[0].imag**2, self.L)
-        else:
-            acorr = self.with_order(1).stream(array_source(self.taps[::-1])).paths[0]
+        power1 = replace(self, spectra=self.spectra[:1], order=1, weights=None)
+        acorr = power1.stream(array_source(self.taps[::-1])).paths[0]
         return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
-
-    def sigma_n1(self, sigma_eps2: float, workers: int = 1) -> float:
-        """sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) = sqrt(sigma_eps^2 ||w||^2), w = c (*) 1_n, from the power-1 spectra.
-
-        w is the window sums of n taps, so it is the sum of the pieces
-        a_s (*) 1_n of the plan's segments a_s, B apart.  Consecutive pieces
-        overlap on n - 1 entries and no others meet (n - 1 < B), so
-
-            ||w||^2 = sum_s ||a_s (*) 1_n||^2 + 2 sum_s <suf_s, pre_{s+1}>,
-
-        where suf_s[t] sums the last n-1-t taps of a_s and pre_{s+1}[t] the
-        first t+1 of a_{s+1}.  Since B + n - 1 <= L, Parseval gives the first
-        term from the spectra: (1/L) sum_f g_f |D_f|^2 sum_s |A_s(f)|^2, with
-        D = rfft(1_n, L), taken in closed form (``_dirichlet_weights``), and
-        g_f = 1 for a bin without a conjugate twin (DC, and Nyquist at even
-        L), 2 for the others.  The spectra are read in
-        row blocks of rows = max(1, _BLOCK_POINTS // L) segments, and the
-        strips of 2 (n - 1) taps around the boundaries as many at a time, so
-        no array as long as the filter is made.  One segment has no boundary.
-        A row block and the strips that start with it are one piece of
-        ``_each``, on ``workers`` threads; ``math.fsum`` adds the parts
-        exactly, so their order does not change the result.
-        """
-        n, M, B, L, taps = self.n, self.M, self.B, self.L, self.taps
-        C = self.spectra[0]
-        S = len(C)
-        weight = _dirichlet_weights(L, n)
-        rows = max(1, _BLOCK_POINTS // L)
-        k = n - 1
-        pad = S * B - (M + 1)
-        # the strip of taps k before to k after the first boundary, zero where it
-        # reaches into the pad; those of the other S - 2 boundaries lie within the taps
-        first = B - pad - k
-        # the other strips, a row block of them at a time (2 k < L taps a strip)
-        strips = sliding_window_view(taps[first + B :], 2 * k)[::B] if S > 2 and k else None
-        starts = range(0, S, rows)
-        spectral, cross = [0.0] * len(starts), [0.0] * len(starts)
-
-        def block_parts(lo: int) -> None:
-            power = np.square(C[lo : lo + rows].real)
-            power += np.square(C[lo : lo + rows].imag)
-            power *= weight
-            spectral[lo // rows] = np.sum(power) / L
-            if strips is not None and lo < S - 2:
-                cross[lo // rows] = 2.0 * _strip_cross(strips[lo : lo + rows], k)
-
-        _each(block_parts, starts, workers)
-        parts = spectral + cross
-        if S > 1 and k:
-            lead = np.zeros((1, 2 * k))
-            lead[0, max(-first, 0) :] = taps[max(first, 0) : B - pad + k]
-            parts.append(2.0 * _strip_cross(lead, k))
-        return math.sqrt(sigma_eps2 * math.fsum(parts))
-
-
-def _dirichlet_weights(L: int, n: int) -> np.ndarray:
-    """g_f |D_f|^2 at the bins f = 0..L/2 of D = rfft(1_n, L), with no transform.
-
-    |D_f|^2 is the Dirichlet kernel sin^2(pi f n / L) / sin^2(pi f / L)
-    (n^2 at f = 0), and g_f = 1 for a bin without a conjugate twin (DC, and
-    Nyquist at even L), 2 for the others.  Both sines are entries of one
-    table of sin^2(pi r / L), r = 0..L/2: sin^2 has period pi and is even
-    about pi/2, so the numerator is the entry at r = (f n mod L) folded
-    into [0, L/2], reduced exactly in integers.
-    """
-    bins = np.arange(L // 2 + 1)
-    sin2 = np.square(np.sin(bins * (math.pi / L)))
-    r = bins[1:] * n % L
-    np.minimum(r, L - r, out=r)
-    weight = np.empty(bins.size)
-    weight[0] = float(n) ** 2
-    np.divide(sin2[r], sin2[1:], out=weight[1:])
-    weight[1 : (L + 1) // 2] *= 2.0
-    return weight
-
-
-def _strip_cross(strips: np.ndarray, k: int) -> float:
-    """sum over rows of <suffix sums of the first k entries, prefix sums of the last k>, the overlap of two pieces."""
-    suffix = np.cumsum(strips[:, k - 1 :: -1], axis=1)[:, ::-1]
-    prefix = np.cumsum(strips[:, k:], axis=1)
-    prefix *= suffix
-    return float(np.sum(prefix))
 
 
 def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -775,20 +674,17 @@ def model_lags(coeffs: CoefficientModel, sigma_eps2: float, kmax: int) -> np.nda
     return plan.autocovariances(sigma_eps2)[: kmax + 1] + sigma_eps2 * tail
 
 
-def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
-    """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model.
+def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n, workers: int = 1):
+    """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model, the package's one route to it.
 
-    ``n`` may be a sequence of sizes: the result is then an array.  Past
-    M + 1 the window sums w of n taps are those of M + 1 taps with
-    n - M - 1 more entries equal to sum c, so every size is capped at
-    M + 1 and the capped size gets the plateau (n - M - 1) sigma_eps^2
-    (sum c)^2 added.  One power-1 plan, at the largest capped size, serves
-    the whole grid: that size takes ``FilterPlan.sigma_n1``, the route and
-    the bits of a study's bundle at that n, and so does a single n, which
-    computes no lags.  Every smaller size m is
-    m rho_0 + 2 sum_{k=1}^{m-1} (m - k) rho_k over the plan's lags
-    (``FilterPlan.autocovariances``), so it may differ from its single-n
-    value in the last bits.
+    sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
+    sigma_{n,1}^2 = sigma_eps^2 ||w||^2.  Past M + 1 the window sums of n
+    taps are those of M + 1 taps with n - M - 1 more entries equal to
+    w[M] = sum c, so a size m takes w = window_sums(c, min(m, M + 1)) and
+    adds max(m - M - 1, 0) w[M]^2 to ||w||^2 (``_square_sum``).  ``n`` may
+    be a sequence of sizes: the result is then an array, and each size has
+    the bits of a call with that size alone.  The window sums run on
+    ``workers`` threads, with the same bytes at every count.
     """
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
@@ -796,20 +692,17 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n):
     if np.any(ns < 1):
         raise DomainError("n must be >= 1")
     c = np.asarray(c, dtype=float)
-    capped = np.minimum(ns, len(c))
-    sizes, where = np.unique(capped, return_inverse=True)
-    plan = FilterPlan.build(c, int(sizes[-1]))
-    vals = np.empty(sizes.size)
-    vals[-1] = plan.sigma_n1(sigma_eps2)
-    if sizes.size > 1:
-        rho = plan.autocovariances(sigma_eps2)
-        for i, m in enumerate(sizes[:-1].tolist()):
-            vals[i] = math.sqrt(m * rho[0] + 2.0 * np.sum((m - np.arange(1.0, m)) * rho[1:m]))
-    out = vals[where]
-    # the plateau entries past M + 1
-    over = ns > capped
-    if over.any():
-        out[over] = np.hypot(out[over], np.sqrt((ns[over] - capped[over]) * sigma_eps2) * abs(math.fsum(c)))
+    M = c.size - 1
+    sums = {}  # capped size -> (||w||^2, w[M])
+    out = np.empty(ns.size)
+    for i, m in enumerate(ns.tolist()):
+        size = min(m, M + 1)
+        if size not in sums:
+            w = window_sums(c, size, 1, workers)
+            sums[size] = (_square_sum(w), w[M])
+            del w  # freed before the next size's window sums are built
+        square, total = sums[size]
+        out[i] = math.sqrt(sigma_eps2 * (square + max(m - M - 1, 0) * total**2))
     return float(out[0]) if np.ndim(n) == 0 else out
 
 

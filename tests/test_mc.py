@@ -108,8 +108,8 @@ class TestRunReplicates:
         assert r1.summary == r2.summary
 
     def test_set_up_threads_keep_the_bytes_and_end_before_the_pool(self, monkeypatch):
-        # p = 2 with M = 325178 > 2^16 taps at n = 2^6: the bundle's spectra and sigma_n1
-        # take 2 row blocks, the window sums 5 chunks, so 3 threads run only for those
+        # p = 2 with M = 325178 > 2^16 taps at n = 2^6: the spectra take 2 row blocks, the
+        # window sums of c (sigma_n1) and of c**2 5 chunks each, so 3 threads run only for those
         cfg = small_config(p_override=2, replicates=4, n=2**6, trunc_tol=2.5e-4)
         assert build_problem(cfg)[0].M == 325178
         pools, alive = [], []
@@ -257,30 +257,31 @@ class TestRunReplicates:
     @pytest.mark.parametrize("n,segments", [(2**6, 127), (2**10, 1)])
     def test_run_transforms_the_taps_once_per_power(self, n, segments, monkeypatch):
         # M = 32533: 127 segments of 257 taps at n = 2^6 (M + 1 >= 32 n), one segment at n = 2^10
-        spectrum = FilterPlan._spectrum
+        spectrum, powers = FilterPlan._spectrum, []
+        monkeypatch.setattr(
+            FilterPlan, "_spectrum", lambda self, m, workers=1: powers.append(m) or spectrum(self, m, workers)
+        )
         for p, transformed in [(2, [1]), (3, [1, 2])]:
+            # the bundle transforms no taps; the replicate plan transforms c**m for m < p, and
             # the top power p is summed through its window sums: c**p is never transformed
             cfg = small_config(p_override=p, replicates=2, n=n, trunc_tol=9.95e-4)
+            powers.clear()
             problem, bundle = _problem_and_bundle(cfg, n)
+            assert powers == []
             plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
-            assert len(bundle.filter_plan.spectra[0]) == segments
-            assert plan.filter.spectra[0] is bundle.filter_plan.spectra[0]
+            assert powers == transformed
+            assert len(plan.filter.spectra[0]) == segments
             assert len(plan.filter.spectra) == p - 1
             assert plan.filter.weights.shape == (n + plan.filter.M,)
-            powers = []
-            monkeypatch.setattr(
-                FilterPlan, "_spectrum", lambda self, m, workers=1: powers.append(m) or spectrum(self, m, workers)
-            )
+            powers.clear()
             res = run_replicates(cfg, threads=1)
-            monkeypatch.undo()
             assert powers == transformed
-            # the result keeps the bundle's numbers, not its spectra and taps
-            assert res.bundle.filter_plan is None and res.bundle.sigma_n1 == bundle.sigma_n1
+            assert res.bundle == bundle
 
-    def test_partitioned_bundle_sigma_matches_pairwise_weights(self):
+    def test_bundle_sigma_matches_pairwise_weights(self):
         cfg = small_config(p_override=2, n=2**6, trunc_tol=1e-3)
         (coeffs, dist, _, _), bundle = _problem_and_bundle(cfg, cfg.n)
-        assert coeffs.M == 32262 and len(bundle.filter_plan.spectra[0]) > 1
+        assert coeffs.M == 32262
         n, s2 = cfg.n, dist.variance
         rho = np.array([lag_oracle(coeffs.c, s2, k) for k in range(n)])
         oracle = math.sqrt(n * rho[0] + 2.0 * float(np.dot(n - np.arange(1.0, n), rho[1:])))

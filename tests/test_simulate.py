@@ -56,6 +56,28 @@ def lag_oracle(c, sigma_eps2, k):
     return sigma_eps2 * math.fsum(c[: c.size - k] * c[k:])
 
 
+def pairwise_sigma_oracle(c, sigma_eps2, n):
+    """sigma_{n,1} = sqrt(sum_{|k|<n} (n - |k|) rho_k) over the lags of ``lag_oracle``, summed exactly.
+
+    A route that takes no window sums.
+    """
+    kmax = min(n - 1, len(c) - 1)
+    pairs = [2.0 * (n - k) * lag_oracle(c, sigma_eps2, k) for k in range(1, kmax + 1)]
+    return math.sqrt(math.fsum([n * lag_oracle(c, sigma_eps2, 0), *pairs]))
+
+
+def running_sum_sigma_oracle(c, sigma_eps2, n):
+    """sigma_{n,1} = sqrt(sigma_eps^2 sum_j w[j]^2), w[j] a difference of two long-double running sums of c.
+
+    A route that takes no ``window_sums``.
+    """
+    M = len(c) - 1
+    run = np.concatenate([[0.0], np.cumsum(np.asarray(c, dtype=np.longdouble))])
+    j = np.arange(M + n)
+    w = run[np.minimum(j, M) + 1] - run[np.maximum(j - n + 1, 0)]
+    return math.sqrt(sigma_eps2 * float(np.sum(w * w)))
+
+
 def model_lag_oracle(beta, L0, M, k, sigma_eps2=1.0):
     """Scalar oracle for the untruncated model's lag k, 1 <= k <= M, O(M) per lag.
 
@@ -482,10 +504,9 @@ class TestInPlaceBuilders:
     @pytest.mark.parametrize("n,M", [(1, 0), (1, 300), (5, 0), *GEOMETRIES])
     def test_weights_match_the_reversed_power(self, n, M):
         c = np.random.default_rng(n + M).lognormal(0.0, 2.0, M + 1)
-        plan = FilterPlan.build(c, n)
         for order in (2, 3, 4):
             oracle = padded_window_sums(c[::-1] ** order, n)
-            assert plan.with_order(order).weights.tobytes() == oracle.tobytes()
+            assert FilterPlan.build(c, n, order).weights.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("size,n", [(700, 1), (50, 100), (1, 7), (3000, 2**16 + 5), (200, 2**16 + 5)])
     def test_window_sums_match_the_padded_copy(self, size, n):
@@ -501,7 +522,8 @@ class TestInPlaceBuilders:
         # a partitioned p = 2 plan; each builder may trace the arrays it returns
         # plus less than half of one (n + M)-float array.  M = 2^21, because a row
         # block of the spectrum build (a real buffer and its transform) takes about
-        # 2 * _BLOCK_POINTS floats, 4.2 MB, whatever M is
+        # 2 * _BLOCK_POINTS floats, 4.2 MB, whatever M is.  sigma_{n,1} returns a float
+        # but squares the window sums of n taps, one (n + M)-float array
         n, M = 2**8, 2**21
         slack = (n + M) * 8 // 2
         peak, cm = peak_over_result(lambda: CoefficientModel.build(0.7, SvConstant(1.0), M))
@@ -509,19 +531,18 @@ class TestInPlaceBuilders:
         peak, plan = peak_over_result(lambda: FilterPlan.build(cm.c, n))
         assert len(plan.spectra[0]) > 1
         assert peak < plan.spectra[0].nbytes + slack
-        peak, top = peak_over_result(lambda: plan.with_order(2))
-        assert top.spectra[0] is plan.spectra[0]
-        assert peak < top.weights.nbytes + slack
-        peak, _ = peak_over_result(lambda: plan.sigma_n1(1.0))
-        assert peak < slack
+        peak, top = peak_over_result(lambda: FilterPlan.build(cm.c, n, 2))
+        assert peak < top.spectra[0].nbytes + top.weights.nbytes + slack
+        peak, _ = peak_over_result(lambda: sigma_n1_exact(cm.c, 1.0, n))
+        assert peak < (n + M) * 8 + slack
 
 
 class TestSetUpWorkers:
     """The set-up's chunk loops give the same bytes on any number of threads, and start none for one."""
 
     def test_the_plan_does_not_depend_on_the_worker_count(self):
-        # n = 2^6, 526 500 taps: 2049 segments of 257 in 3 row blocks of 819, the 2047 inner
-        # boundary strips in 3 blocks, and 9 window-sum chunks, on up to 3 threads that
+        # n = 2^6, 526 500 taps: 2049 segments of 257 in 3 row blocks of 819, and 9 chunks of
+        # the window sums of c**3 (the plan) and of c (sigma_{n,1}), on up to 3 threads that
         # switch often, so a lost or misplaced write of a piece would change the bytes
         n = 2**6
         c = np.random.default_rng(19).uniform(0.05, 1.0, 526_500)
@@ -529,12 +550,12 @@ class TestSetUpWorkers:
         sys.setswitchinterval(1e-6)
         try:
             plans = [FilterPlan.build(c, n, order=3, workers=k) for k in (1, 2, 3)]
-            sigmas = [plan.sigma_n1(1.0, k) for plan, k in zip(plans, (1, 2, 3))]
+            sigmas = [sigma_n1_exact(c, 1.0, n, workers=k) for k in (1, 2, 3)]
             threaded_sums = window_sums(c[::-1], n, 3, workers=2)
         finally:
             sys.setswitchinterval(interval)
         S, rows = len(plans[0].spectra[0]), max(1, simulate._BLOCK_POINTS // plans[0].L)
-        assert (S, len(range(0, S, rows)), len(range(0, S - 2, rows))) == (2049, 3, 3)
+        assert (S, len(range(0, S, rows))) == (2049, 3)
         assert -(-plans[0].weights.size // simulate._CHUNK_POINTS) == 9
         for plan, sigma in zip(plans[1:], sigmas[1:]):
             assert len(plan.spectra) == 2
@@ -551,13 +572,16 @@ class TestSetUpWorkers:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
         c = np.random.default_rng(4).uniform(0.05, 1.0, 2**19 + 1)
         # many pieces on one worker
-        FilterPlan.build(c, 2**6, order=3).sigma_n1(1.0)
+        FilterPlan.build(c, 2**6, order=3)
+        sigma_n1_exact(c, 1.0, 2**6)
         # one piece per loop on many workers: one row block of 32 600 taps, one chunk
         plan = FilterPlan.build(c[:32600], 2**6, order=3, workers=4)
         assert len(plan.spectra[0]) == 127 and plan.weights.size <= simulate._CHUNK_POINTS
-        plan.sigma_n1(1.0, workers=4)
+        sigma_n1_exact(c[:32600], 1.0, 2**6, workers=4)
         with pytest.raises(AssertionError, match="thread pool"):
             FilterPlan.build(c, 2**6, workers=2)
+        with pytest.raises(AssertionError, match="thread pool"):
+            sigma_n1_exact(c, 1.0, 2**6, workers=2)
 
 
 # a fresh interpreter that only imports the package, then counts the minor page
@@ -568,7 +592,7 @@ FAULTS_SCRIPT = """
 import json, resource
 import lrdextremes
 from lrdextremes.model import CoefficientModel, InnovationDist, SvConstant
-from lrdextremes.simulate import FilterPlan, innovation_source
+from lrdextremes.simulate import FilterPlan, innovation_source, sigma_n1_exact
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -576,9 +600,8 @@ def faults():
 f0 = faults()
 cm = CoefficientModel.build(0.7, SvConstant(1.0), 2**21)
 f1 = faults()
-plan = FilterPlan.build(cm.c, 1024)
-plan.sigma_n1(1.0)
-plan = plan.with_order(2)
+sigma_n1_exact(cm.c, 1.0, 1024)
+plan = FilterPlan.build(cm.c, 1024, 2)
 plan.stream(innovation_source(InnovationDist.gaussian(1.0), 6))
 f2 = faults()
 plan.stream(innovation_source(InnovationDist.gaussian(1.0), 7))
@@ -667,27 +690,20 @@ class TestAutocovariance:
 
     @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (1, 31), (1, 30), (7, 0), (40, 4095), (20, 19)])
     def test_plan_autocovariances_match_dot(self, n, M):
-        # partitioned plans filter the reversed taps, one-segment plans read |C|^2
+        # partitioned and one-segment plans alike filter the reversed taps
         c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
         plan = FilterPlan.build(c, n)
         rho = plan.autocovariances(0.7)
         assert rho.shape == (min(n - 1, M) + 1,)
         np.testing.assert_allclose(rho, [lag_oracle(c, 0.7, k) for k in range(rho.size)], rtol=1e-12, atol=0.0)
 
-    def test_with_order_keeps_the_spectra_it_holds(self):
-        c = np.random.default_rng(4).uniform(0.05, 1.0, 3000)
-        plan = FilterPlan.build(c, 64)
-        higher = plan.with_order(3)
-        assert higher.spectra[0] is plan.spectra[0]
-        fresh = FilterPlan.build(c, 64, 3)
-        # order 3 filters c and c**2 and keeps the window sums of c**3 in place of its spectra
-        assert len(fresh.spectra) == 2
-        for m in (1, 2):
-            np.testing.assert_array_equal(higher.spectra[m - 1], fresh.spectra[m - 1])
-        np.testing.assert_array_equal(higher.weights, fresh.weights)
-        assert higher.with_order(3).weights is higher.weights
-        assert higher.with_order(1).spectra == higher.spectra[:1]
-        assert higher.with_order(1).weights is None
+    @pytest.mark.parametrize("n,M", [(64, 3000), (20, 19)])
+    def test_autocovariances_do_not_depend_on_the_order(self, n, M):
+        # order 3 filters c and c**2 and keeps the window sums of c**3; the lags take its power-1 pass
+        c = np.random.default_rng(4).uniform(0.05, 1.0, M + 1)
+        plan = FilterPlan.build(c, n, 3)
+        assert len(plan.spectra) == 2 and plan.weights is not None
+        assert plan.autocovariances(0.7).tobytes() == FilterPlan.build(c, n).autocovariances(0.7).tobytes()
 
     def test_model_tail_correction_consistent(self):
         # enlarging M must not change the tail-corrected values at lags 0 and 10; a constant
@@ -825,48 +841,18 @@ class TestSigmaN1:
             oracle = math.sqrt(2.3 * float(np.sum(w * w)))
             assert sigma_n1_exact(c, 2.3, n) == pytest.approx(oracle, rel=1e-10)
 
-    # (n, M): one segment; partitioned (B = 65) with 4 zero taps in front; with 15, as many as
-    # the n - 1 taps before the first boundary; with 55, past them; with none, and 4032
-    # boundaries, more than the 3276 of one row block; n = 1 (no overlap), M = 0 and n > M + 1
-    # (one segment each)
-    PLAN_GEOMETRIES = [
-        (64, 1000),
-        (16, 5000),
-        (16, 64 * 80 - 1),
-        (16, 5079),
-        (16, 2**18),
-        (1, 300),
-        (1, 0),
-        (7, 0),
-        (50, 10),
-    ]
+    # (n, M): the window sums in one chunk; in 5 chunks (2^18 + 16 of them); n = 1 (no
+    # overlap), M = 0, and n past M + 1, once by a little and once by 2^20 - 4 plateau
+    # entries, each w[M] = sum c
+    SIZES = [(64, 1000), (16, 2**18), (1, 300), (1, 0), (7, 0), (2, 0), (50, 10), (2**16 + 5, 300), (2**20, 3)]
 
-    @pytest.mark.parametrize("n,M", PLAN_GEOMETRIES)
-    def test_plan_sigma_matches_the_window_sums(self, n, M):
-        # sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps
+    @pytest.mark.parametrize("n,M", SIZES)
+    def test_matches_the_pairwise_lag_weights(self, n, M):
         c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
-        oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
-        assert FilterPlan.build(c, n).sigma_n1(1.3) == pytest.approx(oracle, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("rows", [1, 2, 3, 77, 78, 100])
-    def test_plan_sigma_does_not_depend_on_the_row_block(self, rows, monkeypatch):
-        # S = 79 segments and 78 boundaries: blocks that end before, on and past the last boundary
-        c = np.random.default_rng(5).uniform(0.05, 1.0, 5080)
-        plan = FilterPlan.build(c, 16)
-        assert len(plan.spectra[0]) == 79 and plan.L == 80
-        oracle = math.sqrt(0.7 * math.fsum(window_sums(c, 16) ** 2))
-        monkeypatch.setattr(simulate, "_BLOCK_POINTS", rows * plan.L)
-        assert plan.sigma_n1(0.7) == pytest.approx(oracle, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("n,M", [(2**20, 3), (2**16 + 5, 300), (2, 0)])
-    def test_exact_past_the_filter_length_matches_the_window_sums(self, n, M):
-        # n > M + 1: the plan at M + 1 plus the n - M - 1 plateau entries, each sum c
-        c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
-        oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
-        assert sigma_n1_exact(c, 1.3, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert sigma_n1_exact(c, 1.3, n) == pytest.approx(pairwise_sigma_oracle(c, 1.3, n), rel=1e-14, abs=0.0)
 
     def test_exact_at_a_size_no_plan_could_hold(self):
-        # w = [1, 1.5 (2^40 - 1 times), 0.5]; a plan at n = 2^40 would need 2^40 floats
+        # w = [1, 1.5 (2^40 - 1 times), 0.5]; the window sums of 2^40 taps would need 2^40 floats
         n = 2**40
         assert sigma_n1_exact(np.array([1.0, 0.5]), 1.0, n) == pytest.approx(
             math.sqrt(1.25 + (n - 1) * 2.25), rel=1e-15
@@ -885,42 +871,25 @@ class TestSigmaN1:
             sums.append(float(np.sum(moving_average(cm.c, eps))))
         assert np.var(sums, ddof=1) == pytest.approx(sig2, rel=0.15)
 
-    def test_n_grid_matches_pairwise_weights(self):
-        # the grid sums n rho_0 + 2 sum (n - k) rho_k over its plan's lags; the oracle is the
-        # window sums, a route that takes no lags
+    def test_n_grid_matches_the_running_sum_oracle(self):
         cm = build_coefficient_model(0.8, tol=1e-3)
         ns = [2**15, 1, 2, 1000, cm.M, cm.M + 1, cm.M + 2, 2**17, 1000]
         grid = sigma_n1_exact(cm.c, 1.3, ns)
         assert grid.shape == (len(ns),)
         for n, val in zip(ns, grid):
-            oracle = math.sqrt(1.3 * math.fsum(window_sums(cm.c, n) ** 2))
-            assert val == pytest.approx(oracle, rel=1e-13)
-            scalar = sigma_n1_exact(cm.c, 1.3, n)
-            assert isinstance(scalar, float)
-            assert scalar == pytest.approx(oracle, rel=1e-13)
+            assert val == pytest.approx(running_sum_sigma_oracle(cm.c, 1.3, n), rel=1e-13)
+        assert isinstance(sigma_n1_exact(cm.c, 1.3, 1000), float)
 
-    def test_n_grid_serves_its_one_segment_sizes_from_one_plan(self, monkeypatch):
-        # M + 1 = 301: every size shares the one plan at min(500, 301), size 5 too,
-        # whose own plan (M + 1 >= 32 n) would be partitioned
-        c = np.random.default_rng(9).uniform(0.05, 1.0, 301)
-        ns = [20, 50, 100, 301, 500, 5, 11]
-        build, built = FilterPlan.build, []
-
-        def counted_build(c, n, order=1):
-            built.append(n)
-            return build(c, n, order)
-
-        monkeypatch.setattr(FilterPlan, "build", counted_build)
-        grid = sigma_n1_exact(c, 1.3, ns)
-        assert built == [301]
-        for n, val in zip(ns, grid):
-            oracle = math.sqrt(1.3 * math.fsum(window_sums(c, n) ** 2))
-            assert val == pytest.approx(oracle, rel=1e-14, abs=0.0)
-        monkeypatch.undo()
-        # a single n keeps the bits of the plan at n, and so does the shared plan's own size in the grid
-        for n in [20, 301, 5]:
-            assert sigma_n1_exact(c, 1.3, n) == FilterPlan.build(c, n).sigma_n1(1.3)
-        assert grid[3] == sigma_n1_exact(c, 1.3, 301)
+    def test_every_grid_size_has_the_bits_of_its_single_n(self):
+        # the filter and grid of criterion 5 (beta 0.75, M = 2^20), and a short filter with
+        # sizes on both sides of M + 1 = 301
+        short = np.random.default_rng(9).uniform(0.05, 1.0, 301)
+        for c, sigma_eps2, ns in [
+            (build_coefficient_model(0.75, M=2**20).c, 1.0, [2**j for j in range(10, 21)]),
+            (short, 1.3, [20, 50, 100, 301, 500, 5, 11, 302, 2**40, 20]),
+        ]:
+            grid = sigma_n1_exact(c, sigma_eps2, ns)
+            assert [v.hex() for v in grid.tolist()] == [sigma_n1_exact(c, sigma_eps2, n).hex() for n in ns]
 
     def test_n_grid_domain(self):
         with pytest.raises(DomainError):

@@ -262,13 +262,10 @@ REPLICATE_KERNELS = [
     ("model.py", "GaussianMarginal.turning_gaps"),
     ("model.py", "ExponentialTarget.Q"),
     ("model.py", "ExponentialTarget.cum_Q"),
-    ("model.py", "ExponentialTarget.integral_Q"),
     ("model.py", "ParetoTarget.Q"),
     ("model.py", "ParetoTarget.cum_Q"),
-    ("model.py", "ParetoTarget.integral_Q"),
     ("model.py", "IdentityTarget.Q"),
     ("model.py", "IdentityTarget.cum_Q"),
-    ("model.py", "IdentityTarget.integral_Q"),
 ]
 
 
@@ -276,8 +273,8 @@ def definitions(tree: ast.Module) -> dict[str, ast.AST]:
     """Qualified name -> definition, for the module's functions and the methods of its classes.
 
     A class also lists the methods it inherits from a base defined earlier in the module:
-    ``ExponentialTarget.integral_Q`` is ``TargetMarginalY.integral_Q``, whose ``self.cum_Q``
-    then resolves to ``ExponentialTarget.cum_Q``.
+    ``GaussianMarginal.F_deriv`` is ``MarginalX.F_deriv``, whose ``self.F_derivs`` then
+    resolves to ``GaussianMarginal.F_derivs``.
     """
     defs = {}
     for node in tree.body:
@@ -330,16 +327,16 @@ def test_replicate_kernels_call_no_blas(module, kernel):
     assert_no_blas(module, kernel, "REPLICATE_KERNELS")
 
 
-# the set-up of a study, which runs in the same process before its replicates, the
-# exact lags (FilterPlan.autocovariances), which the size grid of sigma_n1_exact sums,
-# and the untruncated model's lags built on them (model_lags).
+# the set-up of a study, which runs in the same process before its replicates:
+# sigma_n1_exact squares the window sums of n taps, and the replicate plan builds the
+# filter plan.  Also the exact lags (FilterPlan.autocovariances) and the untruncated
+# model's lags built on them (model_lags).
 # The feasibility quadratures of D_r read F^(r) through GaussianMarginal.F_deriv
 SETUP_KERNELS = [
     ("scaling.py", "make_bundle"),
     ("model.py", "GaussianMarginal.F_deriv"),
-    ("simulate.py", "FilterPlan.sigma_n1"),
+    ("simulate.py", "sigma_n1_exact"),
     ("simulate.py", "FilterPlan.build"),
-    ("simulate.py", "FilterPlan.with_order"),
     ("simulate.py", "FilterPlan._spectrum"),
     ("simulate.py", "FilterPlan.autocovariances"),
     ("simulate.py", "model_lags"),
@@ -359,14 +356,13 @@ def test_setup_kernels_call_no_blas(module, kernel):
 
 
 # sigma_{n,1} of a fixed random filter of 32 262 taps, about the Case 4 truncation
-# length, from a partitioned plan (n = 2^8: 32 segments) and a one-segment one
-# (n = 2^15).  A sum taken by np.dot would be split by OpenBLAS's thread count,
-# and its last bits with it
+# length, at n = 2^8 and 2^15: the squares of 32 269 and 65 029 window sums.  A sum
+# taken by np.dot would be split by OpenBLAS's thread count, and its last bits with it
 SIGMA_BITS_SCRIPT = """
 import numpy as np
-from lrdextremes.simulate import FilterPlan
+from lrdextremes.simulate import sigma_n1_exact
 c = np.random.default_rng(0).uniform(0.0, 1.0, 32262)
-print(*(FilterPlan.build(c, n).sigma_n1(1.0).hex() for n in (2**8, 2**15)))
+print(*(sigma_n1_exact(c, 1.0, n).hex() for n in (2**8, 2**15)))
 """
 
 
