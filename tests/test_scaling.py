@@ -286,6 +286,17 @@ class TestCentering:
         ref, _ = quad(lambda t: t**-0.5, 0.0, 0.1, limit=400)
         assert centering(ParetoTarget(2.0), 100, 10) == pytest.approx(100 * ref, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "ty",
+        [ParetoTarget(6.0), ExponentialTarget(), LogParetoTarget(ParetoMarginal(4.0)), IdentityTarget(GaussianMarginal(2.0))],
+        ids=["pareto6", "exponential", "logpareto", "identity_gaussian"],
+    )
+    def test_matches_quadrature_up_to_one(self, ty):
+        # mu_n = n int_{1-k_n/n}^1 Q_Y, the closed antiderivative read at u = 1, against quad
+        # of Q_Y(1 - t) over t in (0, k_n/n)
+        ref, _ = quad(lambda t: float(ty.Q(1.0 - t)), 0.0, 0.1, limit=400)
+        assert centering(ty, 100, 10) == pytest.approx(100 * ref, rel=1e-10)
+
     def test_divergent_mean_rejected_at_construction(self):
         with pytest.raises(DomainError):
             ParetoTarget(0.9)

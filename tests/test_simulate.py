@@ -697,7 +697,7 @@ class TestAutocovariance:
         assert rho.shape == (min(n - 1, M) + 1,)
         np.testing.assert_allclose(rho, [lag_oracle(c, 0.7, k) for k in range(rho.size)], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n,M", [(64, 3000), (20, 19)])
+    @pytest.mark.parametrize("n,M", [(64, 3000), (64, 2046), (1, 31), (7, 0), (40, 4095), (20, 19)])
     def test_autocovariances_do_not_depend_on_the_order(self, n, M):
         # order 3 filters c and c**2 and keeps the window sums of c**3; the lags take its power-1 pass
         c = np.random.default_rng(4).uniform(0.05, 1.0, M + 1)
@@ -850,6 +850,19 @@ class TestSigmaN1:
     def test_matches_the_pairwise_lag_weights(self, n, M):
         c = np.random.default_rng(n + M).uniform(0.05, 1.0, M + 1)
         assert sigma_n1_exact(c, 1.3, n) == pytest.approx(pairwise_sigma_oracle(c, 1.3, n), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("chunk", [1, 17, 1018, 1019, 5094, 5095])
+    def test_does_not_depend_on_the_chunk(self, chunk, monkeypatch):
+        # n = 16, M = 5079: 5095 window sums.  Chunks of fewer points than the window (T = n),
+        # of 17, 5 chunks that divide the sums, 5 with a last one of 5 points, 2 with a last
+        # one of 1 point, and one chunk; sizes past M + 1 take w[M] from the same sums
+        c = np.random.default_rng(5).uniform(0.05, 1.0, 5080)
+        ns = [16, 5081, 2**20]
+        whole = sigma_n1_exact(c, 0.7, ns)
+        assert whole[0] == pytest.approx(pairwise_sigma_oracle(c, 0.7, 16), rel=1e-14, abs=0.0)
+        monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
+        assert sigma_n1_exact(c, 0.7, ns).tobytes() == whole.tobytes()
+        assert sigma_n1_exact(c, 0.7, 16, workers=2) == whole[0]
 
     def test_exact_at_a_size_no_plan_could_hold(self):
         # w = [1, 1.5 (2^40 - 1 times), 0.5]; the window sums of 2^40 taps would need 2^40 floats
