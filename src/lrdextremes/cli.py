@@ -16,6 +16,7 @@ import numpy as np
 from .config import ExperimentConfig, build_problem, parse_config
 from .errors import ConfigError, LrdExtremesError, NumericError
 from .mc import (
+    ReplicatePlan,
     _problem_and_bundle,
     _reduction_skip_reason,
     _resolve_threads,
@@ -105,7 +106,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir: str, threads: int) -> in
         print(
             f"n = {row['n']}: ks_d = {row['ks_d']:.4f}, z_var = {row['z_var']:.4f}, "
             f"med|I2| = {row['med_abs_i2']:.5f}, med|I3| = {row['med_abs_i3']:.5f}, "
-            f"iid_contrast = {row['iid_contrast']:.4f}"
+            f"var_ratio = {row['var_ratio']:.4f}"
         )
     print(f"wrote {path}")
     return EXIT_OK
@@ -128,9 +129,10 @@ def _cmd_diag(config: ExperimentConfig, out_dir: str, threads: int) -> int:
         print(f"median_reduction_sup = unavailable ({refusal})")
         return EXIT_OK
     R = min(config.replicates, 10)
-    reps = _run_replicate_loop(problem, bundle, config.master_seed, R, threads, with_reduction=True)
+    plan = ReplicatePlan.build(problem, bundle, with_reduction=True, workers=threads)
+    reps = _run_replicate_loop(problem, bundle, plan, config.master_seed, R, threads)
     print(f"median_u_ratio = {float(np.median([rep.u_ratio for rep in reps]))!r}")
-    skip = _reduction_skip_reason(bundle.p, with_reduction=True)
+    skip = _reduction_skip_reason(plan.source, bundle.p, with_reduction=True)
     if skip is not None:
         print(f"median_reduction_sup = unavailable ({skip})")
     else:

@@ -309,19 +309,20 @@ def z_statistic(y, bundle: ScalingBundle) -> float:
     return bundle.A_n / bundle.sigma_n1 * (top_k_sum(arr, bundle.k_n) - bundle.mu_n)
 
 
-def _frame_z(y_top: np.ndarray, bundle: ScalingBundle) -> float:
-    """Z_n = A_n sigma_{n,1}^-1 (top k_n sum - mu_n), from the k_n largest Y in ascending order."""
-    return bundle.A_n / bundle.sigma_n1 * (float(np.sum(y_top)) - bundle.mu_n)
+def _frame_z(s: float, bundle: ScalingBundle) -> float:
+    """Z_n = A_n sigma_{n,1}^-1 (S - mu_n), from the top k_n sum S."""
+    return bundle.A_n / bundle.sigma_n1 * (s - bundle.mu_n)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Three-term split of Z_n; i3 is defined as the residual z - i1 - i2."""
+    """Three-term split of Z_n; i3 is defined as the residual z - i1 - i2.  s is the top k_n sum of Y."""
 
     i1: float
     i2: float
     i3: float
     z: float
+    s: float
 
 
 def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
@@ -372,8 +373,9 @@ def decompose_I(frame: ProcessFrame, bundle: ScalingBundle) -> Decomposition:
     i1 = scale * float(at_hi - q_lo * (lo - i_lo / n) + mid_sum - (cum_hi - cum_lo))
     i2 = scale * float(top_sum - at_hi - (cum_1 - cum_hi))
 
-    z = _frame_z(q[n - k_n - j :], bundle)
-    return Decomposition(i1=i1, i2=i2, i3=z - i1 - i2, z=z)
+    s = float(np.sum(q[n - k_n - j :]))
+    z = _frame_z(s, bundle)
+    return Decomposition(i1=i1, i2=i2, i3=z - i1 - i2, z=z, s=s)
 
 
 def u_ratio(frame: ProcessFrame, k_n: int) -> float:

@@ -1,8 +1,9 @@
 """Monte Carlo harness: parallel replicates, goodness of fit, convergence.
 
-Replicate r always draws from the stream derived as h(master_seed, r), so
-results are byte-identical across execution orders and worker counts; the
-reduction is by replicate index, never by completion order.
+Replicate r always draws from the stream derived as h(master_seed, r) (its
+i.i.d. twin from that stream's first child), so results are byte-identical
+across execution orders and worker counts; the reduction is by replicate
+index, never by completion order.
 """
 
 from __future__ import annotations
@@ -27,20 +28,10 @@ from .estats import (
     u_ratio,
 )
 from .model import _marginal_refusal
-from .scaling import (
-    ScalingBundle,
-    check_condition_Dr,
-    iid_contrast,
-    iid_scale,
-    make_bundle,
-    power_rank_integral,
-)
-from .simulate import FilterPlan, config_hash, derive_seed, innovation_source
+from .scaling import ScalingBundle, check_condition_Dr, make_bundle, power_rank_integral
+from .simulate import FilterPlan, FilterSource, IidSource, config_hash, derive_seed
 
 QQ_PROBS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
-
-# nominal heavy-tail index for the cross-model i.i.d. contrast column
-CONTRAST_ALPHA = 4.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +44,7 @@ class ReplicateResult:
     i3: float
     u_ratio: float
     reduction_sup: float
+    s: float = float("nan")  # the top k_n sum of Y
 
 
 @dataclass(frozen=True)
@@ -85,6 +77,10 @@ def ks_test(sample) -> tuple[float, float]:
     return d, float(kolmogorov(math.sqrt(m) * d))
 
 
+def _sample_variance(values) -> float:
+    return float(np.var(values, ddof=1)) if len(values) >= 2 else float("nan")
+
+
 def summarize(z_samples: np.ndarray) -> dict:
     """Deterministic summary of a z sample; recomputable bit-exactly."""
     z = np.asarray(z_samples, dtype=float)
@@ -98,7 +94,7 @@ def summarize(z_samples: np.ndarray) -> dict:
     ]
     return {
         "mean": float(np.mean(z)),
-        "variance": float(np.var(z, ddof=1)) if z.size >= 2 else float("nan"),
+        "variance": _sample_variance(z),
         "ks_d": d,
         "ks_p": p,
         "qq": qq,
@@ -156,8 +152,10 @@ def _feasibility_record(problem, bundle: ScalingBundle) -> dict:
     return record
 
 
-def _reduction_skip_reason(p: int, with_reduction: bool) -> str | None:
-    """Why no replicate computes the reduction supremum, or None when every replicate does."""
+def _reduction_skip_reason(source, p: int, with_reduction: bool) -> str | None:
+    """Why no replicate drawn from ``source`` computes the reduction supremum, or None when every replicate does."""
+    if not source.multilinear:
+        return "i.i.d. twin: no power sums of a linear process"
     if not with_reduction:
         return "reduction off"
     if p > MAX_REDUCTION_ORDER:
@@ -169,35 +167,42 @@ def _reduction_skip_reason(p: int, with_reduction: bool) -> str | None:
 class ReplicatePlan:
     """What every replicate of one (problem, bundle) shares, built once per run.
 
-    ``filter`` is the filter plan of order p when the reduction supremum
-    is computed (order 1 otherwise): the spectra of c**m for m < p, and the
-    window sums of c**p that give the top power's total as one weighted sum
-    per replicate.  A replicate streams its seeded innovations through the
+    ``source`` draws a replicate's path from its seed (``simulate``'s path
+    sources).  ``build`` makes the linear process's source: the filter plan
+    of order p when the reduction supremum is computed (order 1 otherwise),
+    that is the spectra of c**m for m < p and the window sums of c**p that
+    give the top power's total as one weighted sum per replicate, and the
+    innovation law.  A replicate streams its seeded innovations through the
     plan's one pass, which returns the path, the power sums below p and that
     total, so no replicate builds its n + M innovations as one array.  It is
     the run's one filter plan, so a run transforms the taps once per
-    filtered power and never transforms c**p.
-    ``tail`` is its tail grid, or None when ``_reduction_skip_reason``
-    gives a reason not to compute it.  The plan is built on ``workers``
-    threads, with the same bytes at every count.
+    filtered power and never transforms c**p.  ``iid_twin`` makes the
+    i.i.d. twin's source, n independent draws of the X marginal.
+    ``tail`` is the tail grid, or None when ``_reduction_skip_reason``
+    gives a reason not to compute the supremum.  The plan is built on
+    ``workers`` threads, with the same bytes at every count.
     """
 
-    filter: FilterPlan
+    source: FilterSource | IidSource
     tail: TailGrid | None
 
     @classmethod
     def build(cls, problem, bundle: ScalingBundle, with_reduction: bool, workers: int = 1) -> "ReplicatePlan":
-        reduced = _reduction_skip_reason(bundle.p, with_reduction) is None
+        reduced = _reduction_skip_reason(FilterSource, bundle.p, with_reduction) is None
         order = max(bundle.p, 1) if reduced else 1
         tail = TailGrid.build(problem[2], bundle.p) if reduced else None
-        return cls(filter=FilterPlan.build(problem[0].c, bundle.n, order, workers), tail=tail)
+        plan = FilterPlan.build(problem[0].c, bundle.n, order, workers)
+        return cls(source=FilterSource(plan, problem[1]), tail=tail)
+
+    @classmethod
+    def iid_twin(cls, problem, bundle: ScalingBundle) -> "ReplicatePlan":
+        return cls(source=IidSource(problem[2].s, bundle.n), tail=None)
 
 
 def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicatePlan) -> ReplicateResult:
-    _, dist, mx, ty = problem
-    sums = plan.filter.stream(innovation_source(dist, seed))
-    x = sums.paths[0]
-    frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
+    _, _, mx, ty = problem
+    sums = plan.source.draw(seed)
+    frame = ProcessFrame.from_path(sums.paths[0], mx, ty, bundle.sigma_n1)
     dec = decompose_I(frame, bundle)
     ur = u_ratio(frame, bundle.k_n)
     if plan.tail is not None:
@@ -206,7 +211,7 @@ def _run_one(r: int, seed: int, problem, bundle: ScalingBundle, plan: ReplicateP
     else:
         red = float("nan")
     return ReplicateResult(
-        replicate=r, seed=seed, z=dec.z, i1=dec.i1, i2=dec.i2, i3=dec.i3, u_ratio=ur, reduction_sup=red
+        replicate=r, seed=seed, z=dec.z, i1=dec.i1, i2=dec.i2, i3=dec.i3, u_ratio=ur, reduction_sup=red, s=dec.s
     )
 
 
@@ -227,14 +232,14 @@ def _run_task(task) -> ReplicateResult:
     return _run_one(r, seed, *_worker_run)
 
 
-def _run_replicate_loop(problem, bundle: ScalingBundle, master_seed: int, R: int, workers: int, with_reduction: bool):
-    """Replicates 0..R-1 of one bundle on ``workers`` processes, in replicate order whatever their count.
+def _run_replicate_loop(problem, bundle: ScalingBundle, plan: ReplicatePlan, master_seed: int, R: int, workers: int):
+    """Replicates 0..R-1 of one plan on ``workers`` processes, in replicate order whatever their count.
 
-    The plan is built here, once, on ``workers`` threads that are joined
-    before the pool forks; pool workers receive it with the problem and the
-    bundle when they start, so a task is only (r, seed).
+    The caller builds the plan, once, before the pool forks (the filter
+    plan on ``workers`` threads, joined before the call returns); pool
+    workers receive it with the problem and the bundle when they start, so
+    a task is only (r, seed).
     """
-    plan = ReplicatePlan.build(problem, bundle, with_reduction, workers)
     tasks = [(r, derive_seed(master_seed, r)) for r in range(R)]
     if workers <= 1 or R == 1:
         reps = [_run_one(r, seed, problem, bundle, plan) for r, seed in tasks]
@@ -281,8 +286,9 @@ def run_replicates(
 
     problem, bundle = _problem_and_bundle(config, n, workers=workers)
     feas = _feasibility_record(problem, bundle)
-    feas["reduction_sup"] = _reduction_skip_reason(bundle.p, with_reduction) or "computed"
-    reps = _run_replicate_loop(problem, bundle, master_seed, R, workers, with_reduction)
+    plan = ReplicatePlan.build(problem, bundle, with_reduction, workers)
+    feas["reduction_sup"] = _reduction_skip_reason(plan.source, bundle.p, with_reduction) or "computed"
+    reps = _run_replicate_loop(problem, bundle, plan, master_seed, R, workers)
 
     z = np.array([rep.z for rep in reps])
     summary = summarize(z)
@@ -302,6 +308,20 @@ def trend_nonincreasing(values, allowed_inversions: int = 1, rtol: float = 0.0) 
     return inversions <= allowed_inversions
 
 
+def _iid_twin_columns(problem, bundle: ScalingBundle, reps: list, master_seed: int, workers: int) -> dict:
+    """var(S) of the replicates ``reps``, var(S_iid) of as many replicates of their i.i.d. twin, and the ratio.
+
+    S is the top k_n sum of Y.  The twin's replicate r is n i.i.d. draws of
+    the X marginal from a child of replicate r's seed (``IidSource``), sent
+    through the same frame as a path.
+    """
+    plan = ReplicatePlan.iid_twin(problem, bundle)
+    twin = _run_replicate_loop(problem, bundle, plan, master_seed, len(reps), workers)
+    var_s = _sample_variance([rep.s for rep in reps])
+    var_s_iid = _sample_variance([rep.s for rep in twin])
+    return {"var_s": var_s, "var_s_iid": var_s_iid, "var_ratio": var_s / var_s_iid}
+
+
 def convergence_study(
     config: ExperimentConfig,
     n_grid=None,
@@ -312,16 +332,23 @@ def convergence_study(
     """Replicate study over increasing n; one row of diagnostics per size.
 
     Uses the same master seed family at every size (common random numbers),
-    so the across-n trends are compared on coupled samples.
+    so the across-n trends are compared on coupled samples.  After each
+    size's path study it runs the study's i.i.d. twin: replicate r draws n
+    i.i.d. values of the X marginal from SeedSequence(h(master_seed, r),
+    spawn_key=(0,)), the first child of replicate r's seed, a stream that no
+    path reads.  The row reports var(S), var(S_iid) and their ratio, S the
+    top k_n sum of Y.
     """
     n_grid = list(n_grid if n_grid is not None else (config.n_grid or []))
     if not n_grid:
         raise DomainError("an increasing n_grid is required")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
+    workers = _resolve_threads(threads)
+    problem = build_problem(config)
     rows = []
     for nn in n_grid:
-        res = run_replicates(config, R=R, master_seed=master_seed, threads=threads, n=nn)
+        res = run_replicates(config, R=R, master_seed=master_seed, threads=workers, n=nn)
         k_n, sigma_n1 = res.bundle.k_n, res.bundle.sigma_n1
         i2 = np.median(np.abs([r.i2 for r in res.replicates]))
         i3 = np.median(np.abs([r.i3 for r in res.replicates]))
@@ -340,9 +367,8 @@ def convergence_study(
                 "med_abs_i3": float(i3),
                 "med_u_ratio_dev": float(urdev),
                 "med_reduction_sup": red,
-                "iid_contrast": iid_contrast(nn, k_n, CONTRAST_ALPHA),
                 "lrd_scale": (nn / k_n) / sigma_n1,
-                "iid_scale": iid_scale(nn, k_n, CONTRAST_ALPHA),
+                **_iid_twin_columns(problem, res.bundle, res.replicates, res.master_seed, workers),
             }
         )
     return rows

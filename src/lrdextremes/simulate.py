@@ -590,6 +590,43 @@ class FilterPlan:
         return sigma_eps2 * acorr[: min(self.n - 1, self.M) + 1]
 
 
+@dataclass(frozen=True, eq=False)
+class FilterSource:
+    """The linear process: the seeded innovations of ``dist`` streamed through ``plan``'s one pass.
+
+    A path source gives a replicate its path from the replicate's seed:
+    ``draw(seed)`` returns the power sums of one pass, ``paths[0]`` the
+    path, and ``multilinear`` says whether they carry what the reduction
+    supremum needs.
+    """
+
+    plan: FilterPlan
+    dist: InnovationDist
+    multilinear = True
+
+    def draw(self, seed: int) -> PowerSums:
+        return self.plan.stream(innovation_source(self.dist, seed))
+
+
+@dataclass(frozen=True, eq=False)
+class IidSource:
+    """The i.i.d. twin: n independent draws of the Gaussian X marginal N(0, s^2), no linear process.
+
+    Replicate seed ``seed`` draws from ``SeedSequence(seed, spawn_key=(0,))``,
+    the first child of the stream its path reads, so no path uses it; like
+    a path, the draw at size n is the first n of the draw at any larger size.
+    """
+
+    s: float
+    n: int
+    multilinear = False
+
+    def draw(self, seed: int) -> PowerSums:
+        x = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).standard_normal(self.n)
+        x *= self.s
+        return PowerSums((x,), None)
+
+
 def moving_average(c: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """X_i = sum_{k=0}^M c_k eps_{i-k} for i = 1..n via FFT convolution.
 
@@ -638,7 +675,7 @@ def simulate_path(
         raise ConfigError(
             f"marginal std {mx.s!r} inconsistent with model value {s_expected!r} (sigma_eps^2 * sum c_k^2)"
         )
-    x = FilterPlan.build(coeffs.c, n).stream(innovation_source(dist, seed)).paths[0]
+    x = FilterSource(FilterPlan.build(coeffs.c, n), dist).draw(seed).paths[0]
     y = subordinate(mx, ty, x)
     return PathPair(x=x, y=np.atleast_1d(y), seed=seed, spec_hash=config_hash(coeffs, dist, mx, ty, n))
 

@@ -13,12 +13,13 @@ from scipy.special import ndtri
 
 from lrdextremes.config import ExperimentConfig, build_problem
 from lrdextremes.errors import DomainError, InfeasibleConfigError
-from lrdextremes.estats import ProcessFrame, decompose_I, reduction_sup, u_ratio, z_statistic
+from lrdextremes.estats import ProcessFrame, decompose_I, reduction_sup, top_k_sum, u_ratio, z_statistic
 from lrdextremes import mc, simulate
 from lrdextremes.mc import (
     ReplicatePlan,
     ReplicateResult,
     _problem_and_bundle,
+    _reduction_skip_reason,
     _resolve_threads,
     _run_one,
     convergence_study,
@@ -270,9 +271,9 @@ class TestRunReplicates:
             assert powers == []
             plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
             assert powers == transformed
-            assert len(plan.filter.spectra[0]) == segments
-            assert len(plan.filter.spectra) == p - 1
-            assert plan.filter.weights.shape == (n + plan.filter.M,)
+            assert len(plan.source.plan.spectra[0]) == segments
+            assert len(plan.source.plan.spectra) == p - 1
+            assert plan.source.plan.weights.shape == (n + plan.source.plan.M,)
             powers.clear()
             res = run_replicates(cfg, threads=1)
             assert powers == transformed
@@ -345,7 +346,7 @@ class TestReplicateKernel:
         cfg = small_config(y_marginal=y_marginal, xi=xi, n=n, trunc_tol=9.95e-4)
         problem, bundle = _problem_and_bundle(cfg, n)
         plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
-        assert len(plan.filter.spectra[0]) == segments
+        assert len(plan.source.plan.spectra[0]) == segments
         coeffs, dist, mx, ty = problem
         for r in range(4):
             seed = derive_seed(cfg.master_seed, r)
@@ -356,7 +357,8 @@ class TestReplicateKernel:
             frame = ProcessFrame.from_path(x, mx, ty, bundle.sigma_n1)
             dec = decompose_I(frame, bundle)
             red = reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1).value
-            public = ReplicateResult(r, seed, dec.z, dec.i1, dec.i2, dec.i3, u_ratio(frame, bundle.k_n), red)
+            ur, s = u_ratio(frame, bundle.k_n), top_k_sum(ty.Q(frame.u_sorted), bundle.k_n)
+            public = ReplicateResult(r, seed, dec.z, dec.i1, dec.i2, dec.i3, ur, red, s)
             assert result_bytes(rep) == result_bytes(public)
             assert red == searchsorted_reduction_sup(x, eps, coeffs.c, bundle.p, mx, bundle.sigma_n1)
             assert dec.z == z_statistic(ty.Q(frame.u_sorted), bundle)
@@ -371,7 +373,7 @@ class TestReplicateKernel:
         bundle = make_bundle(mx, ty, cm.c, 1.0, 0.7, cm.L0, n, 0.9, p=2)
         problem = (cm, InnovationDist.gaussian(1.0), mx, ty)
         plan = ReplicatePlan.build(problem, bundle, with_reduction=True)
-        assert plan.filter.order == 2 and len(plan.filter.spectra[0]) > 1
+        assert plan.source.plan.order == 2 and len(plan.source.plan.spectra[0]) > 1
         peak, rep = peak_over_result(lambda: _run_one(0, derive_seed(5, 0), problem, bundle, plan))
         assert math.isfinite(rep.reduction_sup)
         assert peak < 8 * (n + M) // 2
@@ -419,19 +421,66 @@ class TestConvergenceStudy:
         assert len(rows) == 1
         row = rows[0]
         assert row["n"] == 2**10
-        for key in ("ks_d", "z_var", "med_abs_i2", "med_abs_i3", "med_u_ratio_dev", "iid_contrast"):
+        for key in ("ks_d", "z_var", "med_abs_i2", "med_abs_i3", "med_u_ratio_dev", "var_s", "var_s_iid", "var_ratio"):
             assert math.isfinite(row[key])
 
-    def test_iid_contrast_strictly_increasing(self):
-        cfg = small_config(replicates=8, n=None, n_grid=(2**10, 2**11, 2**12))
-        rows = convergence_study(cfg)
-        contrast = [r["iid_contrast"] for r in rows]
-        assert contrast[0] < contrast[1] < contrast[2]
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path):
+        # the twin's columns too: its replicates are reduced by index like the paths'
+        cfg = small_config(replicates=8, n=None, n_grid=(2**9, 2**10))
+        paths = [tmp_path / f"conv{threads}.csv" for threads in (1, 2)]
+        for threads, path in zip((1, 2), paths):
+            write_convergence_csv(convergence_study(cfg, threads=threads), path)
+        header = paths[0].read_text().splitlines()[0]
+        assert header.endswith(",lrd_scale,var_s,var_s_iid,var_ratio")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_rejects_unordered_grid(self):
         cfg = small_config(n=None, n_grid=None)
         with pytest.raises(DomainError):
             convergence_study(cfg, n_grid=[2**11, 2**10])
+
+
+def renyi_variance(n: int, k: int) -> float:
+    """Var of the top-k sum of n i.i.d. Exp(1) draws: k + k^2 sum_{i=k+1}^n i^-2 (Renyi's representation)."""
+    return k + k * k * math.fsum(1.0 / (i * i) for i in range(k + 1, n + 1))
+
+
+class TestIidTwin:
+    def test_renyi_oracle(self):
+        # the values quoted for exponential Y at xi = 0.9: 1.533k, 1.594k and 1.646k
+        for j, ratio in [(11, 1.533), (13, 1.594), (15, 1.646)]:
+            n = 2**j
+            k = math.ceil(n**0.9)
+            assert renyi_variance(n, k) / k == pytest.approx(ratio, abs=5e-4)
+        # the representation's small cases: k = n is n unit-variance draws, k = 1 the maximum
+        assert renyi_variance(5, 5) == 5.0
+        assert renyi_variance(3, 1) == pytest.approx(1.0 + 1.0 / 4 + 1.0 / 9, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2**11, 2**13])
+    def test_variance_matches_renyi(self, n):
+        # exponential Y: S_iid is the top-k_n sum of n i.i.d. Exp(1) draws.  R, the seed and the
+        # band were fixed before the first run: R = 2000, master seed 7, and the two-sided 1e-3
+        # band of chi2(R-1)/(R-1) (S_iid is close to Gaussian, excess kurtosis about 3.5/k_n)
+        R, lo, hi = 2000, 0.8992, 1.1074
+        problem, bundle = _problem_and_bundle(small_config(n=n), n)
+        twin = mc._run_replicate_loop(problem, bundle, ReplicatePlan.iid_twin(problem, bundle), 7, R, 1)
+        ratio = float(np.var([rep.s for rep in twin], ddof=1)) / renyi_variance(n, bundle.k_n)
+        assert lo <= ratio <= hi, f"var(S_iid) / Renyi oracle = {ratio:.4f} at n = {n}"
+
+    def test_twin_draws_no_path_stream(self):
+        problem, bundle = _problem_and_bundle(small_config(n=2**10), 2**10)
+        coeffs, dist, mx, _ = problem
+        seed = derive_seed(3, 0)
+        twin = ReplicatePlan.iid_twin(problem, bundle).source
+        x = twin.draw(seed).paths[0]
+        assert x.shape == (2**10,)
+        # not the path's innovations, scaled or not
+        eps = gen_innovations(dist, 2**10, seed)
+        assert not np.allclose(x, mx.s * eps)
+        # nested like a path: the draw at n is the first n of the draw at a larger n
+        longer = simulate.IidSource(mx.s, 2**12).draw(seed).paths[0]
+        assert longer[: 2**10].tobytes() == x.tobytes()
+        assert _reduction_skip_reason(twin, bundle.p, True) == "i.i.d. twin: no power sums of a linear process"
 
 
 class TestTrendHelper:

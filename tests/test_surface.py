@@ -242,6 +242,9 @@ def test_package_calls_no_blas(module):
 # is still defined under its name
 REPLICATE_KERNELS = [
     ("mc.py", "_run_one"),
+    # the path sources, whose draw _run_one calls through the plan
+    ("simulate.py", "FilterSource.draw"),
+    ("simulate.py", "IidSource.draw"),
     ("simulate.py", "innovation_source"),
     ("model.py", "InnovationDist.fill"),
     ("simulate.py", "FilterPlan.stream"),
@@ -425,6 +428,8 @@ EXPORTS_WITHOUT_CALLER = {
     "model_lags": "acceptance criterion 6 reads the untruncated rho_k from it, and a circulant-embedding generator would build on it",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
+    "iid_contrast": "criterion 10 reads them",
+    "iid_scale": "criterion 10 reads them",
 }
 
 
