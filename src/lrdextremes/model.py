@@ -876,9 +876,10 @@ class CoefficientModel:
 
         Each chunk of ``_CHUNK_POINTS`` coefficients writes k^-beta straight
         into c and multiplies it by L0(k) in place, exactly as one pass over
-        1..M would.  The chunk's k is one float arange plus its offset, exact
-        below 2^53, so the only other arrays are that arange, k and L0(k),
-        one chunk each.
+        1..M would; a constant L0 multiplies by its scalar, the same product
+        as by an array of it.  The chunk's k is one float arange plus its
+        offset, exact below 2^53, so the only other arrays are that arange, k
+        and L0(k) (none for a constant L0), one chunk each.
         """
         c = np.empty(M + 1)
         c[0] = 1.0
@@ -890,7 +891,7 @@ class CoefficientModel:
             np.add(steps[:size], lo, out=ks)
             np.power(ks, -beta, out=out)
             # L0 applied on [1, inf); the log-power variant is constant below e
-            out *= L0._eval(ks)
+            out *= L0.c if isinstance(L0, SvConstant) else L0._eval(ks)
         return cls(beta, L0, M, c)
 
     @property
@@ -898,19 +899,37 @@ class CoefficientModel:
         return float(_square_sum(self.c))
 
 
-def _square_sum(s: np.ndarray) -> np.float64:
-    """np.sum(s * s) without the squared copy of s.
+def _pairwise_sum(size: int, leaf_sums) -> np.float64:
+    """The np.sum of ``size`` terms from the sums of its leaves, with the bytes of one np.sum over them all.
 
     numpy sums a contiguous array pairwise: it halves a length m above 128
-    at m // 2 rounded down to a multiple of 8.  Splitting the same way down
-    to leaves of at most ``_CHUNK_POINTS`` and squaring one leaf at a time
-    keeps that tree, so the sum has the same bytes.
+    at m // 2 rounded down to a multiple of 8.  Splitting range(size) the
+    same way down to leaves of at most ``_CHUNK_POINTS`` gives the leaves
+    (lo, hi), in order; ``leaf_sums(leaves)`` returns the np.sum of each
+    leaf's terms, and they are added back up the same tree.
     """
-    if s.size <= _CHUNK_POINTS:
-        return np.sum(s * s)
-    half = s.size // 2
-    half -= half % 8
-    return _square_sum(s[:half]) + _square_sum(s[half:])
+    leaves = []
+
+    def split(lo: int, hi: int):
+        if hi - lo <= _CHUNK_POINTS:
+            leaves.append((lo, hi))
+            return len(leaves) - 1
+        half = (hi - lo) // 2
+        half -= half % 8
+        return split(lo, lo + half), split(lo + half, hi)
+
+    tree = split(0, size)
+    sums = leaf_sums(leaves)
+
+    def add(node) -> np.float64:
+        return sums[node] if isinstance(node, int) else add(node[0]) + add(node[1])
+
+    return add(tree)
+
+
+def _square_sum(s: np.ndarray) -> np.float64:
+    """np.sum(s * s) without the squared copy of s: one leaf of ``_pairwise_sum`` squared at a time."""
+    return _pairwise_sum(s.size, lambda leaves: [np.sum(s[lo:hi] * s[lo:hi]) for lo, hi in leaves])
 
 
 # ---------------------------------------------------------------------------

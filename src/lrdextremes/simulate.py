@@ -65,8 +65,9 @@ so the taps are transformed once per filtered power and run, and c**p is
 not transformed at all.  sigma_{n,1} has one route, ``sigma_n1_exact``:
 sum_i X_i = sum_j eps_j w[j] with w the window sums of n taps, so
 sigma_{n,1}^2 = sigma_eps^2 ||w||^2, with ||w||^2 summed by numpy's
-pairwise tree (``_square_sum``) and no transform.  The exact
-autocovariances rho_k at the lags 0..min(n-1, M) have one route too,
+pairwise tree (``model._pairwise_sum``) a leaf at a time as the leaves are
+made, and no transform.  The exact autocovariances rho_k at the lags
+0..min(n-1, M) have one route too,
 ``FilterPlan.autocovariances``, which streams the reversed taps through
 the plan's power-1 pass.  A study's set-up does not need them.  The
 untruncated model's lags 0..kmax <= M are those of a plan that serves at
@@ -91,10 +92,11 @@ takes 33.5 MB, so the set-up writes each one it keeps once, in place, from
 chunk- or block-sized pieces: the coefficients (``CoefficientModel.build``,
 chunks of ``_CHUNK_POINTS``), each power's segment spectra
 (``FilterPlan._spectrum``, blocks of about ``_BLOCK_POINTS`` taps) and the
-window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS``);
-``sigma_n1_exact`` builds the window sums of c the same way and squares
-them a leaf of ``_square_sum`` at a time.  These builders make no other
-array as long as the filter.  Each piece goes through the elementwise
+window sums w_p (``window_sums``, chunks of ``_CHUNK_POINTS`` or more).
+``sigma_n1_exact`` keeps no array: it takes the window sums of c over one
+chunk's range at a time, a run of leaves of the pairwise tree (two at the
+cap), and squares and sums each leaf as it is made.  These builders make no
+other array as long as the filter.  Each piece goes through the elementwise
 operations, transform length and summation tree of one pass over the
 whole array, so the results are the same bytes; the same holds for the
 row blocks of ``FilterPlan.stream``.
@@ -124,7 +126,7 @@ from .model import (
     _CHUNK_POINTS,
     _gauss_kronrod,
     _marginal_refusal,
-    _square_sum,
+    _pairwise_sum,
     CoefficientModel,
     InnovationDist,
     MarginalX,
@@ -349,40 +351,52 @@ def _each(body, starts, workers: int = 1) -> None:
         list(pool.map(body, starts))  # reads every result, so an exception in a piece is raised here
 
 
-def window_sums(a: np.ndarray, n: int, m: int = 1, workers: int = 1) -> np.ndarray:
-    """s[j] = a[j-n+1]**m + ... + a[j]**m for j = 0..len(a)+n-2, entries outside ``a`` counting as 0.
+def window_sums(a: np.ndarray, n: int, m: int = 1, workers: int = 1, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """s[j] = a[j-n+1]**m + ... + a[j]**m for j = lo..hi-1, entries outside ``a`` counting as 0.
 
-    Pairwise doubling: level h holds the sums of h consecutive entries, and
-    level 2h adds two neighbours of level h.  A window takes the levels of
-    the binary digits of n, lowest first, so each sum is a tree of depth at
-    most floor(log2 n) + 1 and, on input of one sign, lies within
-    (ceil(log2 n) + 1) * 2^-53 of exact.  The output is cut into chunks of
-    about ``_CHUNK_POINTS`` so each level stays in cache; every sum has the
-    same tree whatever the chunk, so the result does not depend on it, and
-    the chunks run on ``workers`` threads (``_each``).
+    The range defaults to all of j = 0..len(a)+n-2.  Pairwise doubling:
+    level h holds the sums of h consecutive entries, and level 2h adds two
+    neighbours of level h.  A window takes the levels of the binary digits
+    of n, lowest first, so each sum is a tree of depth at most
+    floor(log2 n) + 1 and, on input of one sign, lies within
+    (ceil(log2 n) + 1) * 2^-53 of exact.  The range is cut into chunks of
+    T to 2T - 1 sums, T = max(_CHUNK_POINTS, n) (one chunk if it is
+    shorter), so each level stays in cache and the n - 1 entries a chunk
+    reads before its first window are paid once per T sums or more.  Every
+    sum has the same tree whatever the range or the chunk, so the result
+    does not depend on them, and the chunks run on ``workers`` threads
+    (``_each``).
 
-    Level 0 of a chunk is raised to the power m straight from ``a`` as
-    given (a view such as the reversed taps, with the power taken on that
-    layout), with zeros where the windows run past either end of ``a``.
-    Apart from the output, the only arrays built are two buffers of
-    T + n - 1 points per chunk in flight, T = max(_CHUNK_POINTS, n).
+    Level 0 of the chunk of sums j0..j1-1 is a[j0-n+1 .. j1-1] ** m, read in
+    place when m = 1 and all of it lies inside ``a``; otherwise raised to
+    the power m straight from ``a`` as given (a view such as the reversed
+    taps, with the power taken on that layout), with zeros where the
+    windows run past either end of ``a``.  Apart from the output, the only
+    arrays built are two buffers of j1 - j0 + n - 1 points per chunk in
+    flight.
     """
     a = np.asarray(a, dtype=float)
     if n < 1:
         raise DomainError("window length n must be >= 1")
-    size = a.size + n - 1
-    out = np.empty(size)
-    T = max(_CHUNK_POINTS, n)
+    if hi is None:
+        hi = a.size + n - 1
+    out = np.empty(hi - lo)
+    k = max(out.size // max(_CHUNK_POINTS, n), 1) if out.size else 0
 
-    def chunk(lo: int) -> None:
-        t = min(T, size - lo)
+    def chunk(piece: int) -> None:
+        j0, j1 = lo + piece * out.size // k, lo + (piece + 1) * out.size // k
+        t = j1 - j0
         spare, other = np.empty(t + n - 1), np.empty(t + n - 1)
-        # level 0 holds a[lo-n+1 .. lo+t-1] ** m; level[i] is a[lo+i-n+1]
-        level, acc = other, out[lo : lo + t]
-        first, last = max(n - 1 - lo, 0), min(a.size + n - 1 - lo, t + n - 1)
-        level[:first] = 0.0
-        _power(a[lo + first - n + 1 : lo + last - n + 1], m, level[first:last])
-        level[last:] = 0.0
+        # level 0 holds a[j0-n+1 .. j1-1] ** m; level[i] is a[base+i]
+        acc, base = out[j0 - lo : j1 - lo], j0 - n + 1
+        if m == 1 and base >= 0 and j1 <= a.size:
+            level = a[base:j1]
+        else:
+            level = other
+            first, last = max(-base, 0), min(a.size - base, t + n - 1)
+            level[:first] = 0.0
+            _power(a[base + first : base + last], m, level[first:last])
+            level[last:] = 0.0
         h, start = 1, 0
         while True:
             if n & h:
@@ -393,12 +407,15 @@ def window_sums(a: np.ndarray, n: int, m: int = 1, workers: int = 1) -> np.ndarr
                 start += h
             if 2 * h > n:
                 break
+            if 2 * h == n:  # n a power of two: its one level is the output itself
+                np.add(level[:-h], level[h:], out=acc)
+                break
             up = spare[: level.size - h]
             np.add(level[:-h], level[h:], out=up)
             level, h = up, 2 * h
             spare, other = other, spare
 
-    _each(chunk, range(0, size, T), workers)
+    _each(chunk, range(k), workers)
     return out
 
 
@@ -711,6 +728,35 @@ def model_lags(coeffs: CoefficientModel, sigma_eps2: float, kmax: int) -> np.nda
     return plan.autocovariances(sigma_eps2)[: kmax + 1] + sigma_eps2 * tail
 
 
+def _window_square_sum(c: np.ndarray, n: int, workers: int):
+    """(np.sum(w * w), w[M]) for w = window_sums(c, n), with w made a chunk at a time (``sigma_n1_exact``)."""
+    M, T, total = c.size - 1, max(_CHUNK_POINTS, n), [None]
+
+    def leaf_sums(leaves):
+        # consecutive leaves make one chunk, until it holds T window sums or more
+        groups = []
+        for j in range(len(leaves)):
+            if groups and leaves[groups[-1][-1]][1] - leaves[groups[-1][0]][0] < T:
+                groups[-1].append(j)
+            else:
+                groups.append([j])
+        sums = np.empty(len(leaves))
+
+        def group(js: list) -> None:
+            lo, hi = leaves[js[0]][0], leaves[js[-1]][1]
+            w = window_sums(c, n, 1, 1, lo, hi)
+            for j in js:
+                part = w[leaves[j][0] - lo : leaves[j][1] - lo]
+                sums[j] = np.sum(part * part)
+            if lo <= M < hi:
+                total[0] = w[M - lo]
+
+        _each(group, groups, workers)
+        return sums
+
+    return _pairwise_sum(M + n, leaf_sums), total[0]
+
+
 def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n, workers: int = 1):
     """Exact sigma_{n,1} = sqrt(Var(sum_{i<=n} X_i)) for the truncated model, the package's one route to it.
 
@@ -718,10 +764,18 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n, workers: int = 1):
     sigma_{n,1}^2 = sigma_eps^2 ||w||^2.  Past M + 1 the window sums of n
     taps are those of M + 1 taps with n - M - 1 more entries equal to
     w[M] = sum c, so a size m takes w = window_sums(c, min(m, M + 1)) and
-    adds max(m - M - 1, 0) w[M]^2 to ||w||^2 (``_square_sum``).  ``n`` may
-    be a sequence of sizes: the result is then an array, and each size has
-    the bits of a call with that size alone.  The window sums run on
-    ``workers`` threads, with the same bytes at every count.
+    adds max(m - M - 1, 0) w[M]^2 to ||w||^2.  ``n`` may be a sequence of
+    sizes: the result is then an array, and each size has the bits of a
+    call with that size alone.
+
+    w is never held whole: ||w||^2 is ``model._pairwise_sum`` over w's
+    M + min(m, M + 1) entries, with the bytes of np.sum(w * w).  Consecutive
+    leaves of that tree make one chunk, until it holds
+    max(_CHUNK_POINTS, min(m, M + 1)) window sums or more (two leaves of
+    about 2^15 at the cap).  ``window_sums`` takes each chunk over its own
+    range, so the taps before a chunk are read once per 2^16 sums or more; each leaf is squared and summed as it is made, and w[M] is read
+    from the chunk that holds it.  The chunks run on ``workers`` threads
+    (``_each``), with the same bytes at every count.
     """
     ns = np.atleast_1d(np.asarray(n))
     if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
@@ -735,9 +789,7 @@ def sigma_n1_exact(c: np.ndarray, sigma_eps2: float, n, workers: int = 1):
     for i, m in enumerate(ns.tolist()):
         size = min(m, M + 1)
         if size not in sums:
-            w = window_sums(c, size, 1, workers)
-            sums[size] = (_square_sum(w), w[M])
-            del w  # freed before the next size's window sums are built
+            sums[size] = _window_square_sum(c, size, workers)
         square, total = sums[size]
         out[i] = math.sqrt(sigma_eps2 * (square + max(m - M - 1, 0) * total**2))
     return float(out[0]) if np.ndim(n) == 0 else out

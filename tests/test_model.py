@@ -353,6 +353,22 @@ class TestCoefficientModel:
         oracle = np.concatenate([[1.0], k**-0.7 * L0._eval(k)])
         assert CoefficientModel.build(0.7, L0, M).c.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("L0", [SvConstant(1.0), SvConstant(0.37)])
+    def test_constant_l0_multiplies_by_its_scalar(self, L0, monkeypatch):
+        # four chunks, the last of 5 points: k^-beta * L0(k) taken chunk by chunk, with no
+        # chunk-sized array of L0
+        M = 3 * CHUNK + 5
+        oracle = [np.ones(1)]
+        for lo in range(1, M + 1, CHUNK):
+            ks = np.arange(lo, min(lo + CHUNK, M + 1), dtype=float)
+            oracle.append(ks**-0.7 * L0._eval(ks))
+
+        def refuse(self, u):
+            raise AssertionError("a constant L0 was evaluated on an array")
+
+        monkeypatch.setattr(SvConstant, "_eval", refuse)
+        assert CoefficientModel.build(0.7, L0, M).c.tobytes() == np.concatenate(oracle).tobytes()
+
     def test_small_chunks_match_the_one_pass_formula(self, monkeypatch):
         L0, M = SvLogPower(1.3, 0.7), 1000
         k = np.arange(1, M + 1, dtype=float)

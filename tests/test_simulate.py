@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.special import beta as beta_fn, betainc
 
-from lrdextremes import simulate
+from lrdextremes import model, simulate
 from lrdextremes.errors import ConfigError, DomainError, TruncationWarning
 from lrdextremes.model import (
     _gauss_kronrod,
@@ -404,6 +404,10 @@ class TestWindowSums:
                 monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
                 assert window_sums(a, n).tobytes() == whole.tobytes()
                 assert window_sums(a[::-1], n, 3).tobytes() == cubes.tobytes()
+                # output ranges over the leading zeros, inside a, over the trailing zeros and empty
+                for lo, hi in [(0, 3), (0, 700), (n + 10, n + 900), (1500, whole.size), (5, 5)]:
+                    assert window_sums(a, n, 1, 1, lo, hi).tobytes() == whole[lo:hi].tobytes()
+                    assert window_sums(a[::-1], n, 3, 2, lo, hi).tobytes() == cubes[lo:hi].tobytes()
             monkeypatch.undo()
 
     def test_power_total_is_the_sum_of_the_top_path(self):
@@ -523,7 +527,7 @@ class TestInPlaceBuilders:
         # plus less than half of one (n + M)-float array.  M = 2^21, because a row
         # block of the spectrum build (a real buffer and its transform) takes about
         # 2 * _BLOCK_POINTS floats, 4.2 MB, whatever M is.  sigma_{n,1} returns a float
-        # but squares the window sums of n taps, one (n + M)-float array
+        # and squares the window sums of n taps a chunk at a time, so it may trace only slack
         n, M = 2**8, 2**21
         slack = (n + M) * 8 // 2
         peak, cm = peak_over_result(lambda: CoefficientModel.build(0.7, SvConstant(1.0), M))
@@ -534,16 +538,17 @@ class TestInPlaceBuilders:
         peak, top = peak_over_result(lambda: FilterPlan.build(cm.c, n, 2))
         assert peak < top.spectra[0].nbytes + top.weights.nbytes + slack
         peak, _ = peak_over_result(lambda: sigma_n1_exact(cm.c, 1.0, n))
-        assert peak < (n + M) * 8 + slack
+        assert peak < slack
 
 
 class TestSetUpWorkers:
     """The set-up's chunk loops give the same bytes on any number of threads, and start none for one."""
 
     def test_the_plan_does_not_depend_on_the_worker_count(self):
-        # n = 2^6, 526 500 taps: 2049 segments of 257 in 3 row blocks of 819, and 9 chunks of
-        # the window sums of c**3 (the plan) and of c (sigma_{n,1}), on up to 3 threads that
-        # switch often, so a lost or misplaced write of a piece would change the bytes
+        # n = 2^6, 526 500 taps: 2049 segments of 257 in 3 row blocks of 819, 8 chunks of
+        # the window sums of c**3 (the plan) and 8 of c (sigma_{n,1}: 16 leaves, two a chunk),
+        # on up to 3 threads that switch often, so a lost or misplaced write of a piece would
+        # change the bytes
         n = 2**6
         c = np.random.default_rng(19).uniform(0.05, 1.0, 526_500)
         interval = sys.getswitchinterval()
@@ -556,7 +561,7 @@ class TestSetUpWorkers:
             sys.setswitchinterval(interval)
         S, rows = len(plans[0].spectra[0]), max(1, simulate._BLOCK_POINTS // plans[0].L)
         assert (S, len(range(0, S, rows))) == (2049, 3)
-        assert -(-plans[0].weights.size // simulate._CHUNK_POINTS) == 9
+        assert plans[0].weights.size // simulate._CHUNK_POINTS == 8
         for plan, sigma in zip(plans[1:], sigmas[1:]):
             assert len(plan.spectra) == 2
             for spectrum, first in zip(plan.spectra, plans[0].spectra):
@@ -863,6 +868,32 @@ class TestSigmaN1:
         monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
         assert sigma_n1_exact(c, 0.7, ns).tobytes() == whole.tobytes()
         assert sigma_n1_exact(c, 0.7, 16, workers=2) == whole[0]
+
+    @pytest.mark.parametrize("leaf,chunk", [(128, 200), (1000, 128), (128, 128)])
+    def test_streamed_squares_match_the_whole_window_sums(self, leaf, chunk, monkeypatch):
+        # M = 3000: leaves of the square sum's tree (model) and chunks of the window sums
+        # (simulate) that cut each other both ways, at least numpy's 128-point pairwise block;
+        # n = 1, below M + 1, at it and past it, alone and as a grid, on up to 3 threads that
+        # switch often, against np.sum over the whole array of window sums
+        c = np.random.default_rng(leaf + chunk).lognormal(0.0, 2.0, 3001)
+        M = c.size - 1
+        ns = [1, 7, 64, M + 1, M + 9]
+
+        def materialized(m):
+            w = window_sums(c, min(m, M + 1))
+            return math.sqrt(1.7 * (np.sum(w * w) + max(m - M - 1, 0) * w[M] ** 2))
+
+        monkeypatch.setattr(model, "_CHUNK_POINTS", leaf)
+        monkeypatch.setattr(simulate, "_CHUNK_POINTS", chunk)
+        oracle = [materialized(m).hex() for m in ns]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                assert [sigma_n1_exact(c, 1.7, m, workers).hex() for m in ns] == oracle
+                assert [v.hex() for v in sigma_n1_exact(c, 1.7, ns, workers).tolist()] == oracle
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_exact_at_a_size_no_plan_could_hold(self):
         # w = [1, 1.5 (2^40 - 1 times), 0.5]; the window sums of 2^40 taps would need 2^40 floats
