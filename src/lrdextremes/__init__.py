@@ -33,7 +33,6 @@ from .mc import (
     ks_test,
     run_replicates,
     summarize,
-    trend_nonincreasing,
 )
 from .model import (
     CoefficientModel,
@@ -63,8 +62,6 @@ from .scaling import (
     centering,
     check_condition_Dr,
     d_np,
-    iid_contrast,
-    iid_scale,
     karamata_K,
     karamata_product,
     make_bundle,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr, ndtri
 
 from .config import ExperimentConfig, build_problem
-from .errors import DomainError, InfeasibleConfigError
+from .errors import DomainError, InfeasibleConfigError, NumericError
 from .estats import (
     MAX_REDUCTION_ORDER,
     ProcessFrame,
@@ -274,6 +274,9 @@ def run_replicates(
         inline, and a negative count is refused.  The set-up runs its chunk
         loops on as many threads first.  The output never depends on this
         value.
+
+    A replicate whose ``Z_n`` is not finite raises ``NumericError``, naming
+    every such replicate and its seed, before anything is summarized.
     """
     workers = _resolve_threads(threads)
     R = R if R is not None else config.replicates
@@ -290,6 +293,9 @@ def run_replicates(
     feas["reduction_sup"] = _reduction_skip_reason(plan.source, bundle.p, with_reduction) or "computed"
     reps = _run_replicate_loop(problem, bundle, plan, master_seed, R, workers)
 
+    bad = [(rep.replicate, rep.seed) for rep in reps if not math.isfinite(rep.z)]
+    if bad:
+        raise NumericError(f"non-finite Z_n at {len(bad)} of {R} replicates (replicate, seed): {bad}")
     z = np.array([rep.z for rep in reps])
     summary = summarize(z)
     summary["feasibility"] = feas
@@ -299,13 +305,6 @@ def run_replicates(
     return McRunResult(
         z_samples=z, replicates=reps, summary=summary, config_echo=echo, master_seed=master_seed, bundle=bundle
     )
-
-
-def trend_nonincreasing(values, allowed_inversions: int = 1, rtol: float = 0.0) -> bool:
-    """True when the sequence decreases with at most the allowed inversions."""
-    vals = list(values)
-    inversions = sum(1 for a, b in zip(vals, vals[1:]) if b > a * (1.0 + rtol))
-    return inversions <= allowed_inversions
 
 
 def _iid_twin_columns(problem, bundle: ScalingBundle, reps: list, master_seed: int, workers: int) -> dict:

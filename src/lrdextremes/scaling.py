@@ -4,8 +4,7 @@ Everything here is a pure function of the declared model: the reduction
 order p, the variance scale sigma_{n,p}, the uniform rate d_{n,p}, the
 feasibility threshold for the extreme-count exponent xi, the normalizing
 constant A_n with its slowly varying corrections, the Karamata integral
-K_n (their product tends to 1), the centering mu_n, and the i.i.d.
-baseline scale used for the LRD-vs-iid contrast diagnostic.
+K_n (their product tends to 1) and the centering mu_n.
 """
 
 from __future__ import annotations
@@ -189,29 +188,6 @@ def centering(ty: TargetMarginalY, n: int, k_n: int) -> float:
     if not 1 <= k_n <= n:
         raise DomainError("need 1 <= k_n <= n")
     return n * float(ty.cum_Q(1.0) - ty.cum_Q(1.0 - k_n / n))
-
-
-def iid_scale(n: int, k_n: int, alpha: float) -> float:
-    """i.i.d. extreme-sum scale a_n = (n/k_n)^(1/2 - 1/alpha) * n^(-1/2)."""
-    if not alpha > 2:
-        raise DomainError("alpha must exceed 2")
-    if not 1 <= k_n <= n:
-        raise DomainError("need 1 <= k_n <= n")
-    return (n / k_n) ** (0.5 - 1.0 / alpha) / math.sqrt(n)
-
-
-def iid_contrast(n: int, k_n: int, alpha: float) -> float:
-    """Relative LRD-vs-iid scaling contrast (n/k_n)^(1/2 + 1/alpha).
-
-    Both extreme-sum scales are first normalized by their whole-sum scale
-    (sigma_{n,1}^-1 in the LRD case, n^-1/2 in the i.i.d. case); the ratio
-    of the normalized scales is (n/k_n) / (n/k_n)^(1/2 - 1/alpha).  Its
-    divergence expresses that extremes contribute relatively less under
-    long-range dependence.
-    """
-    if not alpha > 2:
-        raise DomainError("alpha must exceed 2")
-    return (n / k_n) ** (0.5 + 1.0 / alpha)
 
 
 def _quad_pieces(fn, edges) -> float:

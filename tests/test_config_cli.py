@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import lrdextremes
-from lrdextremes import cli, simulate
+from lrdextremes import cli, mc, simulate
 from lrdextremes import config as config_module
 from lrdextremes.cli import main
 from lrdextremes.config import ExperimentConfig, build_problem, parse_config
 from lrdextremes.errors import ConfigError, InfeasibleConfigError
 from lrdextremes.mc import run_replicates
 from lrdextremes.scaling import select_p
-from lrdextremes.simulate import config_hash
+from lrdextremes.simulate import config_hash, derive_seed
+from test_mc import nan_path_source
 
 MINIMAL_CASE4 = """
 # Case 4 reference: Gaussian X, exponential Y
@@ -291,6 +292,18 @@ class TestCli:
         line = next(ln for ln in out.splitlines() if ln.startswith("A_n_K_n"))
         assert float(line.split("=")[1]) == pytest.approx(0.9969, abs=5e-4)
 
+    def test_scaling_prints_why_no_xi_is_feasible(self, tmp_path, capsys):
+        # a Pareto(3) X has no finite fourth moment of the linear process it stands for
+        cfg = write_config(tmp_path, CASE2_ANALYTIC.replace("x_marginal = pareto:4", "x_marginal = pareto:3"))
+        assert main(["scaling", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        refusal = (
+            "no xi satisfies the CASE2 condition (**): alpha = 3.0 < 4: "
+            "finite fourth innovation moment forces alpha >= 4 in CASE2"
+        )
+        assert f"xi_threshold = infeasible ({refusal})" in out
+        assert "feasible = no" in out
+
     def test_scaling_builds_its_set_up_on_its_threads(self, tmp_path, capsys, monkeypatch):
         # beta 0.7 puts M at the 2^22 cap: many row blocks and chunks, so --threads 2 starts
         # set-up threads, --threads 1 none, and the report is the same bytes
@@ -328,6 +341,15 @@ class TestCli:
         errors = (tmp_path / "errors.csv").read_text().splitlines()
         assert errors[0] == "code,message"
         assert any("(**)" in ln for ln in errors[1:])
+
+    def test_mc_non_finite_z_exits_3_with_errors_csv(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SMALL_CASE4.replace("R = 2", "R = 3"))
+        monkeypatch.setattr(mc, "FilterSource", nan_path_source(2026004, {2}))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
+        message = f"non-finite Z_n at 1 of 3 replicates (replicate; seed): [(2; {derive_seed(2026004, 2)})]"
+        assert (tmp_path / "errors.csv").read_text().splitlines() == ["code,message", f"3,{message}"]
+        assert "numeric failure: non-finite Z_n" in capsys.readouterr().err
+        assert not (tmp_path / "z_samples.csv").exists() and not (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("command", ["mc", "convergence", "diag"])
     def test_negative_threads_exit_2_with_errors_csv(self, command, tmp_path, capsys):

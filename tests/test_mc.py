@@ -12,7 +12,7 @@ import pytest
 from scipy.special import ndtri
 
 from lrdextremes.config import ExperimentConfig, build_problem
-from lrdextremes.errors import DomainError, InfeasibleConfigError
+from lrdextremes.errors import DomainError, InfeasibleConfigError, NumericError
 from lrdextremes.estats import ProcessFrame, decompose_I, reduction_sup, top_k_sum, u_ratio, z_statistic
 from lrdextremes import mc, simulate
 from lrdextremes.mc import (
@@ -26,7 +26,6 @@ from lrdextremes.mc import (
     ks_test,
     run_replicates,
     summarize,
-    trend_nonincreasing,
     write_convergence_csv,
     write_summary_csv,
     write_z_samples_csv,
@@ -294,6 +293,29 @@ class TestRunReplicates:
         assert all(math.isnan(rep.reduction_sup) for rep in res.replicates)
         assert res.summary["feasibility"]["reduction_sup"] == "p = 5 > MAX_REDUCTION_ORDER = 4"
 
+    def test_non_finite_z_refused_by_replicate_and_seed(self, monkeypatch):
+        cfg = small_config(replicates=5)
+        monkeypatch.setattr(mc, "FilterSource", nan_path_source(cfg.master_seed, {1, 3}))
+        monkeypatch.setattr(mc, "summarize", lambda z: pytest.fail("a non-finite Z_n reached summarize"))
+        with pytest.raises(NumericError) as err:
+            run_replicates(cfg, with_reduction=False)
+        bad = [(r, derive_seed(cfg.master_seed, r)) for r in (1, 3)]
+        assert str(err.value) == f"non-finite Z_n at 2 of 5 replicates (replicate, seed): {bad}"
+
+
+def nan_path_source(master_seed: int, replicates: set):
+    """A stand-in for ``simulate.FilterSource`` whose path is all NaN at the seeds of ``replicates``."""
+    seeds = {derive_seed(master_seed, r) for r in replicates}
+
+    class NanPathSource(simulate.FilterSource):
+        def draw(self, seed):
+            sums = super().draw(seed)
+            if seed in seeds:
+                sums = sums._replace(paths=(np.full_like(sums.paths[0], np.nan), *sums.paths[1:]))
+            return sums
+
+    return NanPathSource
+
 
 def result_bytes(rep: ReplicateResult) -> bytes:
     return np.array(dataclasses.astuple(rep)[2:]).tobytes()
@@ -481,13 +503,6 @@ class TestIidTwin:
         longer = simulate.IidSource(mx.s, 2**12).draw(seed).paths[0]
         assert longer[: 2**10].tobytes() == x.tobytes()
         assert _reduction_skip_reason(twin, bundle.p, True) == "i.i.d. twin: no power sums of a linear process"
-
-
-class TestTrendHelper:
-    def test_allows_one_inversion(self):
-        assert trend_nonincreasing([5.0, 3.0, 3.5, 2.0], allowed_inversions=1)
-        assert not trend_nonincreasing([5.0, 3.0, 3.5, 4.0], allowed_inversions=1)
-        assert trend_nonincreasing([5.0, 4.0, 3.0], allowed_inversions=0)
 
 
 class TestCsvWriters:

@@ -28,13 +28,12 @@ from lrdextremes.scaling import (
     centering,
     check_condition_Dr,
     d_np,
-    iid_contrast,
-    iid_scale,
     karamata_K,
     karamata_product,
     make_bundle,
     power_rank_integral,
     select_p,
+    xi_feasibility,
     xi_threshold,
 )
 from lrdextremes.simulate import build_coefficient_model, sigma_n1_exact
@@ -55,7 +54,6 @@ A_N_PINS = [
 ]
 CENT_PARETO2_REF = 63.2455532033676  # 100*2*sqrt(0.1)
 CENT_EXP_REF = 33.0258509299405  # 100*0.1*(1 - log 0.1)
-A_N_SCALE_REF = 0.0316227766016838  # 100^0.25/100
 # Case 3 (Gaussian X, Pareto(6) Y) at n = 2^15, k_n = ceil(n^0.97) = 23988
 AK_CASE3_N15_REF = 1.3320593015
 
@@ -167,6 +165,15 @@ class TestXiThreshold:
     def test_alpha_floor(self):
         with pytest.raises(InfeasibleConfigError):
             xi_threshold(MdaTag("frechet", 3.0), GUMBEL, 0.8)
+
+    def test_no_xi_satisfies(self):
+        # the threshold's refusal becomes the verdict's, with no threshold, whatever xi is
+        verdict = xi_feasibility(MdaTag("frechet", 3.0), GUMBEL, 0.8, 0.99)
+        assert verdict.case is MdaCase.CASE2 and verdict.threshold is None
+        assert verdict.refusal == (
+            "no xi satisfies the CASE2 condition (**): alpha = 3.0 < 4: "
+            "finite fourth innovation moment forces alpha >= 4 in CASE2"
+        )
 
     def test_missing_index(self):
         # a Frechet tag without its tail index is refused before any threshold
@@ -288,8 +295,14 @@ class TestCentering:
 
     @pytest.mark.parametrize(
         "ty",
-        [ParetoTarget(6.0), ExponentialTarget(), LogParetoTarget(ParetoMarginal(4.0)), IdentityTarget(GaussianMarginal(2.0))],
-        ids=["pareto6", "exponential", "logpareto", "identity_gaussian"],
+        [
+            ParetoTarget(6.0),
+            ExponentialTarget(),
+            LogParetoTarget(ParetoMarginal(4.0)),
+            IdentityTarget(GaussianMarginal(2.0)),
+            IdentityTarget(ParetoMarginal(4.0, 1.5)),
+        ],
+        ids=["pareto6", "exponential", "logpareto", "identity_gaussian", "identity_pareto"],
     )
     def test_matches_quadrature_up_to_one(self, ty):
         # mu_n = n int_{1-k_n/n}^1 Q_Y, the closed antiderivative read at u = 1, against quad
@@ -297,27 +310,14 @@ class TestCentering:
         ref, _ = quad(lambda t: float(ty.Q(1.0 - t)), 0.0, 0.1, limit=400)
         assert centering(ty, 100, 10) == pytest.approx(100 * ref, rel=1e-10)
 
+    def test_identity_over_pareto_needs_a_finite_mean(self):
+        # Y = X over a Pareto(1) base has no finite mean, so it has no centering
+        with pytest.raises(DomainError, match="alpha > 1"):
+            centering(IdentityTarget(ParetoMarginal(1.0)), 100, 10)
+
     def test_divergent_mean_rejected_at_construction(self):
         with pytest.raises(DomainError):
             ParetoTarget(0.9)
-
-
-class TestIidScale:
-    def test_reference(self):
-        assert iid_scale(10**4, 10**2, 4.0) == pytest.approx(A_N_SCALE_REF, rel=1e-12)
-
-    def test_alpha_limit(self):
-        # alpha -> inf: a_n -> k_n^(-1/2)
-        assert iid_scale(10**4, 10**2, 1e12) == pytest.approx(0.1, rel=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            iid_scale(100, 10, 2.0)
-
-    def test_normalized_contrast_diverges(self):
-        # the whole-sum-normalized LRD/iid contrast grows along any n grid
-        vals = [iid_contrast(2**j, math.ceil((2**j) ** 0.9), 4.0) for j in range(10, 21)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestPowerRank:

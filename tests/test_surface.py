@@ -423,13 +423,10 @@ def test_a_study_loads_no_scipy_integrate():
 EXPORTS_WITHOUT_CALLER = {
     "trimmed_sum": "acceptance criterion 9 checks it against top_k_sum",
     "z_statistic": "the independent route to Z_n that the decomposition tests compare with",
-    "trend_nonincreasing": "the acceptance criteria judge their trends with it",
     "karamata_product": "the acceptance criteria check A_n K_n -> 1 with it",
     "model_lags": "acceptance criterion 6 reads the untruncated rho_k from it, and a circulant-embedding generator would build on it",
     "clamp_events": "the clamp counter, kept until clamps are counted inside the replicate kernel",
     "reset_clamp_events": "resets the clamp counter, kept with it",
-    "iid_contrast": "criterion 10 reads them",
-    "iid_scale": "criterion 10 reads them",
 }
 
 
